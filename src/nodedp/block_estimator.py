@@ -9,7 +9,6 @@ The noisy-density step and the selection step each spend half the budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,7 +22,7 @@ from .graphons import (
     BlockMatrix,
     Equipartition,
     canonical_sizes,
-    enumerate_equipartitions,
+    equipartition_array,
     equipartition_count,
 )
 from .mechanisms import (
@@ -97,43 +96,70 @@ def score(b, pi: Equipartition | np.ndarray, a) -> float:
     return float((av**2).sum() - ((av - expanded) ** 2).sum()) / n**2
 
 
+# Bytes one candidate chunk of the score table may take.  Scoring walks the
+# candidate axis in chunks of this size, so memory stays bounded whatever
+# the candidate and partition counts are.
+_SCORE_CHUNK_BYTES = 16 * 2**20
+
+
 @lru_cache(maxsize=32)
-def _partition_tensors(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked assignments [P, n] and one-hot tensors [P, n, k], lex order."""
-    assignments = np.stack(list(enumerate_equipartitions(n, k)))
-    onehot = np.zeros((assignments.shape[0], n, k))
-    rows = np.arange(n)
-    for p in range(assignments.shape[0]):
-        onehot[p, rows, assignments[p]] = 1.0
-    return assignments, onehot
+def _partition_tensors(n: int, k: int) -> np.ndarray:
+    """Stacked assignments [P, n], lex order, read-only."""
+    assignments = equipartition_array(n, k)
+    assignments.flags.writeable = False
+    return assignments
 
 
-def _pair_counts(a: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """E_ab(pi) = sum of A over ordered pairs with classes (a, b), per partition."""
-    ao = np.einsum("nm,pmk->pnk", a, onehot)
-    return np.einsum("pnk,pnl->pkl", onehot, ao)
+def _pair_counts(a: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    """E_ab(pi) = sum of A over ordered pairs with classes (a, b), per
+    partition, as [P, k, k]: one scatter-add per nonzero entry of A."""
+    p = assignments.shape[0]
+    counts = np.zeros((p, k, k))
+    flat = counts.reshape(-1)
+    base = np.arange(p) * (k * k)
+    for i, j in zip(*np.nonzero(a)):
+        flat[base + assignments[:, i].astype(np.intp) * k + assignments[:, j]] += a[i, j]
+    return counts
 
 
-def _best_scores_bulk(
-    cands: np.ndarray, a: np.ndarray, n: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+class BulkScores(NamedTuple):
+    values: np.ndarray  # [C] best score per candidate
+    argmax: np.ndarray  # [C] index of the first maximizing partition
+    distinct_rows: int  # distinct count matrices among the partitions
+
+
+def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
     """Exact max-over-equipartitions score for every candidate at once.
 
-    Returns (scores [C], argmax partition index [C]); ties resolve to the
-    lexicographically smallest assignment because enumeration is lex-ordered
-    and the running comparison is strict.
+    Score = (2 <E(pi), B> - ||B_pi||^2) / n^2, and the second term is
+    partition-independent because canonical class sizes are fixed, so a
+    partition enters only through its count matrix E(pi).  Each distinct
+    E(pi) is scored once, against chunks of candidates under
+    _SCORE_CHUNK_BYTES.  Distinct rows keep the order of their first
+    occurrence in the lex-ordered enumeration and the argmax takes the first
+    maximum, so ties resolve to the lexicographically smallest assignment.
     """
-    _, onehot = _partition_tensors(n, k)
-    counts = _pair_counts(a, onehot)  # [P, k, k]
+    counts = _pair_counts(a, _partition_tensors(n, k), k)
+    # one opaque key per row; np.unique returns each key's first occurrence
+    keys = counts.reshape(len(counts), -1).view(np.dtype((np.void, counts.itemsize * k * k)))
+    first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
+    rows = counts[first]
     sizes = np.array(canonical_sizes(n, k), dtype=float)
     cc = np.outer(sizes, sizes)
-    # Score = (2 <A, B_pi> - ||B_pi||^2) / n^2; the second term is
-    # partition-independent because canonical class sizes are fixed.
-    cross = np.einsum("pkl,ckl->pc", counts, cands)
-    penalty = np.einsum("kl,ckl->c", cc, cands**2)
-    table = (2.0 * cross - penalty[None, :]) / n**2
-    best_p = table.argmax(axis=0)
-    return table[best_p, np.arange(cands.shape[0])], best_p
+    total = cands.shape[0]
+    values = np.empty(total)
+    argmax = np.empty(total, dtype=np.intp)
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + k * k)))
+    for lo in range(0, total, step):
+        chunk = cands[lo : lo + step]
+        table = np.einsum("ckl,pkl->cp", chunk, rows)
+        table *= 2.0
+        table -= np.einsum("kl,ckl->c", cc, chunk**2)[:, None]
+        table /= n**2
+        best = table.argmax(axis=1)
+        values[lo : lo + step] = table[np.arange(chunk.shape[0]), best]
+        argmax[lo : lo + step] = first[best]
+    return BulkScores(values, argmax, rows.shape[0])
 
 
 class BestScore(NamedTuple):
@@ -158,9 +184,9 @@ def best_score(
     av = _as_adjacency(a)
     n, k = av.shape[0], bv.shape[0]
     if equipartition_count(n, k) <= budget:
-        values, argmax = _best_scores_bulk(bv[None], av, n, k)
-        assignments, _ = _partition_tensors(n, k)
-        return BestScore(float(values[0]), assignments[int(argmax[0])], True)
+        bulk = _best_scores_bulk(bv[None], av, n, k)
+        assignment = _partition_tensors(n, k)[bulk.argmax[0]].astype(int)
+        return BestScore(float(bulk.values[0]), assignment, True)
     if rng is None:
         rng = np.random.default_rng(0)
     base = np.repeat(np.arange(k), canonical_sizes(n, k))
@@ -220,12 +246,13 @@ def candidate_matrices(n: int, k: int, mu: float, budget: int = 10**6) -> np.nda
         raise ResourceLimitError(
             f"candidate set has {total} matrices, over the budget of {budget}"
         )
-    levels = np.arange(int(math.floor(n * mu + 1e-9)) + 1) / n
+    count = int(math.floor(n * mu + 1e-9)) + 1
+    levels = np.arange(count) / n
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    out = np.zeros((total, k, k))
-    for c, combo in enumerate(itertools.product(levels, repeat=len(pairs))):
-        for (i, j), v in zip(pairs, combo):
-            out[c, i, j] = out[c, j, i] = v
+    out = np.empty((total, k, k))
+    grid = out.reshape((count,) * len(pairs) + (k, k))
+    for (i, j), index in zip(pairs, np.indices((count,) * len(pairs), sparse=True)):
+        grid[..., i, j] = grid[..., j, i] = levels[index]
     return out
 
 
@@ -259,8 +286,7 @@ def measured_score_sensitivity(
         h = degree_cap(g, d)
         capped[g.key] = h.key
         if h.key not in rows:
-            values, _ = _best_scores_bulk(cands, h.adjacency.astype(float), n, k)
-            rows[h.key] = values
+            rows[h.key] = _best_scores_bulk(cands, h.adjacency.astype(float), n, k).values
     worst = 0.0
     for g in graphs:
         row_g = rows[capped[g.key]]
@@ -302,9 +328,12 @@ def block_mechanism(
     d_int = int(math.floor(d_real + 1e-9))
     cands = candidate_matrices(n, cfg.k, mu, cfg.candidate_budget)
     capped = degree_cap(g, d_int)
-    exact_search = equipartition_count(n, cfg.k) <= cfg.equipartition_budget
+    equipartitions = equipartition_count(n, cfg.k)
+    exact_search = equipartitions <= cfg.equipartition_budget
+    distinct_rows = None
     if exact_search:
-        scores, _ = _best_scores_bulk(cands, capped.adjacency.astype(float), n, cfg.k)
+        bulk = _best_scores_bulk(cands, capped.adjacency.astype(float), n, cfg.k)
+        scores, distinct_rows = bulk.values, bulk.distinct_rows
     else:
         rng = np.random.default_rng(0)  # fixed restarts: scoring is not private data
         scores = np.array(
@@ -321,6 +350,8 @@ def block_mechanism(
         "candidate_count": cands.shape[0],
         "degree_cap": d_int,
         "exact_search": exact_search,
+        "equipartitions": equipartitions,
+        "distinct_count_rows": distinct_rows,
         "sensitivity_mode": cfg.sensitivity_mode,
     }
     if delta <= 0.0:
@@ -345,14 +376,8 @@ def estimate_blocks(
     mech, cands, delta, diagnostics = block_mechanism(g, rho.value, cfg)
     idx = mech.sample(rng)
     chosen = cands[idx]
-    diag = {
-        "candidate_count": diagnostics["candidate_count"],
-        "degree_cap": diagnostics["degree_cap"],
-        "exact_search": diagnostics["exact_search"],
-        "sensitivity_mode": diagnostics["sensitivity_mode"],
-        "coefficient": diagnostics["coefficient"],
-        "chosen_score": float(diagnostics["scores"][idx]),
-    }
+    diag = {key: value for key, value in diagnostics.items() if key != "scores"}
+    diag["chosen_score"] = float(diagnostics["scores"][idx])
     return BlockEstimate(
         rho_hat=rho.value,
         raw_rho=rho.raw,

@@ -263,7 +263,10 @@ def extended_density_estimator(
 
 def predicted_baseline_mse(n: int, p: float, epsilon: float) -> float:
     """Exact MSE of the unclamped baseline on G(n,p):
-    Var(Lap(4/(n eps))) + Var(e(G)) = 32/(n^2 eps^2) + p(1-p)/C(n,2)."""
+    Var(Lap(4/(n eps))) + Var(e(G)) = 32/(n^2 eps^2) + p(1-p)/C(n,2).
+
+    The model is G(n,p), where e(G) varies.  Under G(n,m) every graph has
+    e(G) = m/C(n,2) and the exact MSE is the Laplace term alone: pass p = 0."""
     eps = _check_epsilon(epsilon)
     return 32.0 / (n**2 * eps**2) + p * (1.0 - p) / math.comb(n, 2)
 

@@ -226,23 +226,30 @@ def equipartition_count(n: int, k: int) -> int:
     return count
 
 
+def equipartition_array(n: int, k: int) -> np.ndarray:
+    """Every canonical-profile assignment as one [P, n] array, in
+    lexicographic order of the rows.
+
+    Built one column at a time: each prefix is extended by every class with
+    room left, and np.nonzero walks (prefix, class) in row-major order, so
+    the prefixes stay lexicographically sorted.  The dtype is the smallest
+    unsigned integer type that holds k - 1.
+    """
+    dtype = np.min_scalar_type(k - 1)
+    prefix = np.zeros((1, 0), dtype=dtype)
+    remaining = np.array([canonical_sizes(n, k)])
+    for _ in range(n):
+        rows, classes = np.nonzero(remaining > 0)
+        prefix = np.column_stack((prefix[rows], classes.astype(dtype)))
+        remaining = remaining[rows]
+        remaining[np.arange(rows.size), classes] -= 1
+    return prefix
+
+
 def enumerate_equipartitions(n: int, k: int) -> Iterator[np.ndarray]:
     """Canonical-profile assignments in lexicographic order of the vector."""
-    sizes = canonical_sizes(n, k)
-
-    def rec(prefix: list[int], remaining: list[int]) -> Iterator[np.ndarray]:
-        if len(prefix) == n:
-            yield np.array(prefix, dtype=int)
-            return
-        for c in range(k):
-            if remaining[c] > 0:
-                remaining[c] -= 1
-                prefix.append(c)
-                yield from rec(prefix, remaining)
-                prefix.pop()
-                remaining[c] += 1
-
-    yield from rec([], list(sizes))
+    for row in equipartition_array(n, k):
+        yield row.astype(int)
 
 
 def block_average(q_matrix, pi: Equipartition) -> BlockMatrix:

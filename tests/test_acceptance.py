@@ -319,7 +319,9 @@ def test_criterion_5_baseline_rate_and_oracle(criterion5_records):
     oracle_ok = True
     details = []
     for r in baseline:
-        want = predicted_baseline_mse(r.n, r.p, r.epsilon)
+        # the records are G(n,m): e(G) is constant, so the exact MSE is the
+        # Laplace variance alone, the p = 0 case of the G(n,p) oracle
+        want = predicted_baseline_mse(r.n, 0.0, r.epsilon)
         rel = abs(r.mse - want) / want
         details.append(f"n={r.n}: mse={r.mse:.3e} oracle={want:.3e} rel={rel:.2%}")
         if rel > 0.15:

@@ -1,11 +1,15 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nodedp.block_estimator as block_estimator
 from nodedp.block_estimator import (
     BlockEstimate,
     EstimatorConfig,
+    _best_scores_bulk,
     best_score,
     block_mechanism,
     candidate_count,
@@ -23,8 +27,11 @@ from nodedp.graphs import LabeledGraph, all_graphs, degree_cap, edge_density
 from nodedp.graphons import (
     BlockMatrix,
     Equipartition,
+    canonical_sizes,
     delta2_hat_blocks,
     enumerate_equipartitions,
+    equipartition_array,
+    equipartition_count,
 )
 from nodedp.rng import substream
 
@@ -144,6 +151,126 @@ def test_best_score_greedy_is_lower_bound():
     greedy = best_score(b, g, budget=1, rng=substream(7, "greedy"))
     assert not greedy.exact
     assert greedy.value <= exact.value + 1e-12
+
+
+# -- exactness of the deduplicated, chunked scoring ------------------------------------
+
+
+def _recursive_equipartitions(n, k):
+    """Canonical-profile assignments by depth-first recursion, lex order."""
+    remaining = canonical_sizes(n, k)
+    prefix = []
+
+    def rec():
+        if len(prefix) == n:
+            yield np.array(prefix)
+            return
+        for c in range(k):
+            if remaining[c] > 0:
+                remaining[c] -= 1
+                prefix.append(c)
+                yield from rec()
+                prefix.pop()
+                remaining[c] += 1
+
+    yield from rec()
+
+
+def _one_hot_table_scores(cands, a, n, k):
+    """Independent oracle: the full partitions x candidates score table over a
+    float one-hot tensor [P, n, k].  Its size is P x C, so small inputs only."""
+    assignments = np.stack(list(_recursive_equipartitions(n, k)))
+    onehot = np.zeros((len(assignments), n, k))
+    onehot[np.arange(len(assignments))[:, None], np.arange(n), assignments] = 1.0
+    counts = np.einsum("pnk,pnl->pkl", onehot, np.einsum("nm,pmk->pnk", a, onehot))
+    sizes = np.array(canonical_sizes(n, k), dtype=float)
+    cross = np.einsum("pkl,ckl->pc", counts, cands)
+    penalty = np.einsum("kl,ckl->c", np.outer(sizes, sizes), cands**2)
+    table = (2.0 * cross - penalty[None, :]) / n**2
+    best = table.argmax(axis=0)
+    return table[best, np.arange(cands.shape[0])], best, assignments
+
+
+def _random_graph(n, rng):
+    adj = np.zeros((n, n), dtype=bool)
+    iu = np.triu_indices(n, 1)
+    adj[iu] = rng.random(len(iu[0])) < rng.random()
+    return LabeledGraph(adj | adj.T)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
+def test_bulk_scores_match_one_hot_table_on_random_capped_graphs(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
+    rng = substream(13, "bulk-exactness", chunk_bytes or 0)
+    for n in range(4, 11):
+        for k in (2, 3):
+            for _ in range(2):
+                capped = degree_cap(_random_graph(n, rng), int(rng.integers(0, n)))
+                a = capped.adjacency.astype(float)
+                mu = 1.0
+                while candidate_count(n, k, mu) * equipartition_count(n, k) > 10**6:
+                    mu /= 2
+                cands = candidate_matrices(n, k, mu)
+                want, want_p, _ = _one_hot_table_scores(cands, a, n, k)
+                got = _best_scores_bulk(cands, a, n, k)
+                assert np.allclose(got.values, want, rtol=0.0, atol=1e-12)
+                assert np.array_equal(got.argmax, want_p)
+                assert 1 <= got.distinct_rows <= equipartition_count(n, k)
+
+
+def test_best_score_assignment_matches_one_hot_table():
+    rng = substream(14, "best-score-assignment")
+    for n, k in ((5, 2), (6, 3), (8, 2), (9, 3)):
+        for _ in range(4):
+            g = degree_cap(_random_graph(n, rng), int(rng.integers(1, n)))
+            raw = rng.random((k, k))
+            b = (raw + raw.T) / 2
+            want, want_p, assignments = _one_hot_table_scores(
+                b[None], g.adjacency.astype(float), n, k
+            )
+            got = best_score(b, g)
+            assert got.exact
+            assert got.value == pytest.approx(want[0], abs=1e-12)
+            assert np.array_equal(got.assignment, assignments[want_p[0]])
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (10, 4), (16, 2)])
+def test_equipartition_array_matches_recursive_enumeration(n, k):
+    want = np.stack(list(_recursive_equipartitions(n, k)))
+    assert np.array_equal(equipartition_array(n, k), want)
+    assert np.array_equal(np.stack(list(enumerate_equipartitions(n, k))), want)
+
+
+@pytest.mark.parametrize("n,k,mu", [(4, 2, 0.5), (5, 3, 0.4), (6, 1, 1.0), (3, 4, 0.34)])
+def test_candidate_matrices_follow_product_order(n, k, mu):
+    levels = np.arange(int(math.floor(n * mu + 1e-9)) + 1) / n
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    want = []
+    for combo in itertools.product(levels, repeat=len(pairs)):
+        m = np.zeros((k, k))
+        for (i, j), v in zip(pairs, combo):
+            m[i, j] = m[j, i] = v
+        want.append(m)
+    assert np.array_equal(candidate_matrices(n, k, mu), np.stack(want))
+
+
+def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
+    # n=9, k=3, rho_hat=0.5, lambda=2: mu=1 gives 10 levels on 6 entries,
+    # 10^6 candidates; a partitions x candidates table would be
+    # 1680 x 10^6 float64 entries, 13.4 GB.
+    g = LabeledGraph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=3)
+    tracemalloc.start()
+    try:
+        mech, cands, delta, diag = block_mechanism(g, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag["candidate_count"] == len(mech.candidates) == 10**6
+    assert diag["equipartitions"] == 1680
+    assert diag["exact_search"]
+    assert peak < 256 * 2**20
 
 
 # -- Lipschitz-extended score --------------------------------------------------------------

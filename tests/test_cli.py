@@ -70,7 +70,12 @@ def test_estimate_blocks_text_and_diagnostics(graph_file, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("rho_hat ")
     assert out[1] == "2"
-    assert diag.read_text().startswith("key,value")
+    rows = diag.read_text().splitlines()
+    assert rows[0] == "key,value"
+    # the path 0-1-2-3 has 6 equipartitions into two pairs; {01|23} and
+    # {23|01} share a count matrix, as do {02|13} and {13|02}
+    assert "equipartitions,6" in rows
+    assert "distinct_count_rows,4" in rows
 
 
 def test_audit_dp_laplace_passes(capsys):
