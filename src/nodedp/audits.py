@@ -7,7 +7,6 @@ checked order and grid, not an asymptotic claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,9 +18,16 @@ from .block_estimator import (
     measured_score_sensitivity,
     theoretical_sensitivity,
 )
-from .density import graph_space_oracle
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, adjacent_graphs, all_graphs, node_distance
+from .graphs import LabeledGraph, all_graphs, cover_table, graph_space_size
+from .mechanisms import max_violation
+
+from .density import graph_space_oracle  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
+
+# The pair kernel takes all P x P distances at once: 8 MiB at n = 5, 8 GiB
+# at n = 6.
+PAIR_AUDIT_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,26 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
+def _graph_distances(n: int, adjacent_only: bool = False) -> np.ndarray:
+    """[P, P] rewiring distances between all graphs of order n, in
+    ``all_graphs`` order, read from the cover table.  Pairs that are not
+    compared are +inf: the diagonal, and with adjacent_only every pair at
+    distance above 1."""
+    if n > PAIR_AUDIT_MAX_N:
+        raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
+    ids = np.arange(graph_space_size(n))
+    dist = cover_table(n)[ids[:, None] ^ ids].astype(float)
+    dist[dist == 0] = np.inf  # only a graph and itself are at distance 0
+    if adjacent_only:
+        dist[dist > 1] = np.inf
+    return dist
+
+
+def _on_grid(witness, grid):
+    """(i, j, t) with the column index t replaced by its grid point."""
+    return None if witness is None else (witness[0], witness[1], float(grid[witness[2]]))
+
+
 def audit_density_mechanism(
     mechanism: Callable[[LabeledGraph], object],
     n: int,
@@ -61,28 +87,12 @@ def audit_density_mechanism(
     and grid points.  Density objects must expose log_pdf."""
     if n > max_n:
         raise ResourceLimitError(f"density audit limited to n <= {max_n}")
+    dist = _graph_distances(n)
     grid = np.asarray(grid, dtype=float)
-    space = graph_space_oracle(n)
-    points = space.points
-    logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in points])
-    worst, witness, pairs = -math.inf, None, 0
-    rows = []
-    for i in range(len(points)):
-        for j in range(len(points)):
-            if i == j:
-                continue
-            pairs += 1
-            d = space.distance(points[i], points[j])
-            ratios = logs[i] - logs[j]
-            t = int((ratios - epsilon * d).argmax())
-            gap = float(ratios[t]) - epsilon * d
-            if gap > worst:
-                worst, witness = gap, (i, j, float(grid[t]))
-            if collect_rows:
-                rows.append(
-                    (i, j, d, float(grid[t]), float(ratios[t]), epsilon * d, gap)
-                )
-    return AuditReport(name, n, epsilon, worst, pairs, witness, tuple(rows))
+    logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in all_graphs(n)])
+    v = max_violation(logs, dist, epsilon, collect_rows)
+    rows = tuple((i, j, d, float(grid[t]), r, b, gap) for i, j, d, t, r, b, gap in v.rows)
+    return AuditReport(name, n, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid), rows)
 
 
 def audit_finite_mechanism(
@@ -99,34 +109,15 @@ def audit_finite_mechanism(
     is the binding case for path metrics."""
     if n > max_n:
         raise ResourceLimitError(f"finite audit limited to n <= {max_n}")
-    graphs = list(all_graphs(n))
-    index = {g.key: i for i, g in enumerate(graphs)}
+    dist = _graph_distances(n, adjacent_only)
     logs = []
-    width = None
-    for g in graphs:
-        mech = mechanism(g)
-        lp = np.asarray(mech.log_probs, dtype=float)
-        if width is None:
-            width = lp.size
-        elif lp.size != width:
+    for g in all_graphs(n):
+        lp = np.asarray(mechanism(g).log_probs, dtype=float)
+        if logs and lp.size != logs[0].size:
             raise ValueError("candidate lists differ across inputs")
         logs.append(lp)
-    logs = np.stack(logs)
-    worst, witness, pairs = -math.inf, None, 0
-    for i, g in enumerate(graphs):
-        others = (
-            (index[h.key] for h in adjacent_graphs(g) if h.key != g.key)
-            if adjacent_only
-            else (j for j in range(len(graphs)) if j != i)
-        )
-        for j in others:
-            pairs += 1
-            d = 1.0 if adjacent_only else float(node_distance(graphs[i], graphs[j]))
-            gaps = logs[i] - logs[j] - epsilon * d
-            t = int(gaps.argmax())
-            if gaps[t] > worst:
-                worst, witness = float(gaps[t]), (i, j, t)
-    return AuditReport(name, n, epsilon, worst, pairs, witness)
+    v = max_violation(np.stack(logs), dist, epsilon)
+    return AuditReport(name, n, epsilon, v.worst, v.pairs, v.witness)
 
 
 def audit_block_mechanism(
@@ -211,21 +202,15 @@ def audit_bitstring_reduction(
     if n_bits > max_bits:
         raise ResourceLimitError(f"bit-string audit limited to {max_bits} bits")
     grid = np.asarray(grid, dtype=float)
-    strings = [
-        tuple((i >> t) & 1 for t in range(n_bits)) for i in range(1 << n_bits)
-    ]
+    ids = np.arange(1 << n_bits)
+    strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in ids.tolist()]
     logs = np.stack(
         [np.asarray(mechanism(bernoulli_reduction_graph(s)).log_pdf(grid)) for s in strings]
     )
-    worst, witness, pairs = -math.inf, None, 0
-    for i, si in enumerate(strings):
-        for j, sj in enumerate(strings):
-            if i == j:
-                continue
-            pairs += 1
-            hamming = sum(a != b for a, b in zip(si, sj))
-            gaps = logs[i] - logs[j] - epsilon * hamming
-            t = int(gaps.argmax())
-            if gaps[t] > worst:
-                worst, witness = float(gaps[t]), (i, j, float(grid[t]))
-    return AuditReport("bitstring-reduction", n_bits, epsilon, worst, pairs, witness)
+    flips = ids[:, None] ^ ids
+    hamming = ((flips[:, :, None] >> np.arange(n_bits)) & 1).sum(axis=2).astype(float)
+    np.fill_diagonal(hamming, np.inf)
+    v = max_violation(logs, hamming, epsilon)
+    return AuditReport(
+        "bitstring-reduction", n_bits, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid)
+    )

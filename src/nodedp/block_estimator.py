@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, adjacent_graphs, all_graphs, degree_cap
+from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap
+from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import (
     BlockMatrix,
     Equipartition,
@@ -279,22 +280,34 @@ def measured_score_sensitivity(
     if n > max_n:
         raise ResourceLimitError(f"audited sensitivity limited to n <= {max_n}")
     cands = candidate_matrices(n, k, mu, candidate_budget)
-    rows: dict[bytes, np.ndarray] = {}
-    capped: dict[bytes, bytes] = {}
+    row_of: dict[bytes, int] = {}  # capped graph -> its row of best scores
+    rows = []
     graphs = list(all_graphs(n))
-    for g in graphs:
+    capped_row = np.empty(len(graphs), dtype=np.intp)
+    for i, g in enumerate(graphs):
         h = degree_cap(g, d)
-        capped[g.key] = h.key
-        if h.key not in rows:
-            rows[h.key] = _best_scores_bulk(cands, h.adjacency.astype(float), n, k).values
+        if h.key not in row_of:
+            row_of[h.key] = len(rows)
+            rows.append(_best_scores_bulk(cands, h.adjacency.astype(float), n, k).values)
+        capped_row[i] = row_of[h.key]
+    # Adjacent graphs differ by an edge set covered by one vertex, so the
+    # neighbours of index i are i ^ f for the f with cover size 1.  Each
+    # unordered pair is kept once (|difference| is symmetric), as a pair of
+    # distinct score rows.
+    ids = np.arange(len(graphs))
+    codes = [np.empty(0, dtype=np.intp)]
+    for flip in np.flatnonzero(cover_table(n) == 1):
+        nbr = ids ^ flip
+        upper = nbr > ids
+        codes.append(capped_row[upper] * len(rows) + capped_row[nbr[upper]])
+    first, second = np.divmod(np.unique(np.concatenate(codes)), len(rows))
+    first, second = first[first != second], second[first != second]
+    scores = np.stack(rows)
     worst = 0.0
-    for g in graphs:
-        row_g = rows[capped[g.key]]
-        for h in adjacent_graphs(g):
-            if h.key <= g.key:
-                continue  # unordered pairs once; |difference| is symmetric
-            gap = float(np.abs(row_g - rows[capped[h.key]]).max())
-            worst = max(worst, gap)
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * scores.shape[1]))
+    for lo in range(0, first.size, step):
+        gaps = np.abs(scores[first[lo : lo + step]] - scores[second[lo : lo + step]])
+        worst = max(worst, float(gaps.max()))
     return worst
 
 
@@ -309,6 +322,7 @@ class BlockEstimate:
     mu: float
     delta: float
     diagnostics: dict = field(default_factory=dict)
+    dp_domain: str = "unspecified"  # where the stated epsilon is guaranteed
 
     def normalized(self) -> BlockMatrix:
         """Estimate of the density-normalized graphon: b_hat / rho_hat."""
@@ -368,6 +382,21 @@ def block_mechanism(
     return mech, cands, delta, diagnostics
 
 
+def _dp_domain(n: int, exact_search: bool, sensitivity_mode: str) -> str:
+    """Where a block release's epsilon holds, given how it was computed."""
+    if not exact_search:
+        return (
+            "not established: the hill-climb over equipartitions is data-dependent"
+            " and the score sensitivity does not cover its path"
+        )
+    if sensitivity_mode == "audited":
+        return f"all graphs on {n} vertices"
+    return (
+        "all graphs if degree_cap is stable under one rewiring; Delta = 4 d mu / n^2"
+        " assumes it and it is unproven"
+    )
+
+
 def estimate_blocks(
     g: LabeledGraph, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> BlockEstimate:
@@ -384,5 +413,6 @@ def estimate_blocks(
         b_hat=BlockMatrix(chosen),
         mu=cfg.lam * rho.value,
         delta=delta,
+        dp_domain=_dp_domain(g.n, diagnostics["exact_search"], cfg.sensitivity_mode),
         diagnostics=diag,
     )

@@ -127,6 +127,7 @@ def _cmd_estimate_blocks(args) -> int:
         rows.append(f"mu,{est.mu:.17g}")
         rows.append(f"delta,{est.delta:.17g}")
         rows.append(f"raw_rho,{est.raw_rho:.17g}")
+        rows.append(f"dp_domain,{est.dp_domain}")
         for key in sorted(est.diagnostics):
             rows.append(f"{key},{est.diagnostics[key]}")
         with open(args.diagnostics, "w") as fh:

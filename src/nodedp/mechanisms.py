@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ResourceLimitError
 
@@ -25,6 +24,27 @@ def _check_epsilon(epsilon: float) -> float:
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"epsilon must be a positive finite real, got {epsilon!r}")
     return eps
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-d array, by scipy.special.logsumexp's own
+    algorithm, so the two agree bit for bit: the maxima are summed apart and
+    enter through log1p, and a non-finite result falls back to the direct
+    formula."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    top = a.max()
+    at_top = a == top
+    count = np.float64(np.count_nonzero(at_top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        if rest != 0:
+            rest = rest / count
+        out = np.log1p(rest) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 # -- Laplace -------------------------------------------------------------------
@@ -385,24 +405,88 @@ def extend_mechanism(
             f"{len(points)} x {len(h_points)} exact extension exceeds budget "
             f"{budget}; rerun with promise_in_h=True (DP only on H)"
         )
-    log_shapes = []
+    # Base laws often share one normalized log shape (the density bases
+    # depend on e(G) alone).  Since min_j (f + eps d_j) = f + eps min_j d_j,
+    # and floating-point addition is monotone, each shape enters the
+    # envelope once, shifted by its nearest member's distance.
+    groups: dict[tuple[bytes, bytes], tuple[PiecewiseLinear, list]] = {}
     for p in h_points:
         dens = base_density(p)
-        log_shapes.append(dens.shape.shift(-dens.log_normalizer))
+        shape = dens.shape.shift(-dens.log_normalizer)
+        groups.setdefault((shape.xs.tobytes(), shape.ys.tobytes()), (shape, []))[1].append(p)
     cache: dict = {}
 
     def extended(d_input) -> PiecewiseExpDensity:
         if d_input in cache:
             return cache[d_input]
         shifted = [
-            log_shapes[j].shift(eps * space.distance(d_input, h_points[j]))
-            for j in range(len(h_points))
+            shape.shift(eps * min(space.distance(d_input, p) for p in members))
+            for shape, members in groups.values()
         ]
         dens = PiecewiseExpDensity(piecewise_min(shifted))
         cache[d_input] = dens
         return dens
 
     return extended
+
+
+# Bytes one chunk of max_violation's [rows, P, T] gap tensor may take.  The
+# kernel walks the first point axis in chunks of this size, so memory stays
+# bounded whatever the point and grid counts are.
+_AUDIT_CHUNK_BYTES = 16 * 2**20
+
+
+class Violation(NamedTuple):
+    worst: float  # largest gap over compared pairs and columns; -inf if none
+    pairs: int  # ordered pairs compared (finite distance)
+    witness: tuple[int, int, int] | None  # (i, j, t) of the first largest gap
+    # per compared pair in row-major order, on request:
+    # (i, j, distance, t, log ratio, epsilon * distance, gap)
+    rows: tuple = ()
+
+
+def max_violation(logs, dist, epsilon: float, collect_rows: bool = False) -> Violation:
+    """Worst privacy gap log p_i[t] - log p_j[t] - epsilon * dist[i, j] over
+    ordered pairs (i, j) and columns t.
+
+    logs is [P, T]: log densities on a grid or log pmfs over candidates, one
+    row per input.  dist is [P, P]; a pair that is not compared (the
+    diagonal, non-neighbours) has distance +inf.  Each pair reports its first
+    maximizing column, and the witness is the first maximum in row-major
+    (i, j, t) order; a NaN gap is never a witness.  A nonpositive worst gap
+    (within tolerance) certifies epsilon-DP on the compared pairs.
+    """
+    logs = np.asarray(logs, dtype=float)
+    dist = np.asarray(dist, dtype=float)
+    points, width = logs.shape
+    if dist.shape != (points, points):
+        raise ValueError(f"need a {points} x {points} distance matrix, got {dist.shape}")
+    step = max(1, _AUDIT_CHUNK_BYTES // (8 * points * width))
+    worst, witness, pairs = -math.inf, None, 0
+    columns = []
+    for lo in range(0, points, step):
+        block = dist[lo : lo + step]
+        compared = block < math.inf
+        bound = epsilon * np.where(compared, block, 0.0)
+        gaps = logs[lo : lo + step, None, :] - logs[None, :, :]
+        gaps -= bound[:, :, None]
+        t = gaps.argmax(axis=2)
+        pair_gap = np.take_along_axis(gaps, t[:, :, None], axis=2)[:, :, 0]
+        ranked = np.where(compared & ~np.isnan(pair_gap), pair_gap, -math.inf)
+        best = int(ranked.argmax())
+        if ranked.flat[best] > worst:
+            i, j = divmod(best, points)
+            worst, witness = float(ranked.flat[best]), (lo + i, j, int(t[i, j]))
+        ii, jj = np.nonzero(compared)
+        pairs += ii.size
+        if collect_rows:
+            tt = t[ii, jj]
+            ratio = logs[lo + ii, tt] - logs[jj, tt]
+            columns.append((lo + ii, jj, block[ii, jj], tt, ratio, bound[ii, jj], pair_gap[ii, jj]))
+    rows = ()
+    if collect_rows and columns:
+        rows = tuple(zip(*(np.concatenate(c).tolist() for c in zip(*columns))))
+    return Violation(worst, pairs, witness, rows)
 
 
 def dp_audit_densities(
@@ -424,13 +508,6 @@ def dp_audit_densities(
     if len(points) ** 2 * grid.size > budget:
         raise ResourceLimitError("audit grid exceeds budget")
     logs = np.stack([np.asarray(mechanism(p).log_pdf(grid)) for p in points])
-    worst = -math.inf
-    for i in range(len(points)):
-        for j in range(len(points)):
-            if i == j:
-                continue
-            gap = float((logs[i] - logs[j]).max()) - eps * space.distance(
-                points[i], points[j]
-            )
-            worst = max(worst, gap)
-    return worst
+    dist = np.array([[space.distance(a, b) for b in points] for a in points], dtype=float)
+    np.fill_diagonal(dist, math.inf)
+    return max_violation(logs, dist, eps).worst

@@ -23,7 +23,7 @@ from nodedp.block_estimator import (
     theoretical_sensitivity,
 )
 from nodedp.errors import ResourceLimitError
-from nodedp.graphs import LabeledGraph, all_graphs, degree_cap, edge_density
+from nodedp.graphs import LabeledGraph, all_graphs, degree_cap, edge_density, node_distance
 from nodedp.graphons import (
     BlockMatrix,
     Equipartition,
@@ -444,3 +444,38 @@ def test_block_mechanism_greedy_fallback_over_budget():
     est = estimate_blocks(g, cfg, substream(12, "greedy-path"))
     assert est.diagnostics["exact_search"] is False
     assert est.b_hat.k == 2
+
+
+# -- where the epsilon of a block release holds ---------------------------------------
+
+
+def test_theoretical_delta_is_exceeded_on_a_capped_pair():
+    """Two graphs one rewiring apart whose degree-capped images are four
+    rewirings apart: the capped score moves 1.71 Delta, which is why
+    theoretical mode carries a qualified dp_domain."""
+    g = LabeledGraph.from_hex(9, "0096200090")
+    h = g.rewire(0, [2, 3, 5, 8])
+    assert node_distance(g, h) == 1
+    assert node_distance(degree_cap(g, 1), degree_cap(h, 1)) == 4
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2)
+    _, _, delta, diag_g = block_mechanism(g, 0.06, cfg)
+    _, _, _, diag_h = block_mechanism(h, 0.06, cfg)
+    assert diag_g["degree_cap"] == 1
+    assert delta == pytest.approx(theoretical_sensitivity(9, 2.0 * 0.06 * 9, 0.12))
+    assert float(np.abs(diag_g["scores"] - diag_h["scores"]).max()) > 1.7 * delta
+    est = estimate_blocks(g, cfg, substream(3, "dp-domain"))
+    assert "degree_cap is stable under one rewiring" in est.dp_domain
+    assert "unproven" in est.dp_domain
+
+
+def test_dp_domain_of_audited_and_hill_climb_releases():
+    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    audited = EstimatorConfig(epsilon=2.0, lam=2.0, k=2, sensitivity_mode="audited")
+    assert estimate_blocks(g, audited, substream(4, "dp")).dp_domain == "all graphs on 4 vertices"
+    g6 = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    cfg = EstimatorConfig(epsilon=5.0, lam=1.0, k=2, equipartition_budget=3)
+    est = estimate_blocks(g6, cfg, substream(12, "greedy-path"))
+    assert est.diagnostics["exact_search"] is False
+    assert "data-dependent" in est.dp_domain
+    # an audited sensitivity does not cover the hill-climb's path either
+    assert block_estimator._dp_domain(6, False, "audited") == est.dp_domain

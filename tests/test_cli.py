@@ -76,6 +76,9 @@ def test_estimate_blocks_text_and_diagnostics(graph_file, tmp_path, capsys):
     # {23|01} share a count matrix, as do {02|13} and {13|02}
     assert "equipartitions,6" in rows
     assert "distinct_count_rows,4" in rows
+    # theoretical sensitivity: the domain names the unproven cap assumption
+    (domain,) = [r for r in rows if r.startswith("dp_domain,")]
+    assert "degree_cap is stable under one rewiring" in domain
 
 
 def test_audit_dp_laplace_passes(capsys):

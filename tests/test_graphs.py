@@ -7,6 +7,7 @@ from nodedp.graphs import (
     adjacent_graphs,
     all_graphs,
     boundary_edge_count,
+    cover_table,
     degree_cap,
     edge_density,
     graph_from_index,
@@ -82,6 +83,19 @@ def test_constructor_rejects_self_loops_and_asymmetry():
 def test_edge_list_round_trip():
     g = LabeledGraph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
     assert LabeledGraph.from_edge_list_text(g.to_edge_list_text()) == g
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4 2\n0 1\n1 2\n2 3\n0 3\n",  # lines beyond the declared edge count
+        "4 3\n0 1\n1 0\n0 1\n",  # one edge three times, in both orientations
+        "4 2\n0 1\n",  # fewer lines than declared
+    ],
+)
+def test_edge_list_rejects_a_count_that_disagrees_with_the_edges(text):
+    with pytest.raises(ValueError):
+        LabeledGraph.from_edge_list_text(text)
 
 
 def test_hex_round_trip_all_n4():
@@ -282,3 +296,30 @@ def test_density_lipschitz_bound_n5_exhaustive():
         e_g = edge_density(g)
         for h in adjacent_graphs(g):
             assert abs(e_g - edge_density(h)) <= 4.0 / n + 1e-12
+
+
+# -- cover table ------------------------------------------------------------------------
+
+
+def test_cover_table_matches_bfs_on_every_n4_pair():
+    neighbors = rewiring_neighbors(4)
+    table = cover_table(4)
+    for i in range(64):
+        for j in range(i + 1, 64):
+            assert table[i ^ j] == bfs_distance(neighbors, i, j)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cover_table_matches_branch_and_bound_on_random_pairs(n):
+    rng = substream(20260810, "cover-table", n)
+    table = cover_table(n)
+    for i, j in rng.integers(0, 1 << (n * (n - 1) // 2), size=(200, 2)).tolist():
+        assert table[i ^ j] == node_distance(graph_from_index(n, i), graph_from_index(n, j))
+
+
+def test_cover_table_is_read_only_and_guarded():
+    assert cover_table(7).shape == (1 << 21,)
+    with pytest.raises(ValueError):
+        cover_table(4)[1] = 0
+    with pytest.raises(ResourceLimitError):
+        cover_table(8)

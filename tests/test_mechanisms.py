@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp as scipy_logsumexp
 
+from nodedp import mechanisms
+from nodedp.density import (
+    HomogeneityConfig,
+    graph_space_oracle,
+    homogeneity_membership,
+    restricted_density_mechanism,
+)
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import all_graphs, edge_density, node_distance
 from nodedp.mechanisms import (
@@ -16,6 +24,8 @@ from nodedp.mechanisms import (
     exponential_mechanism,
     exponential_mechanism_distribution,
     extend_mechanism,
+    logsumexp,
+    max_violation,
     piecewise_min,
     sample_laplace,
     truncated_laplace_density,
@@ -379,3 +389,133 @@ def test_extension_is_epsilon_dominated_between_h_points():
         points=[0, 2], distance=space.distance, contains=space.contains
     )
     assert dp_audit_densities(h_only, extended, eps, grid) <= 1e-9
+
+
+# -- logsumexp ------------------------------------------------------------------------
+
+
+def test_logsumexp_is_bit_identical_to_scipy():
+    rng = substream(20260810, "logsumexp")
+    for trial in range(3000):
+        size = int(rng.integers(1, 40))
+        kind = trial % 4
+        if kind == 0:
+            a = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
+        elif kind == 1:  # ties at the maximum and elsewhere
+            a = rng.integers(-3, 3, size=size).astype(float)
+        elif kind == 2:  # spans above 700: exp underflows below the top
+            a = rng.uniform(-1500.0, 10.0, size=size)
+        else:
+            a = np.concatenate([rng.uniform(-800.0, 0.0, size=size), [0.0, 0.0]])
+        assert logsumexp(a) == float(scipy_logsumexp(a))
+    for edge in ([-np.inf, -np.inf], [np.inf, 1.0], [0.0], [5.0, -np.inf]):
+        assert logsumexp(edge) == float(scipy_logsumexp(np.array(edge)))
+    assert math.isnan(logsumexp([np.nan, 1.0]))
+
+
+# -- the pair kernel ------------------------------------------------------------------
+
+
+def test_max_violation_witness_is_first_maximum_in_row_major_order():
+    logs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    inf = math.inf
+    dist = np.array([[inf, 1.0, 2.0], [1.0, inf, 1.0], [2.0, 1.0, inf]])
+    # pairs (0,1), (1,0), (1,2) and (2,1) all reach gap 0
+    v = max_violation(logs, dist, 1.0)
+    assert (v.worst, v.pairs, v.witness) == (0.0, 6, (0, 1, 1))
+    dist[0, 1] = inf  # no longer compared
+    v = max_violation(logs, dist, 1.0, collect_rows=True)
+    assert (v.worst, v.pairs, v.witness) == (0.0, 5, (1, 0, 0))
+    assert [row[:2] for row in v.rows] == [(0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert v.rows[1] == (1, 0, 1.0, 0, 1.0, 1.0, 0.0)
+
+
+def test_max_violation_ignores_nan_gaps_and_empty_pair_sets():
+    # inf - inf is NaN at t = 0; argmax takes the first NaN, so both pairs
+    # report a NaN gap, which is never a witness
+    logs = np.array([[np.inf, 0.0], [np.inf, 0.5]])
+    with np.errstate(invalid="ignore"):
+        v = max_violation(logs, np.array([[math.inf, 0.0], [0.0, math.inf]]), 1.0)
+        assert (v.worst, v.pairs, v.witness) == (-math.inf, 2, None)
+        v = max_violation(logs, np.full((2, 2), math.inf), 1.0)
+    assert (v.worst, v.pairs, v.witness) == (-math.inf, 0, None)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
+def test_max_violation_matches_pair_loop_at_any_chunk_size(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(mechanisms, "_AUDIT_CHUNK_BYTES", chunk_bytes)
+    rng = substream(20260810, "max-violation", str(chunk_bytes))
+    p, width, eps = 23, 17, 0.7
+    logs = np.round(rng.normal(size=(p, width)), 1)  # rounding makes ties
+    dist = rng.integers(0, 4, size=(p, p)).astype(float)
+    dist[rng.random((p, p)) < 0.3] = math.inf
+    np.fill_diagonal(dist, math.inf)
+    worst, witness, pairs, rows = -math.inf, None, 0, []
+    for i in range(p):
+        for j in range(p):
+            if dist[i, j] == math.inf:
+                continue
+            pairs += 1
+            ratios = logs[i] - logs[j]
+            t = int((ratios - eps * dist[i, j]).argmax())
+            gap = float(ratios[t]) - eps * dist[i, j]
+            if gap > worst:
+                worst, witness = gap, (i, j, t)
+            rows.append((i, j, dist[i, j], t, float(ratios[t]), eps * dist[i, j], gap))
+    v = max_violation(logs, dist, eps, collect_rows=True)
+    assert (v.worst, v.pairs, v.witness, v.rows) == (worst, pairs, witness, tuple(rows))
+
+
+# -- the deduplicated extension against the pointwise fold over all of H -------------
+
+
+def _fold_over_h(shapes, shifts):
+    """The extension before deduplication: every H point's normalized shape,
+    shifted by its own distance, folded pair by pair in H order."""
+    xs, ys = shapes[0][0], shapes[0][1] + shifts[0]
+    for (gx, gy), c in zip(shapes[1:], shifts[1:]):
+        gy = gy + c
+        knots = np.unique(np.concatenate([xs, gx]))
+        fk, gk = np.interp(knots, xs, ys), np.interp(knots, gx, gy)
+        extra = []
+        for i in range(knots.size - 1):
+            d0 = fk[i] - gk[i]
+            d1 = fk[i + 1] - gk[i + 1]
+            if d0 * d1 < 0:
+                t = d0 / (d0 - d1)
+                extra.append(knots[i] + t * (knots[i + 1] - knots[i]))
+        if extra:
+            knots = np.unique(np.concatenate([knots, np.array(extra)]))
+        ys = np.minimum(np.interp(knots, xs, ys), np.interp(knots, gx, gy))
+        xs = knots
+    return PiecewiseExpDensity(PiecewiseLinear(xs, ys))
+
+
+def _assert_extension_matches_fold(space, base, eps, grid):
+    extended = extend_mechanism(space, base, eps, budget=10**7)
+    h_points = [p for p in space.points if space.contains(p)]
+    shapes = []
+    for p in h_points:
+        dens = base(p)
+        shapes.append((dens.shape.xs, dens.shape.ys - dens.log_normalizer))
+    worst = 0.0
+    for x in space.points:
+        want = _fold_over_h(shapes, [eps * space.distance(x, p) for p in h_points])
+        worst = max(worst, float(np.abs(extended(x).log_pdf(grid) - want.log_pdf(grid)).max()))
+    assert worst <= 1e-12
+    return len(h_points)
+
+
+def test_extension_matches_fold_over_h_for_every_n5_input():
+    cfg = HomogeneityConfig(rho=0.5, C=49.0, n=5)
+    space = graph_space_oracle(5, contains=lambda g: homogeneity_membership(g, cfg))
+    base = lambda g: restricted_density_mechanism(g, 1.0, cfg)
+    h_size = _assert_extension_matches_fold(space, base, 0.5, np.linspace(0.0, 1.0, 201))
+    assert h_size == 638
+
+
+def test_extension_matches_fold_over_h_on_the_criterion_3_space():
+    space = graph_space_oracle(4, contains=lambda g: g.max_degree <= 2)
+    base = lambda g: unit_laplace_density(edge_density(g), 2.0)
+    _assert_extension_matches_fold(space, base, 0.5, np.linspace(0.0, 1.0, 1000))
