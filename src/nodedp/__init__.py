@@ -19,15 +19,9 @@ from .graphs import (
 )
 from .graphons import (
     BlockMatrix,
-    Equipartition,
     StepGraphon,
     WRandomSample,
-    agnostic_error,
-    block_average,
-    block_average_grid,
     delta2_hat_blocks,
-    delta2_hat_fit,
-    enumerate_equipartitions,
     equipartition_count,
     normalized_l2,
     rewired_model_pmf,
@@ -36,8 +30,6 @@ from .graphons import (
     sample_gnm_rewired_coupled,
     sample_gnp,
     sample_w_random,
-    sampling_error,
-    step_l2_distance,
     two_clique_graphon,
 )
 from .mechanisms import (
@@ -47,7 +39,6 @@ from .mechanisms import (
     PiecewiseExpDensity,
     PiecewiseLinear,
     dp_audit_densities,
-    exponential_mechanism,
     exponential_mechanism_distribution,
     extend_mechanism,
     piecewise_min,
@@ -62,7 +53,6 @@ from .block_estimator import (
     best_score,
     block_mechanism,
     estimate_blocks,
-    lipschitz_score,
     private_density,
     score,
 )

@@ -28,6 +28,10 @@ from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 # The pair kernel takes all P x P distances at once: 8 MiB at n = 5, 8 GiB
 # at n = 6.
 PAIR_AUDIT_MAX_N = 5
+# The finite audit builds one mechanism per graph: 64 at n = 4.
+FINITE_AUDIT_MAX_N = 4
+# The bit-string audit builds one mechanism per string: 64 at 6 bits.
+BITSTRING_AUDIT_MAX_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,10 @@ def audit_density_mechanism(
     epsilon: float,
     grid,
     name: str = "density-mechanism",
-    max_n: int = 5,
     collect_rows: bool = False,
 ) -> AuditReport:
     """Check log f_G(q) - log f_G'(q) <= eps * d_v(G, G') over all graph pairs
     and grid points.  Density objects must expose log_pdf."""
-    if n > max_n:
-        raise ResourceLimitError(f"density audit limited to n <= {max_n}")
     dist = _graph_distances(n)
     grid = np.asarray(grid, dtype=float)
     logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in all_graphs(n)])
@@ -101,14 +102,13 @@ def audit_finite_mechanism(
     epsilon: float,
     name: str = "finite-mechanism",
     adjacent_only: bool = True,
-    max_n: int = 4,
 ) -> AuditReport:
     """Check exact pmf ratios of a finite-output mechanism against
     exp(eps * d_v).  Candidate lists must align across inputs (compare by
     index).  With adjacent_only, only rewiring neighbors are compared, which
     is the binding case for path metrics."""
-    if n > max_n:
-        raise ResourceLimitError(f"finite audit limited to n <= {max_n}")
+    if n > FINITE_AUDIT_MAX_N:
+        raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
     dist = _graph_distances(n, adjacent_only)
     logs = []
     for g in all_graphs(n):
@@ -192,15 +192,16 @@ def audit_bitstring_reduction(
     n_bits: int,
     epsilon: float,
     grid,
-    max_bits: int = 6,
 ) -> AuditReport:
     """Audit mechanism(bit-string graph) against Hamming distance on inputs.
 
     Node privacy of the graph mechanism implies the same epsilon against
     bit flips because one flip rewires one vertex.
     """
-    if n_bits > max_bits:
-        raise ResourceLimitError(f"bit-string audit limited to {max_bits} bits")
+    if n_bits > BITSTRING_AUDIT_MAX_BITS:
+        raise ResourceLimitError(
+            f"bit-string audit limited to {BITSTRING_AUDIT_MAX_BITS} bits"
+        )
     grid = np.asarray(grid, dtype=float)
     ids = np.arange(1 << n_bits)
     strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in ids.tolist()]

@@ -19,13 +19,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .graphons import (
-    BlockMatrix,
-    Equipartition,
-    canonical_sizes,
-    equipartition_array,
-    equipartition_count,
-)
+from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
     FiniteMechanism,
     exponential_mechanism_distribution,
@@ -87,11 +81,12 @@ def _as_adjacency(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def score(b, pi: Equipartition | np.ndarray, a) -> float:
-    """Score(B, pi, A) = ||A||^2 - ||A - B_pi||^2 under normalized norms."""
+def score(b, pi, a) -> float:
+    """Score(B, pi, A) = ||A||^2 - ||A - B_pi||^2 under normalized norms,
+    for an assignment array pi: [n] -> [k]."""
     bv = _as_block_values(b)
     av = _as_adjacency(a)
-    assignment = pi.assignment if isinstance(pi, Equipartition) else np.asarray(pi, int)
+    assignment = np.asarray(pi, int)
     expanded = bv[np.ix_(assignment, assignment)]
     n = av.shape[0]
     return float((av**2).sum() - ((av - expanded) ** 2).sum()) / n**2
@@ -214,21 +209,6 @@ def best_score(
     return BestScore(best_val, best_assign, False)
 
 
-def lipschitz_score(b, a: LabeledGraph, d: int, budget: int = 10**7) -> float:
-    """Best score against the degree-capped graph.
-
-    Coincides with best_score on graphs whose max degree is already <= d.
-    Whether it never exceeds the uncapped best score is deliberately not
-    assumed; see score_extension_gap for the recorded comparison.
-    """
-    return best_score(b, degree_cap(a, d), budget).value
-
-
-def score_extension_gap(b, a: LabeledGraph, d: int, budget: int = 10**7) -> tuple[float, float]:
-    """(capped score, uncapped score) for diagnostics."""
-    return lipschitz_score(b, a, d, budget), best_score(b, a, budget).value
-
-
 # -- candidate grid -----------------------------------------------------------------
 
 
@@ -265,20 +245,22 @@ def theoretical_sensitivity(n: int, d: float, mu: float) -> float:
     return 4.0 * d * mu / n**2
 
 
+# Largest order whose graphs measured_score_sensitivity enumerates: 2^15
+# graphs at n = 6.
+SENSITIVITY_AUDIT_MAX_N = 6
+
+
 @lru_cache(maxsize=64)
 def measured_score_sensitivity(
-    n: int,
-    k: int,
-    mu: float,
-    d: int,
-    candidate_budget: int = 10**6,
-    max_n: int = 6,
+    n: int, k: int, mu: float, d: int, candidate_budget: int = 10**6
 ) -> float:
     """Exhaustive max over candidates and adjacent graph pairs of the change
     in the degree-capped best score.  Exact, so calibrating the exponential
     mechanism to this value yields exact DP at the audited order."""
-    if n > max_n:
-        raise ResourceLimitError(f"audited sensitivity limited to n <= {max_n}")
+    if n > SENSITIVITY_AUDIT_MAX_N:
+        raise ResourceLimitError(
+            f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
+        )
     cands = candidate_matrices(n, k, mu, candidate_budget)
     row_of: dict[bytes, int] = {}  # capped graph -> its row of best scores
     rows = []

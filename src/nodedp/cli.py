@@ -86,8 +86,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate_density(args) -> int:
     g = _read_graph(args.input)
-    if args.promise_in_h:
-        args.mode = "promise"
     rng = substream(args.seed, "cli-estimate-density", args.mode)
     if args.mode == "baseline":
         est = laplace_density_estimator(g, args.epsilon, rng)
@@ -306,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["baseline", "restricted", "extended", "promise"],
         default="baseline",
-    )
-    d.add_argument(
-        "--promise-in-H",
-        dest="promise_in_h",
-        action="store_true",
-        help="run the restricted mechanism on any input; DP only on H",
     )
     d.add_argument("--rho", type=float, default=0.5)
     d.add_argument("--C", type=float, default=49.0)

@@ -226,7 +226,7 @@ def extended_density_mechanism(
         )
     space = graph_space_oracle(n, contains=lambda g: homogeneity_membership(g, cfg))
     base = lambda g: restricted_density_mechanism(g, eps, cfg)
-    return extend_mechanism(space, base, eps / 2.0, budget=10**7)
+    return extend_mechanism(space, base, eps / 2.0)
 
 
 def extended_density_estimator(

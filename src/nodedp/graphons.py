@@ -1,11 +1,11 @@
-"""Step graphons, random-graph samplers, and L2-type distances.
+"""Step graphons, random-graph samplers, equipartitions, and L2-type distances.
 
 Matrix norms are normalized: ||A||_2 = sqrt(sum A_ij^2 / n^2), so that an
 n x n matrix embedded as an n-equal-block step function on [0,1]^2 has the
-same norm as the function.  All distances reported by the minimizers here
-are permutation/equipartition minimizations, i.e. upper bounds on the
-measure-preserving infimum (exact for equal-block comparisons up to the
-permutation class).
+same norm as the function.  The one minimized distance here,
+delta2_hat_blocks, minimizes over simultaneous permutations of block
+indices, an upper bound on the measure-preserving infimum (exact for
+equal-block comparisons up to the permutation class).
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import LabeledGraph
-from .rng import substream
 
 # -- block matrices and step graphons -----------------------------------------
 
@@ -146,17 +144,6 @@ def two_clique_graphon(q: float) -> StepGraphon:
     return StepGraphon(np.array([0.0, q, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
-def step_l2_distance(w1: StepGraphon, w2: StepGraphon) -> float:
-    """Exact L2([0,1]^2) distance of two step graphons via common refinement."""
-    cuts = np.unique(np.concatenate([w1.boundaries, w2.boundaries]))
-    lens = np.diff(cuts)
-    mids = (cuts[:-1] + cuts[1:]) / 2.0
-    b1, b2 = w1.block_of(mids), w2.block_of(mids)
-    v1 = w1.values[np.ix_(b1, b1)]
-    v2 = w2.values[np.ix_(b2, b2)]
-    return math.sqrt(float(np.einsum("i,j,ij->", lens, lens, (v1 - v2) ** 2)))
-
-
 # -- normalized matrix norms ---------------------------------------------------
 
 
@@ -179,42 +166,6 @@ def canonical_sizes(n: int, k: int) -> list[int]:
         raise ValueError("need 1 <= k <= n")
     q, r = divmod(n, k)
     return [q + 1] * r + [q] * (k - r)
-
-
-@dataclass(frozen=True)
-class Equipartition:
-    """Assignment [n] -> [k] with every class within 1 of n/k."""
-
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.assignment, dtype=int)
-        if a.ndim != 1:
-            raise ValueError("assignment must be one-dimensional")
-        k = int(a.max()) + 1 if a.size else 0
-        sizes = np.bincount(a, minlength=k)
-        n = a.size
-        if any(abs(s - n / k) >= 1 for s in sizes):
-            raise ValueError("class sizes must be within 1 of n/k")
-        a.flags.writeable = False
-        object.__setattr__(self, "assignment", a)
-
-    @property
-    def n(self) -> int:
-        return self.assignment.size
-
-    @property
-    def k(self) -> int:
-        return int(self.assignment.max()) + 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
-
-    def onehot(self) -> np.ndarray:
-        out = np.zeros((self.n, self.k))
-        out[np.arange(self.n), self.assignment] = 1.0
-        return out
 
 
 def equipartition_count(n: int, k: int) -> int:
@@ -246,28 +197,7 @@ def equipartition_array(n: int, k: int) -> np.ndarray:
     return prefix
 
 
-def enumerate_equipartitions(n: int, k: int) -> Iterator[np.ndarray]:
-    """Canonical-profile assignments in lexicographic order of the vector."""
-    for row in equipartition_array(n, k):
-        yield row.astype(int)
-
-
-def block_average(q_matrix, pi: Equipartition) -> BlockMatrix:
-    """Per-block mean matrix B(pi) of an n x n matrix."""
-    q = np.asarray(q_matrix, dtype=float)
-    o = pi.onehot()
-    sizes = pi.sizes.astype(float)
-    sums = o.T @ q @ o
-    return BlockMatrix(sums / np.outer(sizes, sizes))
-
-
-def block_average_grid(q_matrix, pi: Equipartition, n: int) -> BlockMatrix:
-    """B(pi) with every entry floored to a multiple of 1/n."""
-    b = block_average(q_matrix, pi)
-    return BlockMatrix(np.floor(b.values * n + 1e-9) / n)
-
-
-# -- permutation / equipartition minimized distances ---------------------------
+# -- permutation-minimized distance --------------------------------------------
 
 
 def delta2_hat_blocks(b1: BlockMatrix, b2: BlockMatrix, max_k: int = 8) -> float:
@@ -283,104 +213,6 @@ def delta2_hat_blocks(b1: BlockMatrix, b2: BlockMatrix, max_k: int = 8) -> float
         v1 = b1.values[np.ix_(p, p)]
         best = min(best, normalized_l2(v1, v2))
     return best
-
-
-class DeltaFit(NamedTuple):
-    value: float
-    exact: bool  # False means the value is a best-of-restarts upper bound
-
-
-def _fit_error(b_vals: np.ndarray, q: np.ndarray, assignment: np.ndarray) -> float:
-    expanded = b_vals[np.ix_(assignment, assignment)]
-    return normalized_l2(expanded, q)
-
-
-def delta2_hat_fit(
-    b: BlockMatrix,
-    q_matrix,
-    budget: int = 10**7,
-    restarts: int = 20,
-    rng: np.random.Generator | None = None,
-) -> DeltaFit:
-    """min over k-equipartitions pi of ||b_pi - q||_2.
-
-    Exact enumeration when the equipartition count fits the budget; otherwise
-    a best-of-restarts swap hill-climb, flagged as an upper bound.
-    """
-    q = np.asarray(q_matrix, dtype=float)
-    n = q.shape[0]
-    k = b.k
-    if k > n:
-        raise ValueError("need k <= n")
-    if equipartition_count(n, k) <= budget:
-        best = math.inf
-        for assignment in enumerate_equipartitions(n, k):
-            best = min(best, _fit_error(b.values, q, assignment))
-        return DeltaFit(best, True)
-    rng = rng if rng is not None else substream(0, "delta2-hat-fit")
-    sizes = canonical_sizes(n, k)
-    base = np.repeat(np.arange(k), sizes)
-    best = math.inf
-    for _ in range(restarts):
-        assignment = rng.permutation(base)
-        current = _fit_error(b.values, q, assignment)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if assignment[i] == assignment[j]:
-                        continue
-                    assignment[i], assignment[j] = assignment[j], assignment[i]
-                    trial = _fit_error(b.values, q, assignment)
-                    if trial < current - 1e-15:
-                        current = trial
-                        improved = True
-                    else:
-                        assignment[i], assignment[j] = assignment[j], assignment[i]
-        best = min(best, current)
-    return DeltaFit(best, False)
-
-
-# -- agnostic and sampling errors ----------------------------------------------
-
-
-def _overlap_matrix(lengths: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Mass of each ordered cell falling in each [cuts[a], cuts[a+1]) class."""
-    starts = np.concatenate([[0.0], np.cumsum(lengths)])[:-1]
-    ends = starts + lengths
-    lo = np.maximum(starts[:, None], cuts[None, :-1])
-    hi = np.minimum(ends[:, None], cuts[None, 1:])
-    return np.maximum(hi - lo, 0.0)
-
-
-def agnostic_error(w: StepGraphon, k: int, max_blocks: int = 6) -> float:
-    """Distance from w to the best equal-block k-block approximation.
-
-    Minimizes over reorderings of w's blocks followed by mass-1/k interval
-    cuts, with class values set to conditional means.  This searches all
-    partitions of [0,1] into k sets of measure 1/k that respect block
-    contiguity up to reordering, so the result is an upper bound on the
-    unrestricted agnostic error and exact whenever an optimal partition has
-    that form (in particular whenever the cuts align with w's boundaries).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if w.k > max_blocks:
-        raise ResourceLimitError(f"agnostic error limited to {max_blocks} blocks")
-    lens = w.block_lengths
-    vals = w.values
-    cuts = np.linspace(0.0, 1.0, k + 1)
-    best = math.inf
-    for perm in itertools.permutations(range(w.k)):
-        p = list(perm)
-        mu = _overlap_matrix(lens[p], cuts)  # k_w x k masses
-        v = vals[np.ix_(p, p)]
-        mean_v2 = float(np.einsum("ia,jb,ij->", mu, mu, v**2))
-        b = (k * k) * np.einsum("ia,jb,ij->ab", mu, mu, v)
-        err2 = mean_v2 - float((b**2).sum()) / k**2
-        best = min(best, max(err2, 0.0))
-    return math.sqrt(best)
 
 
 # -- W-random samples ----------------------------------------------------------
@@ -413,26 +245,6 @@ def sample_w_random(
     probs.flags.writeable = False
     labels.flags.writeable = False
     return WRandomSample(LabeledGraph(adj | adj.T), labels, probs, rho)
-
-
-def sampling_error(sample: WRandomSample, w: StepGraphon) -> float:
-    """Label-aligned L2 distance between the edge-probability step function
-    (diagonal filled from W) and w itself.
-
-    Vertices are placed on the 1/n grid in increasing label order; the
-    result is an upper bound on the permutation-minimized distance, and is
-    exact for step graphons once the alignment is fixed.
-    """
-    xs = np.sort(sample.labels)
-    n = xs.size
-    m = w.evaluate(xs[:, None], xs[None, :])
-    mu = _overlap_matrix(np.full(n, 1.0 / n), w.boundaries)  # n x k_w masses
-    v = w.values
-    # per grid cell: (m - cell mean of W)^2 + cell variance of W
-    cell_means = mu @ v @ mu.T * n**2
-    cell_var = np.maximum(mu @ (v**2) @ mu.T * n**2 - cell_means**2, 0.0)
-    err2 = float(np.mean((m - cell_means) ** 2 + cell_var))
-    return math.sqrt(err2)
 
 
 # -- G(n,p), G(n,m) and the rewired coupling model ------------------------------

@@ -126,21 +126,6 @@ def exponential_mechanism_distribution(
     return FiniteMechanism(candidates, coefficient * s)
 
 
-def exponential_mechanism(
-    candidates: Sequence,
-    score: Callable,
-    coefficient: float,
-    rng: np.random.Generator,
-):
-    """Sample a candidate with probability proportional to exp(coef * score).
-
-    The caller supplies the calibrated coefficient (for Score with
-    sensitivity D and budget eps, eps / (4 D) makes the draw eps/2-DP).
-    """
-    scores = [score(c) for c in candidates]
-    return exponential_mechanism_distribution(candidates, scores, coefficient).sample(rng)
-
-
 # -- piecewise-linear log shapes -------------------------------------------------
 
 
@@ -251,8 +236,6 @@ class PiecewiseExpDensity:
 
     def pdf(self, q):
         return np.exp(self.log_pdf(q))
-
-    evaluate = pdf
 
     def cdf(self, q):
         q = np.asarray(q, dtype=float)
@@ -376,12 +359,14 @@ class MetricSpaceOracle:
     contains: Callable[[object], bool] = field(default=lambda _: True)
 
 
+# Largest (points x H points) product the exact extension accepts.
+EXTENSION_BUDGET = 10**7
+
+
 def extend_mechanism(
     space: MetricSpaceOracle,
     base_density: Callable[[object], PiecewiseExpDensity],
     epsilon: float,
-    budget: int = 10**5,
-    promise_in_h: bool = False,
 ) -> Callable[[object], PiecewiseExpDensity]:
     """Extend an epsilon-DP-on-H mechanism to the whole space at 2*epsilon.
 
@@ -390,20 +375,17 @@ def extend_mechanism(
     renormalized.  On H the infimum is attained at D' = D (that is exactly
     the DP inequality for the base), so the extension reproduces the base
     there; everywhere it satisfies the 2*epsilon ratio bound.
-
-    In promise mode the base runs directly and the result is DP only on H.
     """
     eps = _check_epsilon(epsilon)
     points = list(space.points)
     h_points = [p for p in points if space.contains(p)]
     if not h_points:
         raise ValueError("hypothesis set H is empty")
-    if promise_in_h:
-        return base_density
-    if len(points) * len(h_points) > budget:
+    if len(points) * len(h_points) > EXTENSION_BUDGET:
         raise ResourceLimitError(
             f"{len(points)} x {len(h_points)} exact extension exceeds budget "
-            f"{budget}; rerun with promise_in_h=True (DP only on H)"
+            f"{EXTENSION_BUDGET}; the density estimator's promise mode runs the "
+            "base directly (DP only on H)"
         )
     # Base laws often share one normalized log shape (the density bases
     # depend on e(G) alone).  Since min_j (f + eps d_j) = f + eps min_j d_j,

@@ -227,7 +227,7 @@ def test_criterion_3_extension_operator_exactness():
     scale = 8.0 / (n * eps)  # the unit-interval Laplace base is (eps/2)-DP
     space = graph_space_oracle(n, contains=lambda g: g.max_degree <= 2)
     base = lambda g: unit_laplace_density(edge_density(g), scale)
-    extended = extend_mechanism(space, base, eps / 2.0, budget=10**7)
+    extended = extend_mechanism(space, base, eps / 2.0)
     grid = np.linspace(0.0, 1.0, 1000)
     sup_gap = 0.0
     members = 0

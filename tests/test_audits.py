@@ -273,10 +273,20 @@ def test_measured_sensitivity_matches_pair_loop(n, k, d, mu):
 
 
 def test_pairwise_audits_refuse_n6():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="pairwise audits"):
         audit_density_mechanism(
-            lambda g: laplace_density_mechanism(g, 1.0), 6, 1.0, GRID, max_n=6
+            lambda g: laplace_density_mechanism(g, 1.0), 6, 1.0, GRID
         )
+
+
+def test_finite_and_bitstring_audits_refuse_above_their_limits():
+    def never_called(g):
+        raise AssertionError("mechanism built before the size guard")
+
+    with pytest.raises(ResourceLimitError, match="n <= 4"):
+        audit_finite_mechanism(never_called, 5, 1.0)
+    with pytest.raises(ResourceLimitError, match="6 bits"):
+        audit_bitstring_reduction(never_called, 7, 1.0, GRID)
 
 
 def test_laplace_certificate_n5_in_bounded_memory():

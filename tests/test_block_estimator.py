@@ -15,21 +15,17 @@ from nodedp.block_estimator import (
     candidate_count,
     candidate_matrices,
     estimate_blocks,
-    lipschitz_score,
     measured_score_sensitivity,
     private_density,
     score,
-    score_extension_gap,
     theoretical_sensitivity,
 )
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, all_graphs, degree_cap, edge_density, node_distance
 from nodedp.graphons import (
     BlockMatrix,
-    Equipartition,
     canonical_sizes,
     delta2_hat_blocks,
-    enumerate_equipartitions,
     equipartition_array,
     equipartition_count,
 )
@@ -73,14 +69,14 @@ def _score_by_definition(b_vals, assignment, a):
 
 def test_score_zero_matrix_scores_zero():
     g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
-    pi = Equipartition(np.array([0, 0, 1, 1]))
+    pi = np.array([0, 0, 1, 1])
     assert score(np.zeros((2, 2)), pi, g) == 0.0
 
 
 def test_score_exact_fit_attains_norm_squared():
     # complete bipartite graph matches its 0/1 block matrix exactly
     g = LabeledGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    pi = Equipartition(np.array([0, 0, 1, 1]))
+    pi = np.array([0, 0, 1, 1])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = g.adjacency.astype(float)
     assert score(b, pi, g) == pytest.approx(np.sum(a**2) / 16)
@@ -137,7 +133,7 @@ def test_best_score_two_triangles_groups_them():
     b = np.array([[1.0, 0.0], [0.0, 1.0]])
     got = best_score(b, g)
     brute = max(
-        score(b, a, g) for a in enumerate_equipartitions(6, 2)
+        score(b, a, g) for a in equipartition_array(6, 2)
     )
     assert got.exact and got.value == pytest.approx(brute)
     classes = [frozenset(np.flatnonzero(got.assignment == c).tolist()) for c in (0, 1)]
@@ -239,7 +235,6 @@ def test_best_score_assignment_matches_one_hot_table():
 def test_equipartition_array_matches_recursive_enumeration(n, k):
     want = np.stack(list(_recursive_equipartitions(n, k)))
     assert np.array_equal(equipartition_array(n, k), want)
-    assert np.array_equal(np.stack(list(enumerate_equipartitions(n, k))), want)
 
 
 @pytest.mark.parametrize("n,k,mu", [(4, 2, 0.5), (5, 3, 0.4), (6, 1, 1.0), (3, 4, 0.34)])
@@ -273,13 +268,14 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
     assert peak < 256 * 2**20
 
 
-# -- Lipschitz-extended score --------------------------------------------------------------
+# -- Lipschitz-extended score: the best score of the degree-capped graph -------------------
 
 
 def test_lipschitz_score_identity_under_cap():
     g = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     b = np.array([[0.5, 0.2], [0.2, 0.5]])
-    assert lipschitz_score(b, g, d=4) == pytest.approx(best_score(b, g).value)
+    got = best_score(b, degree_cap(g, 4)).value
+    assert got == pytest.approx(best_score(b, g).value)
 
 
 def test_lipschitz_score_equals_best_score_on_capped_space_n5():
@@ -288,17 +284,18 @@ def test_lipschitz_score_equals_best_score_on_capped_space_n5():
     for idx, g in enumerate(all_graphs(5)):
         if idx % 37:  # representative slice, keeps the test quick
             continue
-        assert lipschitz_score(b, g, d) == pytest.approx(best_score(b, g).value)
+        got = best_score(b, degree_cap(g, d)).value
+        assert got == pytest.approx(best_score(b, g).value)
 
 
 def test_lipschitz_score_zero_cap_scores_empty_graph():
     g = LabeledGraph.complete(5)
     b = np.array([[0.5, 0.1], [0.1, 0.3]])
-    got = lipschitz_score(b, g, d=0)
+    got = best_score(b, degree_cap(g, 0)).value
     want = best_score(b, LabeledGraph.empty(5)).value
     assert got == pytest.approx(want)
     assert want == pytest.approx(
-        max(-score_by_def_norm(b, a, 5) for a in enumerate_equipartitions(5, 2))
+        max(-score_by_def_norm(b, a, 5) for a in equipartition_array(5, 2))
     )
 
 
@@ -310,11 +307,14 @@ def score_by_def_norm(b, assignment, n):
 def test_lipschitz_score_star_composes_with_degree_cap():
     star = LabeledGraph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
     b = np.array([[0.4, 0.2], [0.2, 0.4]])
-    got = lipschitz_score(b, star, d=2)
-    assert got == pytest.approx(best_score(b, degree_cap(star, 2)).value)
-    capped, raw = score_extension_gap(b, star, d=2)
-    assert capped == pytest.approx(got)
-    assert raw == pytest.approx(best_score(b, star).value)
+    capped = degree_cap(star, 2)
+    assert capped.degrees.max() <= 2 and capped != star
+    got = best_score(b, capped)
+    assert got.exact
+    assert got.value == pytest.approx(
+        max(score(b, a, capped) for a in equipartition_array(6, 2))
+    )
+    assert score(b, got.assignment, capped) == pytest.approx(got.value)
 
 
 # -- candidate grid ----------------------------------------------------------------------

@@ -173,14 +173,3 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"
     assert len(lines) == 1 + 8 * 7  # ordered pairs over the 8 graphs on n=3
-
-
-def test_estimate_density_promise_in_h_flag(graph_file, capsys):
-    code = main(
-        ["estimate", "density", "--input", graph_file, "--epsilon", "1.0",
-         "--promise-in-H", "--rho", "0.5", "--seed", "5"]
-    )
-    assert code == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["mode"] == "promise"
-    assert "only" in record["dp_domain"]

@@ -4,27 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, all_graphs
 from nodedp.graphons import (
     BlockMatrix,
-    Equipartition,
     StepGraphon,
-    agnostic_error,
-    block_average,
-    block_average_grid,
     canonical_sizes,
     delta2_hat_blocks,
-    delta2_hat_fit,
-    enumerate_equipartitions,
+    equipartition_array,
     equipartition_count,
     normalized_l2,
     rewired_model_pmf,
     sample_gnm,
     sample_gnm_rewired_coupled,
     sample_w_random,
-    sampling_error,
-    step_l2_distance,
     two_clique_graphon,
 )
 from nodedp.rng import substream
@@ -54,13 +46,8 @@ def test_serialization_round_trips():
     assert np.allclose(BlockMatrix.from_text(b.to_text()).values, b.values)
 
 
-def test_equipartition_rejects_unbalanced_classes():
-    with pytest.raises(ValueError):
-        Equipartition(np.array([0, 0, 0, 1]))
-
-
 def test_equipartition_enumeration_count():
-    parts = list(enumerate_equipartitions(4, 2))
+    parts = equipartition_array(4, 2)
     assert len(parts) == equipartition_count(4, 2) == 6
     assert canonical_sizes(5, 2) == [3, 2]
     assert equipartition_count(5, 2) == 10
@@ -105,63 +92,6 @@ def test_delta2_hat_blocks_is_a_pseudometric_on_random_triples():
             )
 
 
-def test_delta2_hat_fit_exact_cases():
-    # target built from an equipartition fits exactly
-    b = BlockMatrix(np.array([[0.9, 0.1], [0.1, 0.6]]))
-    assignment = np.array([0, 1, 0, 1])
-    q = b.values[np.ix_(assignment, assignment)]
-    fit = delta2_hat_fit(b, q)
-    assert fit.exact and fit.value == pytest.approx(0.0, abs=1e-15)
-    # k = 1 reduces to the plain norm
-    const = BlockMatrix(np.array([[0.5]]))
-    q = np.array([[0.0, 1.0], [1.0, 0.0]])
-    fit = delta2_hat_fit(const, q)
-    assert fit.value == pytest.approx(normalized_l2(np.full((2, 2), 0.5), q))
-
-
-def test_delta2_hat_fit_matches_brute_force():
-    eye = BlockMatrix(np.eye(2))
-    q = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency + np.eye(4)
-    fit = delta2_hat_fit(eye, q)
-    brute = min(
-        normalized_l2(eye.values[np.ix_(a, a)], q)
-        for a in enumerate_equipartitions(4, 2)
-    )
-    assert fit.exact and fit.value == pytest.approx(brute)
-
-
-def test_delta2_hat_fit_fallback_is_upper_bound():
-    eye = BlockMatrix(np.eye(2))
-    q = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency.astype(float)
-    exact = delta2_hat_fit(eye, q)
-    greedy = delta2_hat_fit(eye, q, budget=1, rng=substream(5, "fit-greedy"))
-    assert not greedy.exact
-    assert greedy.value >= exact.value - 1e-12
-
-
-# -- block averaging ------------------------------------------------------------------
-
-
-def test_block_average_constant_and_grid():
-    pi = Equipartition(np.array([0, 0, 1, 1]))
-    q = np.full((4, 4), 0.3)
-    assert np.allclose(block_average(q, pi).values, 0.3)
-    assert np.allclose(block_average_grid(q, pi, 4).values, math.floor(0.3 * 4) / 4)
-
-
-def test_block_average_singletons_recover_matrix():
-    q = np.array([[0.0, 0.5], [0.5, 1.0]])
-    pi = Equipartition(np.array([0, 1]))
-    assert np.allclose(block_average(q, pi).values, q)
-
-
-def test_block_average_path_hand_computed():
-    path = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).adjacency.astype(float)
-    pi = Equipartition(np.array([0, 0, 1, 1]))
-    b = block_average(path, pi)
-    assert np.allclose(b.values, [[0.5, 0.25], [0.25, 0.5]])
-
-
 # -- step graphons ----------------------------------------------------------------------
 
 
@@ -172,15 +102,24 @@ def test_two_clique_density():
         two_clique_graphon(1.0)
 
 
-def test_step_l2_distance_on_common_refinement():
-    w1 = two_clique_graphon(0.25)
-    w2 = StepGraphon.equal_blocks([[w1.integral()]])
-    # distance to the best constant = sqrt of the variance of a 0/1 function
-    mean = w1.integral()
-    assert step_l2_distance(w1, w2) == pytest.approx(math.sqrt(mean - mean**2))
+def _step_l2(w1: StepGraphon, w2: StepGraphon) -> float:
+    """Exact L2([0,1]^2) distance of two step graphons on their common
+    refinement."""
+    cuts = np.unique(np.concatenate([w1.boundaries, w2.boundaries]))
+    lens = np.diff(cuts)
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    b1, b2 = w1.block_of(mids), w2.block_of(mids)
+    diff = w1.values[np.ix_(b1, b1)] - w2.values[np.ix_(b2, b2)]
+    return math.sqrt(float(lens @ diff**2 @ lens))
 
 
 def test_grid_embedding_inequality():
+    # the distance to the best constant is the sqrt of a 0/1 function's variance
+    w = two_clique_graphon(0.25)
+    mean = w.integral()
+    assert _step_l2(w, StepGraphon.equal_blocks([[mean]])) == pytest.approx(
+        math.sqrt(mean - mean**2)
+    )
     # embedding a k-block matrix on the n-grid moves it by at most
     # sqrt(10(k-1)/n) * ||B||_2
     rng = substream(9, "grid-embedding")
@@ -191,56 +130,9 @@ def test_grid_embedding_inequality():
         b = (raw + raw.T) / 2
         assignment = np.repeat(np.arange(k), canonical_sizes(n, k))
         expanded = b[np.ix_(assignment, assignment)]
-        lhs = step_l2_distance(
-            StepGraphon.equal_blocks(expanded), StepGraphon.equal_blocks(b)
-        )
+        lhs = _step_l2(StepGraphon.equal_blocks(expanded), StepGraphon.equal_blocks(b))
         norm_b = math.sqrt(float((b**2).sum()) / k**2)
         assert lhs <= math.sqrt(10.0 * (k - 1) / n) * norm_b + 1e-12
-
-
-# -- agnostic and sampling error ----------------------------------------------------------
-
-
-def test_agnostic_error_zero_for_equal_block_graphon():
-    w = StepGraphon.equal_blocks([[0.8, 0.2], [0.2, 0.8]])
-    assert agnostic_error(w, 2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_agnostic_error_zero_when_boundaries_align():
-    w = two_clique_graphon(0.25)
-    assert agnostic_error(w, 4) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_agnostic_error_best_constant_is_variance():
-    w = two_clique_graphon(0.25)
-    mean = w.integral()
-    assert agnostic_error(w, 1) == pytest.approx(math.sqrt(mean - mean**2))
-
-
-def test_agnostic_error_guard():
-    w = StepGraphon.equal_blocks(np.eye(7))
-    with pytest.raises(ResourceLimitError):
-        agnostic_error(w, 2)
-
-
-def test_sampling_error_zero_for_constant_graphon():
-    rng = substream(21, "sampling-const")
-    w = StepGraphon.equal_blocks([[0.6]])
-    sample = sample_w_random(w, 0.5, 30, rng)
-    # float-level residual only (cell variances cancel at sqrt(machine eps))
-    assert sampling_error(sample, w) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_sampling_error_shrinks_with_n():
-    w = StepGraphon.equal_blocks([[0.9, 0.1], [0.1, 0.9]])
-    errs = []
-    for n in (16, 64, 256):
-        vals = [
-            sampling_error(sample_w_random(w, 1.0, n, substream(4, "se", n, t)), w)
-            for t in range(5)
-        ]
-        errs.append(np.mean(vals))
-    assert errs[2] < errs[0]
 
 
 # -- samplers ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from nodedp.mechanisms import (
     PiecewiseExpDensity,
     PiecewiseLinear,
     dp_audit_densities,
-    exponential_mechanism,
     exponential_mechanism_distribution,
     extend_mechanism,
     logsumexp,
@@ -90,12 +89,10 @@ def test_exponential_mechanism_two_candidate_closed_form():
 
 
 def test_exponential_mechanism_shift_invariance():
-    scores = [0.1, 1.4, -0.3, 0.9]
-    a = exponential_mechanism(list(range(4)), lambda c: scores[c], 2.5, substream(9, "s"))
-    b = exponential_mechanism(
-        list(range(4)), lambda c: scores[c] + 100.0, 2.5, substream(9, "s")
-    )
-    assert a == b
+    scores = np.array([0.1, 1.4, -0.3, 0.9])
+    a = exponential_mechanism_distribution(list(range(4)), scores, 2.5)
+    b = exponential_mechanism_distribution(list(range(4)), scores + 100.0, 2.5)
+    assert np.allclose(a.probabilities(), b.probabilities(), rtol=1e-12, atol=0.0)
 
 
 def test_exponential_mechanism_input_validation():
@@ -322,13 +319,11 @@ def test_extension_is_twice_epsilon_dp():
     assert violation <= 1e-9
 
 
-def test_extension_promise_mode_and_guards():
+def test_extension_promise_mode_and_guards(monkeypatch):
     space = _line_space()
-    promise = extend_mechanism(space, _line_base, 1.0, promise_in_h=True)
-    grid = np.linspace(0, 1, 101)
-    assert np.allclose(promise(0).log_pdf(grid), _line_base(0).log_pdf(grid))
-    with pytest.raises(ResourceLimitError):
-        extend_mechanism(space, _line_base, 1.0, budget=1)
+    monkeypatch.setattr(mechanisms, "EXTENSION_BUDGET", 1)
+    with pytest.raises(ResourceLimitError, match="promise mode"):
+        extend_mechanism(space, _line_base, 1.0)
     empty_h = MetricSpaceOracle(
         points=[0, 1], distance=lambda i, j: 1.0, contains=lambda _: False
     )
@@ -372,12 +367,6 @@ def test_dp_audit_detects_broken_scale():
     mech = lambda g: LaplaceDensity(edge_density(g), 1.0 / (n * eps))  # quartered
     violation = dp_audit_densities(space, mech, eps, np.linspace(-1, 2, 601))
     assert violation > 0.0
-
-
-def test_density_evaluate_alias():
-    dens = unit_laplace_density(0.5, 1.0)
-    grid = np.linspace(0, 1, 11)
-    assert np.allclose(dens.evaluate(grid), dens.pdf(grid))
 
 
 def test_extension_is_epsilon_dominated_between_h_points():
@@ -493,7 +482,7 @@ def _fold_over_h(shapes, shifts):
 
 
 def _assert_extension_matches_fold(space, base, eps, grid):
-    extended = extend_mechanism(space, base, eps, budget=10**7)
+    extended = extend_mechanism(space, base, eps)
     h_points = [p for p in space.points if space.contains(p)]
     shapes = []
     for p in h_points:
