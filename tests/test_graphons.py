@@ -113,13 +113,16 @@ def _step_l2(w1: StepGraphon, w2: StepGraphon) -> float:
     return math.sqrt(float(lens @ diff**2 @ lens))
 
 
-def test_grid_embedding_inequality():
+def test_step_l2_distance_on_common_refinement():
     # the distance to the best constant is the sqrt of a 0/1 function's variance
     w = two_clique_graphon(0.25)
     mean = w.integral()
     assert _step_l2(w, StepGraphon.equal_blocks([[mean]])) == pytest.approx(
         math.sqrt(mean - mean**2)
     )
+
+
+def test_grid_embedding_inequality():
     # embedding a k-block matrix on the n-grid moves it by at most
     # sqrt(10(k-1)/n) * ||B||_2
     rng = substream(9, "grid-embedding")
