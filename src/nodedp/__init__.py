@@ -38,7 +38,6 @@ from .mechanisms import (
     MetricSpaceOracle,
     PiecewiseExpDensity,
     PiecewiseLinear,
-    dp_audit_densities,
     exponential_mechanism_distribution,
     extend_mechanism,
     piecewise_min,
@@ -50,11 +49,9 @@ from .mechanisms import (
 from .block_estimator import (
     BlockEstimate,
     EstimatorConfig,
-    best_score,
     block_mechanism,
     estimate_blocks,
     private_density,
-    score,
 )
 from .density import (
     DensityEstimate,

@@ -150,12 +150,10 @@ class SensitivityReport:
         return self.measured <= self.theoretical * (1.0 + 1e-9)
 
 
-def audit_score_sensitivity(
-    n: int, k: int, d: int, mu: float, candidate_budget: int = 10**6
-) -> SensitivityReport:
+def audit_score_sensitivity(n: int, k: int, d: int, mu: float) -> SensitivityReport:
     """Measure the exact worst-case change of the degree-capped best score
     over adjacent pairs and compare against 4 d mu / n^2."""
-    measured = measured_score_sensitivity(n, k, mu, d, candidate_budget)
+    measured = measured_score_sensitivity(n, k, mu, d)
     return SensitivityReport(
         n=n,
         k=k,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap
+from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap, edge_density
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
@@ -33,8 +33,6 @@ class EstimatorConfig:
     epsilon: float
     lam: float
     k: int
-    candidate_budget: int = 10**6
-    equipartition_budget: int = 10**7
     sensitivity_mode: str = "theoretical"  # or "audited"
 
     def __post_init__(self):
@@ -60,37 +58,16 @@ def private_density(g: LabeledGraph, epsilon: float, rng: np.random.Generator) -
     floor keeps later divisions by the estimate finite.
     """
     eps = _check_epsilon(epsilon)
-    raw = g.edge_count / (g.n * (g.n - 1) / 2) + float(
-        sample_laplace(4.0 / (g.n * eps), rng)
-    )
+    raw = edge_density(g) + float(sample_laplace(4.0 / (g.n * eps), rng))
     return PrivateDensity(min(max(raw, 1.0 / g.n**2), 1.0), raw)
 
 
 # -- Score over equipartitions ----------------------------------------------------
 
-
-def _as_block_values(b) -> np.ndarray:
-    if isinstance(b, BlockMatrix):
-        return b.values
-    return np.asarray(b, dtype=float)
-
-
-def _as_adjacency(a) -> np.ndarray:
-    if isinstance(a, LabeledGraph):
-        return a.adjacency.astype(float)
-    return np.asarray(a, dtype=float)
-
-
-def score(b, pi, a) -> float:
-    """Score(B, pi, A) = ||A||^2 - ||A - B_pi||^2 under normalized norms,
-    for an assignment array pi: [n] -> [k]."""
-    bv = _as_block_values(b)
-    av = _as_adjacency(a)
-    assignment = np.asarray(pi, int)
-    expanded = bv[np.ix_(assignment, assignment)]
-    n = av.shape[0]
-    return float((av**2).sum() - ((av - expanded) ** 2).sum()) / n**2
-
+# Most equipartitions the selection stage maximizes over.  The maximum must be
+# exact for the exponential mechanism's sensitivity to cover it, so larger
+# (n, k) are refused rather than searched heuristically.
+EQUIPARTITION_BUDGET = 10**7
 
 # Bytes one candidate chunk of the score table may take.  Scoring walks the
 # candidate axis in chunks of this size, so memory stays bounded whatever
@@ -158,58 +135,11 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
     return BulkScores(values, argmax, rows.shape[0])
 
 
-class BestScore(NamedTuple):
-    value: float
-    assignment: np.ndarray
-    exact: bool
-
-
-def best_score(
-    b,
-    a,
-    budget: int = 10**7,
-    restarts: int = 20,
-    rng: np.random.Generator | None = None,
-) -> BestScore:
-    """max over k-equipartitions of Score(B, pi, A).
-
-    Exact enumeration over the canonical size profile when its count fits the
-    budget; otherwise a restarted swap hill-climb flagged non-exact.
-    """
-    bv = _as_block_values(b)
-    av = _as_adjacency(a)
-    n, k = av.shape[0], bv.shape[0]
-    if equipartition_count(n, k) <= budget:
-        bulk = _best_scores_bulk(bv[None], av, n, k)
-        assignment = _partition_tensors(n, k)[bulk.argmax[0]].astype(int)
-        return BestScore(float(bulk.values[0]), assignment, True)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    base = np.repeat(np.arange(k), canonical_sizes(n, k))
-    best_val, best_assign = -math.inf, None
-    for _ in range(restarts):
-        assignment = rng.permutation(base)
-        current = score(bv, assignment, av)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if assignment[i] == assignment[j]:
-                        continue
-                    assignment[i], assignment[j] = assignment[j], assignment[i]
-                    trial = score(bv, assignment, av)
-                    if trial > current + 1e-15:
-                        current = trial
-                        improved = True
-                    else:
-                        assignment[i], assignment[j] = assignment[j], assignment[i]
-        if current > best_val:
-            best_val, best_assign = current, assignment.copy()
-    return BestScore(best_val, best_assign, False)
-
-
 # -- candidate grid -----------------------------------------------------------------
+
+# Largest candidate grid any caller builds: 10^6 k x k float64 matrices are
+# 72 MB at k = 3.
+CANDIDATE_BUDGET = 10**6
 
 
 def candidate_count(n: int, k: int, mu: float) -> int:
@@ -217,15 +147,15 @@ def candidate_count(n: int, k: int, mu: float) -> int:
     return levels ** (k * (k + 1) // 2)
 
 
-def candidate_matrices(n: int, k: int, mu: float, budget: int = 10**6) -> np.ndarray:
+def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
     """All symmetric k x k matrices with entries in {0, 1/n, ..., floor(n mu)/n}.
 
     Ordered lexicographically over the upper-triangle entries.
     """
     total = candidate_count(n, k, mu)
-    if total > budget:
+    if total > CANDIDATE_BUDGET:
         raise ResourceLimitError(
-            f"candidate set has {total} matrices, over the budget of {budget}"
+            f"candidate set has {total} matrices, over the budget of {CANDIDATE_BUDGET}"
         )
     count = int(math.floor(n * mu + 1e-9)) + 1
     levels = np.arange(count) / n
@@ -251,9 +181,7 @@ SENSITIVITY_AUDIT_MAX_N = 6
 
 
 @lru_cache(maxsize=64)
-def measured_score_sensitivity(
-    n: int, k: int, mu: float, d: int, candidate_budget: int = 10**6
-) -> float:
+def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
     """Exhaustive max over candidates and adjacent graph pairs of the change
     in the degree-capped best score.  Exact, so calibrating the exponential
     mechanism to this value yields exact DP at the audited order."""
@@ -261,7 +189,7 @@ def measured_score_sensitivity(
         raise ResourceLimitError(
             f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
         )
-    cands = candidate_matrices(n, k, mu, candidate_budget)
+    cands = candidate_matrices(n, k, mu)
     row_of: dict[bytes, int] = {}  # capped graph -> its row of best scores
     rows = []
     graphs = list(all_graphs(n))
@@ -319,35 +247,28 @@ def block_mechanism(
 
     Returns (mechanism, candidate array, delta, diagnostics)."""
     n = g.n
+    equipartitions = equipartition_count(n, cfg.k)
+    if equipartitions > EQUIPARTITION_BUDGET:
+        raise ResourceLimitError(
+            f"exact scoring over {equipartitions} equipartitions exceeds the budget "
+            f"of {EQUIPARTITION_BUDGET}"
+        )
     mu = cfg.lam * rho_hat
     d_real = cfg.lam * rho_hat * n
     d_int = int(math.floor(d_real + 1e-9))
-    cands = candidate_matrices(n, cfg.k, mu, cfg.candidate_budget)
+    cands = candidate_matrices(n, cfg.k, mu)
     capped = degree_cap(g, d_int)
-    equipartitions = equipartition_count(n, cfg.k)
-    exact_search = equipartitions <= cfg.equipartition_budget
-    distinct_rows = None
-    if exact_search:
-        bulk = _best_scores_bulk(cands, capped.adjacency.astype(float), n, cfg.k)
-        scores, distinct_rows = bulk.values, bulk.distinct_rows
-    else:
-        rng = np.random.default_rng(0)  # fixed restarts: scoring is not private data
-        scores = np.array(
-            [
-                best_score(c, capped, cfg.equipartition_budget, rng=rng).value
-                for c in cands
-            ]
-        )
+    bulk = _best_scores_bulk(cands, capped.adjacency.astype(float), n, cfg.k)
+    scores = bulk.values
     if cfg.sensitivity_mode == "audited":
-        delta = measured_score_sensitivity(n, cfg.k, mu, d_int, cfg.candidate_budget)
+        delta = measured_score_sensitivity(n, cfg.k, mu, d_int)
     else:
         delta = theoretical_sensitivity(n, d_real, mu)
     diagnostics = {
         "candidate_count": cands.shape[0],
         "degree_cap": d_int,
-        "exact_search": exact_search,
         "equipartitions": equipartitions,
-        "distinct_count_rows": distinct_rows,
+        "distinct_count_rows": bulk.distinct_rows,
         "sensitivity_mode": cfg.sensitivity_mode,
     }
     if delta <= 0.0:
@@ -364,13 +285,8 @@ def block_mechanism(
     return mech, cands, delta, diagnostics
 
 
-def _dp_domain(n: int, exact_search: bool, sensitivity_mode: str) -> str:
-    """Where a block release's epsilon holds, given how it was computed."""
-    if not exact_search:
-        return (
-            "not established: the hill-climb over equipartitions is data-dependent"
-            " and the score sensitivity does not cover its path"
-        )
+def _dp_domain(n: int, sensitivity_mode: str) -> str:
+    """Where a block release's epsilon holds, given its sensitivity mode."""
     if sensitivity_mode == "audited":
         return f"all graphs on {n} vertices"
     return (
@@ -395,6 +311,6 @@ def estimate_blocks(
         b_hat=BlockMatrix(chosen),
         mu=cfg.lam * rho.value,
         delta=delta,
-        dp_domain=_dp_domain(g.n, diagnostics["exact_search"], cfg.sensitivity_mode),
+        dp_domain=_dp_domain(g.n, cfg.sensitivity_mode),
         diagnostics=diag,
     )

@@ -52,13 +52,6 @@ class BlockMatrix:
         rows = [" ".join(f"{v:.17g}" for v in row) for row in self.values]
         return f"{self.k}\n" + "\n".join(rows) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "BlockMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        k = int(lines[0])
-        vals = [[float(x) for x in ln.split()] for ln in lines[1 : k + 1]]
-        return cls(np.array(vals))
-
 
 @dataclass(frozen=True)
 class StepGraphon:
@@ -119,19 +112,6 @@ class StepGraphon:
     def integral(self) -> float:
         lens = self.block_lengths
         return float(lens @ self.values @ lens)
-
-    def to_text(self) -> str:
-        head = f"{self.k}\n" + " ".join(f"{b:.17g}" for b in self.boundaries) + "\n"
-        rows = [" ".join(f"{v:.17g}" for v in row) for row in self.values]
-        return head + "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StepGraphon":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        k = int(lines[0])
-        bnd = np.array([float(x) for x in lines[1].split()])
-        vals = [[float(x) for x in ln.split()] for ln in lines[2 : k + 2]]
-        return cls(bnd, np.array(vals))
 
 
 def two_clique_graphon(q: float) -> StepGraphon:
@@ -200,12 +180,19 @@ def equipartition_array(n: int, k: int) -> np.ndarray:
 # -- permutation-minimized distance --------------------------------------------
 
 
-def delta2_hat_blocks(b1: BlockMatrix, b2: BlockMatrix, max_k: int = 8) -> float:
+# Largest block count whose k! permutations delta2_hat_blocks searches:
+# 40,320 at k = 8.
+PERMUTATION_SEARCH_MAX_K = 8
+
+
+def delta2_hat_blocks(b1: BlockMatrix, b2: BlockMatrix) -> float:
     """min over simultaneous row/column permutations of ||b1^s - b2||_2."""
     if b1.k != b2.k:
         raise ValueError("block counts differ")
-    if b1.k > max_k:
-        raise ResourceLimitError(f"permutation search limited to k <= {max_k}")
+    if b1.k > PERMUTATION_SEARCH_MAX_K:
+        raise ResourceLimitError(
+            f"permutation search limited to k <= {PERMUTATION_SEARCH_MAX_K}"
+        )
     best = math.inf
     v2 = b2.values
     for perm in itertools.permutations(range(b1.k)):

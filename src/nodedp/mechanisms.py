@@ -470,26 +470,3 @@ def max_violation(logs, dist, epsilon: float, collect_rows: bool = False) -> Vio
         rows = tuple(zip(*(np.concatenate(c).tolist() for c in zip(*columns))))
     return Violation(worst, pairs, witness, rows)
 
-
-def dp_audit_densities(
-    space: MetricSpaceOracle,
-    mechanism: Callable[[object], object],
-    epsilon: float,
-    grid,
-    budget: int = 10**8,
-) -> float:
-    """Max over ordered point pairs and grid points of
-    log f_D - log f_{D'} - epsilon * d(D, D').
-
-    A nonpositive return (within tolerance) certifies epsilon-DP on the grid.
-    Density objects must expose log_pdf.
-    """
-    eps = _check_epsilon(epsilon)
-    points = list(space.points)
-    grid = np.asarray(grid, dtype=float)
-    if len(points) ** 2 * grid.size > budget:
-        raise ResourceLimitError("audit grid exceeds budget")
-    logs = np.stack([np.asarray(mechanism(p).log_pdf(grid)) for p in points])
-    dist = np.array([[space.distance(a, b) for b in points] for a in points], dtype=float)
-    np.fill_diagonal(dist, math.inf)
-    return max_violation(logs, dist, eps).worst

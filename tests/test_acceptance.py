@@ -72,7 +72,6 @@ from nodedp.graphons import (
     StepGraphon,
 )
 from nodedp.mechanisms import (
-    dp_audit_densities,
     extend_mechanism,
     truncated_laplace_density,
     truncation_rate,
@@ -236,7 +235,7 @@ def test_criterion_3_extension_operator_exactness():
             members += 1
             gap = np.abs(extended(g).log_pdf(grid) - base(g).log_pdf(grid))
             sup_gap = max(sup_gap, float(gap.max()))
-    violation = dp_audit_densities(space, extended, eps, grid)
+    violation = audit_density_mechanism(extended, n, eps, grid).max_violation
     ok = sup_gap <= TOL and violation <= TOL and members > 0
     _report(
         "3 (extension-operator exactness)",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,14 +11,12 @@ from nodedp.block_estimator import (
     BlockEstimate,
     EstimatorConfig,
     _best_scores_bulk,
-    best_score,
     block_mechanism,
     candidate_count,
     candidate_matrices,
     estimate_blocks,
     measured_score_sensitivity,
     private_density,
-    score,
     theoretical_sensitivity,
 )
 from nodedp.errors import ResourceLimitError
@@ -67,19 +66,30 @@ def _score_by_definition(b_vals, assignment, a):
     return (np.sum(a**2) - np.sum((a - expanded) ** 2)) / n**2
 
 
+def _best(b, a):
+    """Exact best score of block matrix b on adjacency a over equipartitions,
+    and the first maximizing assignment."""
+    b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)
+    n, k = a.shape[0], b.shape[0]
+    bulk = _best_scores_bulk(b[None], a, n, k)
+    return float(bulk.values[0]), equipartition_array(n, k)[bulk.argmax[0]].astype(int)
+
+
 def test_score_zero_matrix_scores_zero():
-    g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
-    pi = np.array([0, 0, 1, 1])
-    assert score(np.zeros((2, 2)), pi, g) == 0.0
+    a = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency.astype(float)
+    value, assignment = _best(np.zeros((2, 2)), a)
+    assert value == 0.0
+    assert _score_by_definition(np.zeros((2, 2)), assignment, a) == 0.0
 
 
 def test_score_exact_fit_attains_norm_squared():
     # complete bipartite graph matches its 0/1 block matrix exactly
     g = LabeledGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    pi = np.array([0, 0, 1, 1])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = g.adjacency.astype(float)
-    assert score(b, pi, g) == pytest.approx(np.sum(a**2) / 16)
+    value, assignment = _best(b, a)
+    assert value == pytest.approx(np.sum(a**2) / 16)
+    assert list(assignment) == [0, 0, 1, 1]
 
 
 def test_score_matches_direct_formula_on_random_inputs():
@@ -92,61 +102,51 @@ def test_score_matches_direct_formula_on_random_inputs():
         adj = adj + adj.T
         raw = rng.random((k, k))
         b = (raw + raw.T) / 2
-        assignment = rng.permutation(np.repeat(np.arange(k), n // k))
-        got = score(b, assignment, adj)
-        assert got == pytest.approx(_score_by_definition(b, assignment, adj))
+        value, assignment = _best(b, adj)
+        assert value == pytest.approx(_score_by_definition(b, assignment, adj))
+        other = rng.permutation(np.repeat(np.arange(k), n // k))
+        assert value >= _score_by_definition(b, other, adj) - 1e-12
 
 
 def test_score_scaling_identity():
-    # ||cA||^2 - ||cA - B_pi||^2 computed through the same code path obeys
-    # the algebraic expansion; guards the norm normalization
-    rng = substream(5, "score-scale")
+    # ||cA||^2 - ||cA - B_pi||^2 computed by the bulk scorer obeys the
+    # algebraic expansion at its maximizer; guards the norm normalization
     n = 4
     a = LabeledGraph.from_edges(n, [(0, 1), (1, 2), (2, 3)]).adjacency.astype(float)
     b = np.array([[0.4, 0.1], [0.1, 0.6]])
-    assignment = np.array([0, 1, 0, 1])
     for c in (0.5, 2.0, 3.7):
-        lhs = score(b, assignment, c * a)
+        value, assignment = _best(b, c * a)
         expanded = b[np.ix_(assignment, assignment)]
         rhs = (c**2 * np.sum(a**2) - np.sum((c * a - expanded) ** 2)) / n**2
-        assert lhs == pytest.approx(rhs)
+        assert value == pytest.approx(rhs)
 
 
 # -- best score ------------------------------------------------------------------------
 
 
 def test_best_score_k1_uses_single_partition():
-    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2)])
+    a = LabeledGraph.from_edges(4, [(0, 1), (1, 2)]).adjacency.astype(float)
     b = np.array([[0.25]])
-    got = best_score(b, g)
-    assert got.exact
-    assert got.value == pytest.approx(score(b, np.zeros(4, dtype=int), g))
+    value, assignment = _best(b, a)
+    assert list(assignment) == [0, 0, 0, 0]
+    assert value == pytest.approx(_score_by_definition(b, assignment, a))
 
 
 def test_best_score_zero_matrix():
-    g = LabeledGraph.from_edges(5, [(0, 1), (2, 3)])
-    assert best_score(np.zeros((2, 2)), g).value == pytest.approx(0.0)
+    a = LabeledGraph.from_edges(5, [(0, 1), (2, 3)]).adjacency
+    assert _best(np.zeros((2, 2)), a)[0] == pytest.approx(0.0)
 
 
 def test_best_score_two_triangles_groups_them():
     g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    a = g.adjacency.astype(float)
     b = np.array([[1.0, 0.0], [0.0, 1.0]])
-    got = best_score(b, g)
-    brute = max(
-        score(b, a, g) for a in equipartition_array(6, 2)
-    )
-    assert got.exact and got.value == pytest.approx(brute)
-    classes = [frozenset(np.flatnonzero(got.assignment == c).tolist()) for c in (0, 1)]
+    value, assignment = _best(b, a)
+    brute = max(_score_by_definition(b, p, a) for p in equipartition_array(6, 2))
+    assert value == pytest.approx(brute)
+    assert _score_by_definition(b, assignment, a) == pytest.approx(value)
+    classes = [frozenset(np.flatnonzero(assignment == c).tolist()) for c in (0, 1)]
     assert frozenset({0, 1, 2}) in classes and frozenset({3, 4, 5}) in classes
-
-
-def test_best_score_greedy_is_lower_bound():
-    g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    b = np.array([[1.0, 0.0], [0.0, 1.0]])
-    exact = best_score(b, g)
-    greedy = best_score(b, g, budget=1, rng=substream(7, "greedy"))
-    assert not greedy.exact
-    assert greedy.value <= exact.value + 1e-12
 
 
 # -- exactness of the deduplicated, chunked scoring ------------------------------------
@@ -225,10 +225,9 @@ def test_best_score_assignment_matches_one_hot_table():
             want, want_p, assignments = _one_hot_table_scores(
                 b[None], g.adjacency.astype(float), n, k
             )
-            got = best_score(b, g)
-            assert got.exact
-            assert got.value == pytest.approx(want[0], abs=1e-12)
-            assert np.array_equal(got.assignment, assignments[want_p[0]])
+            value, assignment = _best(b, g.adjacency)
+            assert value == pytest.approx(want[0], abs=1e-12)
+            assert np.array_equal(assignment, assignments[want_p[0]])
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (10, 4), (16, 2)])
@@ -264,7 +263,6 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
         tracemalloc.stop()
     assert diag["candidate_count"] == len(mech.candidates) == 10**6
     assert diag["equipartitions"] == 1680
-    assert diag["exact_search"]
     assert peak < 256 * 2**20
 
 
@@ -274,8 +272,8 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
 def test_lipschitz_score_identity_under_cap():
     g = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     b = np.array([[0.5, 0.2], [0.2, 0.5]])
-    got = best_score(b, degree_cap(g, 4)).value
-    assert got == pytest.approx(best_score(b, g).value)
+    got = _best(b, degree_cap(g, 4).adjacency)[0]
+    assert got == pytest.approx(_best(b, g.adjacency)[0])
 
 
 def test_lipschitz_score_equals_best_score_on_capped_space_n5():
@@ -284,15 +282,15 @@ def test_lipschitz_score_equals_best_score_on_capped_space_n5():
     for idx, g in enumerate(all_graphs(5)):
         if idx % 37:  # representative slice, keeps the test quick
             continue
-        got = best_score(b, degree_cap(g, d)).value
-        assert got == pytest.approx(best_score(b, g).value)
+        got = _best(b, degree_cap(g, d).adjacency)[0]
+        assert got == pytest.approx(_best(b, g.adjacency)[0])
 
 
 def test_lipschitz_score_zero_cap_scores_empty_graph():
     g = LabeledGraph.complete(5)
     b = np.array([[0.5, 0.1], [0.1, 0.3]])
-    got = best_score(b, degree_cap(g, 0)).value
-    want = best_score(b, LabeledGraph.empty(5)).value
+    got = _best(b, degree_cap(g, 0).adjacency)[0]
+    want = _best(b, LabeledGraph.empty(5).adjacency)[0]
     assert got == pytest.approx(want)
     assert want == pytest.approx(
         max(-score_by_def_norm(b, a, 5) for a in equipartition_array(5, 2))
@@ -309,12 +307,12 @@ def test_lipschitz_score_star_composes_with_degree_cap():
     b = np.array([[0.4, 0.2], [0.2, 0.4]])
     capped = degree_cap(star, 2)
     assert capped.degrees.max() <= 2 and capped != star
-    got = best_score(b, capped)
-    assert got.exact
-    assert got.value == pytest.approx(
-        max(score(b, a, capped) for a in equipartition_array(6, 2))
+    a = capped.adjacency.astype(float)
+    value, assignment = _best(b, a)
+    assert value == pytest.approx(
+        max(_score_by_definition(b, p, a) for p in equipartition_array(6, 2))
     )
-    assert score(b, got.assignment, capped) == pytest.approx(got.value)
+    assert _score_by_definition(b, assignment, a) == pytest.approx(value)
 
 
 # -- candidate grid ----------------------------------------------------------------------
@@ -330,16 +328,17 @@ def test_candidate_matrices_count_and_symmetry():
 
 def test_candidate_matrices_budget_error_names_count():
     with pytest.raises(ResourceLimitError) as err:
-        candidate_matrices(100, 3, 1.0, budget=10)
+        candidate_matrices(100, 3, 1.0)
     assert str(candidate_count(100, 3, 1.0)) in str(err.value)
+    assert str(block_estimator.CANDIDATE_BUDGET) in str(err.value)
 
 
 def test_best_score_monotone_in_mu():
-    g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    a = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)]).adjacency.astype(float)
     prev = -math.inf
     for mu in (0.2, 0.4, 0.8, 1.0):
         cands = candidate_matrices(6, 2, mu)
-        top = max(best_score(c, g).value for c in cands)
+        top = float(_best_scores_bulk(cands, a, 6, 2).values.max())
         assert top >= prev - 1e-12
         prev = top
 
@@ -404,9 +403,11 @@ def test_estimate_blocks_recovers_exact_block_graph():
 
 
 def test_estimate_blocks_candidate_budget_error():
-    g = LabeledGraph.complete(30)
-    cfg = EstimatorConfig(epsilon=100.0, lam=2.0, k=3, candidate_budget=100)
-    with pytest.raises(ResourceLimitError):
+    # 34,650 equipartitions fit; about 25^6 candidates at mu near 2 do not
+    g = LabeledGraph.complete(12)
+    cfg = EstimatorConfig(epsilon=100.0, lam=2.0, k=3)
+    assert equipartition_count(12, 3) == 34650 <= block_estimator.EQUIPARTITION_BUDGET
+    with pytest.raises(ResourceLimitError, match="candidate set has"):
         estimate_blocks(g, cfg, substream(11, "budget"))
 
 
@@ -438,12 +439,30 @@ def test_normalized_estimate_divides_by_rho_hat():
     assert np.allclose(est.normalized().values, [[0.5, 0.0], [0.0, 0.5]])
 
 
-def test_block_mechanism_greedy_fallback_over_budget():
+def test_block_mechanism_refuses_over_equipartition_budget(monkeypatch):
+    # the maximum must be exact for Delta to cover it, in either mode
     g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    cfg = EstimatorConfig(epsilon=5.0, lam=1.0, k=2, equipartition_budget=3)
-    est = estimate_blocks(g, cfg, substream(12, "greedy-path"))
-    assert est.diagnostics["exact_search"] is False
-    assert est.b_hat.k == 2
+    monkeypatch.setattr(block_estimator, "EQUIPARTITION_BUDGET", 3)
+    for mode in ("theoretical", "audited"):
+        cfg = EstimatorConfig(epsilon=5.0, lam=1.0, k=2, sensitivity_mode=mode)
+        with pytest.raises(ResourceLimitError, match="20 equipartitions"):
+            block_mechanism(g, 0.5, cfg)
+        with pytest.raises(ResourceLimitError, match="20 equipartitions"):
+            estimate_blocks(g, cfg, substream(12, "refused"))
+
+
+def test_estimate_blocks_refuses_before_capping_or_building_candidates(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("reached a request the equipartition check refuses")
+
+    monkeypatch.setattr(block_estimator, "degree_cap", unreachable)
+    monkeypatch.setattr(block_estimator, "candidate_matrices", unreachable)
+    g = LabeledGraph.complete(40)
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=str(math.comb(40, 20))):
+        estimate_blocks(g, cfg, substream(15, "refused-n40"))
+    assert time.perf_counter() - start < 1.0
 
 
 # -- where the epsilon of a block release holds ---------------------------------------
@@ -468,14 +487,7 @@ def test_theoretical_delta_is_exceeded_on_a_capped_pair():
     assert "unproven" in est.dp_domain
 
 
-def test_dp_domain_of_audited_and_hill_climb_releases():
+def test_dp_domain_of_audited_releases():
     g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     audited = EstimatorConfig(epsilon=2.0, lam=2.0, k=2, sensitivity_mode="audited")
     assert estimate_blocks(g, audited, substream(4, "dp")).dp_domain == "all graphs on 4 vertices"
-    g6 = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    cfg = EstimatorConfig(epsilon=5.0, lam=1.0, k=2, equipartition_budget=3)
-    est = estimate_blocks(g6, cfg, substream(12, "greedy-path"))
-    assert est.diagnostics["exact_search"] is False
-    assert "data-dependent" in est.dp_domain
-    # an audited sensitivity does not cover the hill-climb's path either
-    assert block_estimator._dp_domain(6, False, "audited") == est.dp_domain

@@ -17,12 +17,12 @@ from nodedp.density import (
     predicted_restricted_mse,
     restricted_density_estimator,
     restricted_density_mechanism,
-    graph_space_oracle,
 )
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, all_graphs, edge_density, node_distance
 from nodedp.graphons import sample_gnp
-from nodedp.mechanisms import dp_audit_densities, sample_laplace, truncation_rate
+from nodedp.audits import audit_density_mechanism
+from nodedp.mechanisms import sample_laplace, truncation_rate
 from nodedp.rng import substream
 
 
@@ -61,10 +61,9 @@ def test_baseline_raw_mse_matches_analytic_oracle():
 
 def test_baseline_dp_audit_n4():
     eps, n = 1.0, 4
-    space = graph_space_oracle(n)
     mech = lambda g: laplace_density_mechanism(g, eps)
     grid = np.linspace(-1.0, 2.0, 501)
-    assert dp_audit_densities(space, mech, eps, grid) <= 1e-9
+    assert audit_density_mechanism(mech, n, eps, grid).max_violation <= 1e-9
 
 
 # -- homogeneity set -----------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, all_graphs
 from nodedp.graphons import (
+    PERMUTATION_SEARCH_MAX_K,
     BlockMatrix,
     StepGraphon,
     canonical_sizes,
@@ -38,12 +40,13 @@ def test_step_graphon_requires_increasing_boundaries():
 
 
 def test_serialization_round_trips():
-    w = two_clique_graphon(0.3)
-    w2 = StepGraphon.from_text(w.to_text())
-    assert np.allclose(w2.boundaries, w.boundaries)
-    assert np.allclose(w2.values, w.values)
-    b = BlockMatrix(np.array([[0.5, 0.25], [0.25, 1.0]]))
-    assert np.allclose(BlockMatrix.from_text(b.to_text()).values, b.values)
+    # the block-matrix text the CLI prints: k, then k rows of %.17g, which
+    # read back to the same floats
+    b = BlockMatrix(np.array([[0.5, 0.1], [0.1, 1.0 / 3.0]]))
+    lines = b.to_text().splitlines()
+    assert lines == ["2", "0.5 0.10000000000000001", "0.10000000000000001 0.33333333333333331"]
+    back = np.array([[float(x) for x in ln.split()] for ln in lines[1:]])
+    assert np.array_equal(back, b.values)
 
 
 def test_equipartition_enumeration_count():
@@ -75,6 +78,9 @@ def test_delta2_hat_blocks_examples():
     eye = BlockMatrix(np.eye(2))
     zero = BlockMatrix(np.zeros((2, 2)))
     assert delta2_hat_blocks(eye, zero) == pytest.approx(math.sqrt(0.5))
+    big = BlockMatrix(np.eye(PERMUTATION_SEARCH_MAX_K + 1))
+    with pytest.raises(ResourceLimitError):
+        delta2_hat_blocks(big, big)
 
 
 def test_delta2_hat_blocks_is_a_pseudometric_on_random_triples():

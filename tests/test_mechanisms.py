@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import logsumexp as scipy_logsumexp
 
 from nodedp import mechanisms
+from nodedp.audits import audit_density_mechanism
 from nodedp.density import (
     HomogeneityConfig,
     graph_space_oracle,
@@ -13,14 +14,13 @@ from nodedp.density import (
     restricted_density_mechanism,
 )
 from nodedp.errors import ResourceLimitError
-from nodedp.graphs import all_graphs, edge_density, node_distance
+from nodedp.graphs import edge_density
 from nodedp.mechanisms import (
     FiniteMechanism,
     LaplaceDensity,
     MetricSpaceOracle,
     PiecewiseExpDensity,
     PiecewiseLinear,
-    dp_audit_densities,
     exponential_mechanism_distribution,
     extend_mechanism,
     logsumexp,
@@ -278,6 +278,15 @@ def _line_base(point):
     return unit_laplace_density(centers[point], 1.0)
 
 
+def _line_violation(points, extended, eps, grid):
+    """Worst audit gap of the extension over ordered pairs of the given
+    line points, at |i - j| apart."""
+    logs = np.stack([extended(p).log_pdf(grid) for p in points])
+    dist = np.abs(np.subtract.outer(points, points)).astype(float)
+    np.fill_diagonal(dist, math.inf)
+    return max_violation(logs, dist, eps).worst
+
+
 def test_extension_agrees_with_base_on_h():
     extended = extend_mechanism(_line_space(), _line_base, 1.0)
     grid = np.linspace(0, 1, 1001)
@@ -312,11 +321,9 @@ def test_extension_with_full_h_reproduces_base():
 
 def test_extension_is_twice_epsilon_dp():
     eps = 0.7
-    space = _line_space()
-    extended = extend_mechanism(space, _line_base, eps)
+    extended = extend_mechanism(_line_space(), _line_base, eps)
     grid = np.linspace(0, 1, 1001)
-    violation = dp_audit_densities(space, extended, 2 * eps, grid)
-    assert violation <= 1e-9
+    assert _line_violation([0, 1, 2], extended, 2 * eps, grid) <= 1e-9
 
 
 def test_extension_promise_mode_and_guards(monkeypatch):
@@ -334,50 +341,31 @@ def test_extension_promise_mode_and_guards(monkeypatch):
 # -- density-ratio audits -----------------------------------------------------------------
 
 
-def _graph_space_n4():
-    points = list(all_graphs(4))
-    cache = {}
-
-    def distance(a, b):
-        key = (a.key, b.key) if a.key <= b.key else (b.key, a.key)
-        if key not in cache:
-            cache[key] = node_distance(a, b)
-        return float(cache[key])
-
-    return MetricSpaceOracle(points=points, distance=distance)
-
-
 def test_dp_audit_laplace_on_edge_density_passes():
     eps, n = 1.0, 4
-    space = _graph_space_n4()
     mech = lambda g: LaplaceDensity(edge_density(g), 4.0 / (n * eps))
     grid = np.linspace(-1, 2, 601)
-    assert dp_audit_densities(space, mech, eps, grid) <= 1e-9
+    assert audit_density_mechanism(mech, n, eps, grid).max_violation <= 1e-9
 
 
 def test_dp_audit_constant_mechanism_never_violates():
-    space = _graph_space_n4()
     mech = lambda g: LaplaceDensity(0.5, 1.0)
-    assert dp_audit_densities(space, mech, 0.5, np.linspace(-1, 2, 101)) <= 0.0
+    report = audit_density_mechanism(mech, 4, 0.5, np.linspace(-1, 2, 101))
+    assert report.max_violation <= 0.0
 
 
 def test_dp_audit_detects_broken_scale():
     eps, n = 1.0, 4
-    space = _graph_space_n4()
     mech = lambda g: LaplaceDensity(edge_density(g), 1.0 / (n * eps))  # quartered
-    violation = dp_audit_densities(space, mech, eps, np.linspace(-1, 2, 601))
-    assert violation > 0.0
+    report = audit_density_mechanism(mech, n, eps, np.linspace(-1, 2, 601))
+    assert report.max_violation > 0.0
 
 
 def test_extension_is_epsilon_dominated_between_h_points():
     eps = 0.7
-    space = _line_space()
-    extended = extend_mechanism(space, _line_base, eps)
+    extended = extend_mechanism(_line_space(), _line_base, eps)
     grid = np.linspace(0, 1, 1001)
-    h_only = MetricSpaceOracle(
-        points=[0, 2], distance=space.distance, contains=space.contains
-    )
-    assert dp_audit_densities(h_only, extended, eps, grid) <= 1e-9
+    assert _line_violation([0, 2], extended, eps, grid) <= 1e-9
 
 
 # -- logsumexp ------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The README's Python quickstart runs as written, in a fresh interpreter,
-within a time limit: a hang fails the test instead of stalling the suite."""
+within a time limit: a hang fails the test instead of stalling the suite.
+The caps its "Scale limits" section names exist in the package."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -24,3 +27,15 @@ def test_readme_python_example_runs():
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+
+def test_readme_scale_limit_caps_are_module_constants():
+    section = README.read_text().split("## Scale limits\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]*)`", section))
+    assert names, "Scale limits names no cap"
+    modules = [
+        importlib.import_module(f"nodedp.{info.name}")
+        for info in pkgutil.iter_modules(nodedp.__path__)
+    ]
+    missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
+    assert not missing, f"README caps missing from nodedp: {missing}"
