@@ -1,10 +1,16 @@
 """Monte Carlo experiment harness: MSE grids, the rewired-coupling checks,
 and homogeneity membership rates.
 
-Every trial draws its stream from (master seed, cell coordinates, trial
-index), so runs are bit-reproducible and trials could execute in any order.
-CSV output is byte-stable: records are written in cell order with fixed
-float formatting, and timing is reported separately from the data file.
+The baseline, restricted and promise estimators read a graph only through
+its edge density e(G), so their cells draw the sufficient statistic instead
+of the graph: m edges in every trial under G(n,m), Binomial(C(n,2), p) edges
+under G(n,p).  Such a cell takes one stream from (master seed, cell
+coordinates).  The estimators that read more than e(G) (the exact extension,
+the block estimator) build a graph per trial, each from (master seed, cell
+coordinates, trial index).  Runs are bit-reproducible and cells could execute
+in any order.  CSV output is byte-stable: records are written in cell order
+with fixed float formatting, and timing is reported separately from the
+data file.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ import numpy as np
 from scipy import stats
 
 from .density import (
-    DensityEstimate,
     HomogeneityConfig,
     extended_density_estimator,
     homogeneity_membership,
+)
+from .density import (  # noqa: F401  (wrapped here by perfbench/tracing.py)
     laplace_density_estimator,
     restricted_density_estimator,
 )
@@ -37,10 +44,16 @@ from .graphons import (
     sample_gnp,
     sample_w_random,
 )
-from .graphs import LabeledGraph, all_graphs, binom2, node_distance
+from .graphs import all_graphs, binom2, node_distance
+from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_density
 from .rng import substream
 
 DENSITY_ESTIMATORS = ("baseline", "restricted", "promise", "extended")
+# Estimators whose output law depends on the graph only through e(G).
+EDGE_COUNT_ESTIMATORS = ("baseline", "restricted", "promise")
+# Bytes one chunk of bootstrap_halfwidth's [rows, trials] resample index may
+# take (a single row may exceed it at more than 2^21 trials).
+_BOOTSTRAP_CHUNK_BYTES = 16 * 2**20
 CSV_SCHEMA = "# schema=1"
 CSV_COLUMNS = (
     "estimator",
@@ -85,6 +98,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.model not in ("gnp", "gnm", "wrandom"):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.model == "gnp" and not (self.p is not None and 0.0 <= self.p <= 1.0):
+            raise ValueError("gnp cells need p in [0, 1]")
+        if self.model == "gnm":
+            if not (self.m_fraction is not None and 0.0 <= self.m_fraction <= 1.0):
+                raise ValueError("gnm cells need m_fraction in [0, 1]")
+            if self.p is not None:
+                raise ValueError("gnm cells take m_fraction, not p")
+        if (self.estimator == "blocks") != (self.model == "wrandom"):
+            raise ValueError("the blocks estimator runs on wrandom and only there")
+        if self.estimator == "blocks" and None in (self.k, self.lam, self.b_diag, self.b_off):
+            raise ValueError("blocks cells need k, lam, b_diag, b_off")
 
 
 @dataclass(frozen=True)
@@ -108,25 +132,85 @@ class ExperimentRecord:
 def bootstrap_halfwidth(
     errors: np.ndarray, rng: np.random.Generator, resamples: int = 1000
 ) -> float:
-    """Half-width of a 95% percentile bootstrap interval for the mean."""
+    """Half-width of a 95% percentile bootstrap interval for the mean.
+
+    The resample rows are drawn and averaged in chunks of at most
+    _BOOTSTRAP_CHUNK_BYTES (or one row); the stream and each row's mean are
+    those of the one-piece [resamples, trials] draw."""
     errors = np.asarray(errors, dtype=float)
-    idx = rng.integers(0, errors.size, size=(resamples, errors.size))
-    means = errors[idx].mean(axis=1)
+    rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * errors.size))
+    means = np.empty(resamples)
+    for first in range(0, resamples, rows):
+        idx = rng.integers(0, errors.size, size=(min(rows, resamples - first), errors.size))
+        means[first : first + idx.shape[0]] = errors[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(hi - lo) / 2.0
 
 
-def _density_trial(
-    cfg: ExperimentConfig, n: int, eps: float, g: LabeledGraph, rng
-) -> DensityEstimate:
-    hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)
+def _edge_densities(
+    cfg: ExperimentConfig, n: int, p: float, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """e(G) of every trial's graph, drawn without the graph: m / C(n,2) under
+    G(n,m), Binomial(C(n,2), p) / C(n,2) under G(n,p).  The division is
+    edge_density's own expression, so each value is the one it returns."""
+    if cfg.model == "gnm":
+        counts = np.full(cfg.trials, m)
+    else:
+        counts = rng.binomial(binom2(n), p, size=cfg.trials)
+    return counts / (n * (n - 1) / 2)
+
+
+def _edge_count_cell(
+    cfg: ExperimentConfig, n: int, eps: float, p: float, m: int
+) -> np.ndarray:
+    """Squared errors of a baseline, restricted or promise cell, all from one
+    stream.  The baseline adds Lap(4/(n eps)) and clamps to [0, 1], as
+    laplace_density_estimator does; the other two sample the law that
+    restricted_density_mechanism builds, once per distinct centre, each
+    group by one inverse-CDF call in sorted-centre order."""
+    hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)  # rejects rho, C, n out of range
+    rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
+    centres = _edge_densities(cfg, n, p, m, rng)
     if cfg.estimator == "baseline":
-        return laplace_density_estimator(g, eps, rng)
-    if cfg.estimator == "restricted":
-        return restricted_density_estimator(g, eps, hcfg, rng)
-    if cfg.estimator == "promise":
-        return extended_density_estimator(g, eps, hcfg, "promise", rng)
-    return extended_density_estimator(g, eps, hcfg, "exact", rng)
+        noise = sample_laplace(4.0 / (n * _check_epsilon(eps)), rng, size=cfg.trials)
+        values = np.clip(centres + noise, 0.0, 1.0)
+    else:
+        unique, inverse = np.unique(centres, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+        values = np.empty(cfg.trials)
+        for centre, idx in zip(unique.tolist(), groups):
+            law = truncated_laplace_density(centre, eps, hcfg.C, hcfg.rho, n)
+            values[idx] = law.sample(rng, size=idx.size)
+    return (values - p) ** 2
+
+
+def _graph_cell(cfg: ExperimentConfig, n: int, eps: float, p: float, m: int) -> np.ndarray:
+    """Squared errors of an extended or blocks cell, the estimators that read
+    more of G than e(G): one graph per trial, each from its own stream."""
+    if cfg.estimator == "blocks":
+        truth_graphon = StepGraphon.equal_blocks(
+            [[cfg.b_diag, cfg.b_off], [cfg.b_off, cfg.b_diag]]
+            if cfg.k == 2
+            else np.full((cfg.k, cfg.k), cfg.b_diag)
+        )
+        target = BlockMatrix(cfg.rho * truth_graphon.values)
+    else:
+        hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)
+    errors = np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps), t)
+        if cfg.estimator == "blocks":
+            g = sample_w_random(truth_graphon, cfg.rho, n, rng).graph
+            est = estimate_blocks(
+                g, EstimatorConfig(epsilon=eps, lam=cfg.lam, k=cfg.k), rng
+            )
+            errors[t] = delta2_hat_blocks(est.b_hat, target) ** 2
+        else:
+            g = sample_gnp(n, p, rng) if cfg.model == "gnp" else sample_gnm(n, m, rng)
+            est = extended_density_estimator(g, eps, hcfg, "exact", rng)
+            errors[t] = (est.value - p) ** 2
+    return errors
 
 
 def _run_cell(cfg: ExperimentConfig, n: int, eps: float) -> ExperimentRecord:
@@ -134,37 +218,8 @@ def _run_cell(cfg: ExperimentConfig, n: int, eps: float) -> ExperimentRecord:
     nslots = binom2(n)
     m = int(math.floor((cfg.m_fraction or 0.0) * nslots))
     p = cfg.p if cfg.p is not None else (m / nslots if cfg.model == "gnm" else 0.0)
-    truth_graphon = None
-    if cfg.estimator == "blocks":
-        if None in (cfg.k, cfg.lam, cfg.b_diag, cfg.b_off):
-            raise ValueError("blocks cells need k, lam, b_diag, b_off")
-        truth_graphon = StepGraphon.equal_blocks(
-            [[cfg.b_diag, cfg.b_off], [cfg.b_off, cfg.b_diag]]
-            if cfg.k == 2
-            else np.full((cfg.k, cfg.k), cfg.b_diag)
-        )
-    errors = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps), t)
-        if cfg.model == "gnp":
-            g = sample_gnp(n, p, rng)
-            truth = p
-        elif cfg.model == "gnm":
-            g = sample_gnm(n, m, rng)
-            truth = m / nslots
-        else:
-            sample = sample_w_random(truth_graphon, cfg.rho, n, rng)
-            g = sample.graph
-            truth = None
-        if cfg.estimator == "blocks":
-            est = estimate_blocks(
-                g, EstimatorConfig(epsilon=eps, lam=cfg.lam, k=cfg.k), rng
-            )
-            target = BlockMatrix(cfg.rho * truth_graphon.values)
-            errors[t] = delta2_hat_blocks(est.b_hat, target) ** 2
-        else:
-            est = _density_trial(cfg, n, eps, g, rng)
-            errors[t] = (est.value - truth) ** 2
+    cell = _edge_count_cell if cfg.estimator in EDGE_COUNT_ESTIMATORS else _graph_cell
+    errors = cell(cfg, n, eps, p, m)
     hw = bootstrap_halfwidth(
         errors, substream(cfg.seed, "bootstrap", cfg.estimator, cfg.model, n, repr(eps))
     )

@@ -1,10 +1,23 @@
+import math
+
+import numpy as np
 import pytest
 
-from nodedp.density import predicted_baseline_mse
+import nodedp.experiments as experiments
+from nodedp.density import (
+    HomogeneityConfig,
+    extended_density_estimator,
+    laplace_density_estimator,
+    predicted_baseline_mse,
+    restricted_density_estimator,
+    restricted_density_mechanism,
+)
 from nodedp.experiments import (
     CSV_SCHEMA,
     ExperimentConfig,
     ExperimentRecord,
+    _edge_densities,
+    bootstrap_halfwidth,
     exact_rewired_tv,
     homogeneity_probability,
     records_to_csv,
@@ -12,6 +25,10 @@ from nodedp.experiments import (
     run_mse_experiment,
     slope_fit,
 )
+from nodedp.graphons import sample_gnp
+from nodedp.graphs import LabeledGraph, binom2, edge_density, triangular_slots
+from nodedp.mechanisms import truncated_laplace_density
+from nodedp.rng import substream
 
 
 def _record(n, mse, estimator="baseline"):
@@ -140,22 +157,134 @@ def test_distinguishability_warns_outside_regime():
         run_distinguishability_experiment(4, 1, 3, trials=100, seed=9)
 
 
+def _config(**overrides):
+    kwargs = dict(
+        estimator="baseline",
+        model="gnp",
+        n_grid=(8,),
+        epsilon_grid=(1.0,),
+        trials=1,
+        seed=0,
+        p=0.5,
+    )
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+_BLOCKS = dict(estimator="blocks", model="wrandom", p=None, k=2, lam=2.0, b_diag=0.8, b_off=0.2)
+
+
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            estimator="nope",
-            model="gnp",
-            n_grid=(8,),
-            epsilon_grid=(1.0,),
-            trials=1,
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            estimator="baseline",
-            model="gnp",
-            n_grid=(),
-            epsilon_grid=(1.0,),
-            trials=1,
-            seed=0,
-        )
+    _config()
+    _config(model="gnm", p=None, m_fraction=0.5)
+    _config(**_BLOCKS)
+    for overrides in (
+        dict(estimator="nope"),
+        dict(n_grid=()),
+        dict(p=None),  # gnp needs p
+        dict(p=1.5),
+        dict(p=-0.1),
+        dict(model="gnm", p=None),  # gnm needs m_fraction
+        dict(model="gnm", p=None, m_fraction=1.5),
+        dict(model="gnm", p=0.5, m_fraction=0.5),  # gnm takes m_fraction, not p
+        dict(model="wrandom", p=None),  # baseline on wrandom
+        dict(_BLOCKS, model="gnp", p=0.5),  # blocks on gnp
+        dict(_BLOCKS, b_off=None),  # blocks cells need the whole truth
+        dict(_BLOCKS, k=None),
+        dict(_BLOCKS, lam=None),
+    ):
+        with pytest.raises(ValueError):
+            _config(**overrides)
+
+
+# -- e(G) cells --------------------------------------------------------------------
+
+
+def test_density_estimators_read_only_the_edge_count():
+    star = LabeledGraph.from_edges(8, [(0, v) for v in range(1, 8)])
+    path = LabeledGraph.from_edges(8, [(v, v + 1) for v in range(7)])
+    assert star.edge_count == path.edge_count and star != path
+    hcfg = HomogeneityConfig(rho=0.5, C=49.0, n=8)
+    for estimate in (
+        lambda g, rng: laplace_density_estimator(g, 1.0, rng),
+        lambda g, rng: restricted_density_estimator(g, 1.0, hcfg, rng),
+        lambda g, rng: extended_density_estimator(g, 1.0, hcfg, "promise", rng),
+    ):
+        a = estimate(star, substream(5, "only-e"))
+        b = estimate(path, substream(5, "only-e"))
+        assert a.value == b.value
+
+
+def test_edge_count_cell_samples_the_restricted_mechanism():
+    n, p, eps = 12, 0.3, 1.0
+    cfg = _config(estimator="restricted", n_grid=(n,), p=p, trials=40, seed=4)
+    hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)
+    tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
+    counts = substream(*tags).binomial(binom2(n), p, size=cfg.trials)
+    centres = _edge_densities(cfg, n, p, 0, substream(*tags))
+    slots = triangular_slots(n)
+    for count, centre in zip(counts.tolist(), centres.tolist()):
+        g = LabeledGraph.from_edges(n, slots[:count])
+        assert edge_density(g) == centre
+        law = truncated_laplace_density(centre, eps, cfg.C, cfg.rho, n)
+        mech = restricted_density_mechanism(g, eps, hcfg)
+        assert law.shape.xs.tobytes() == mech.shape.xs.tobytes()
+        assert law.shape.ys.tobytes() == mech.shape.ys.tobytes()
+
+
+def test_gnp_edge_count_is_binomial():
+    n, p, samples = 12, 0.3, 4000
+    counts = np.array(
+        [sample_gnp(n, p, substream(8, "gnp-count", t)).edge_count for t in range(samples)],
+        dtype=float,
+    )
+    slots = binom2(n)
+    mean, var = slots * p, slots * p * (1 - p)
+    mu4 = var * (1 + 3 * (slots - 2) * p * (1 - p))  # fourth central moment
+    assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / samples)
+    assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / samples)
+
+
+def test_gnp_promise_cell_with_many_centres_is_byte_stable():
+    n, p = 64, 0.5
+    cfg = _config(estimator="promise", n_grid=(n,), p=p, trials=200, seed=6)
+    tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(1.0))
+    assert np.unique(_edge_densities(cfg, n, p, 0, substream(*tags))).size > 50
+    assert records_to_csv(run_mse_experiment(cfg)) == records_to_csv(run_mse_experiment(cfg))
+
+
+@pytest.mark.parametrize("estimator", ["baseline", "restricted", "promise"])
+def test_gnp_edge_count_cell_runs_one_trial(estimator):
+    (rec,) = run_mse_experiment(_config(estimator=estimator, n_grid=(16,), trials=1))
+    assert rec.trials == 1 and 0.0 <= rec.mse <= 1.0
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_only_graph_cells_build_graphs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Sampled
+
+    for attr in ("sample_gnp", "sample_gnm", "sample_w_random"):
+        monkeypatch.setattr(experiments, attr, refuse)
+    gnm = dict(model="gnm", p=None, m_fraction=0.5)
+    for estimator in ("baseline", "restricted", "promise"):
+        run_mse_experiment(_config(estimator=estimator, trials=3))
+        run_mse_experiment(_config(estimator=estimator, trials=3, **gnm))
+    with pytest.raises(_Sampled):
+        run_mse_experiment(_config(estimator="extended", n_grid=(4,), **gnm))
+    with pytest.raises(_Sampled):
+        run_mse_experiment(_config(**_BLOCKS))
+
+
+def test_bootstrap_halfwidth_chunks_reproduce_the_one_piece_draw(monkeypatch):
+    errors = substream(3, "errors").random(101)
+    idx = substream(3, "bootstrap").integers(0, errors.size, size=(1000, errors.size))
+    lo, hi = np.percentile(errors[idx].mean(axis=1), [2.5, 97.5])
+    want = float(hi - lo) / 2.0
+    # seven rows per chunk: 143 chunks, the last one short
+    monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK_BYTES", 8 * errors.size * 7 + 5)
+    got = bootstrap_halfwidth(errors, substream(3, "bootstrap"))
+    assert got.hex() == want.hex()
