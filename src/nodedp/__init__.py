@@ -51,7 +51,6 @@ from .block_estimator import (
     EstimatorConfig,
     block_mechanism,
     estimate_blocks,
-    private_density,
 )
 from .density import (
     DensityEstimate,
@@ -85,7 +84,6 @@ from .experiments import (
     run_distinguishability_experiment,
     run_mse_experiment,
     slope_fit,
-    write_records_csv,
 )
 from .rng import substream
 

@@ -32,6 +32,9 @@ PAIR_AUDIT_MAX_N = 5
 FINITE_AUDIT_MAX_N = 4
 # The bit-string audit builds one mechanism per string: 64 at 6 bits.
 BITSTRING_AUDIT_MAX_BITS = 6
+# Largest violation of the DP inequality a passing audit may show: float
+# round-off in the log-ratio, not slack in epsilon.
+AUDIT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,8 @@ class AuditReport:
     # violation), populated on request
     rows: tuple = ()
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_violation <= tol
+    def passed(self) -> bool:
+        return self.max_violation <= AUDIT_TOLERANCE
 
     def to_csv(self) -> str:
         lines = ["pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"]

@@ -16,14 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .density import laplace_density_mechanism
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap, edge_density
+from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
     FiniteMechanism,
     exponential_mechanism_distribution,
-    sample_laplace,
     _check_epsilon,
 )
 
@@ -43,23 +43,6 @@ class EstimatorConfig:
             raise ValueError("k must be >= 1")
         if self.sensitivity_mode not in ("theoretical", "audited"):
             raise ValueError("sensitivity_mode must be 'theoretical' or 'audited'")
-
-
-class PrivateDensity(NamedTuple):
-    value: float  # clamped to [1/n^2, 1]
-    raw: float  # unclamped, for audits
-
-
-def private_density(g: LabeledGraph, epsilon: float, rng: np.random.Generator) -> PrivateDensity:
-    """e(G) + Lap(4/(n eps)), clamped to [1/n^2, 1].
-
-    Spends eps/2 of the budget: rewiring one vertex moves the density by at
-    most 2/n, so scale 4/(n eps) gives an (eps/2)-node-DP release.  The clamp
-    floor keeps later divisions by the estimate finite.
-    """
-    eps = _check_epsilon(epsilon)
-    raw = edge_density(g) + float(sample_laplace(4.0 / (g.n * eps), rng))
-    return PrivateDensity(min(max(raw, 1.0 / g.n**2), 1.0), raw)
 
 
 # -- Score over equipartitions ----------------------------------------------------
@@ -298,18 +281,25 @@ def _dp_domain(n: int, sensitivity_mode: str) -> str:
 def estimate_blocks(
     g: LabeledGraph, cfg: EstimatorConfig, rng: np.random.Generator
 ) -> BlockEstimate:
-    """Run the full private pipeline on one graph."""
-    rho = private_density(g, cfg.epsilon, rng)
-    mech, cands, delta, diagnostics = block_mechanism(g, rho.value, cfg)
+    """Run the full private pipeline on one graph.
+
+    Stage 1 samples the baseline's law, laplace_density_mechanism, and
+    spends eps/2 of the budget: rewiring one vertex moves the density by at
+    most 2/n, so scale 4/(n eps) gives an (eps/2)-node-DP release.  The draw
+    is clamped to [1/n^2, 1]; the floor keeps divisions by rho_hat finite.
+    """
+    raw = float(laplace_density_mechanism(g, cfg.epsilon).sample(rng))
+    rho_hat = min(max(raw, 1.0 / g.n**2), 1.0)
+    mech, cands, delta, diagnostics = block_mechanism(g, rho_hat, cfg)
     idx = mech.sample(rng)
     chosen = cands[idx]
     diag = {key: value for key, value in diagnostics.items() if key != "scores"}
     diag["chosen_score"] = float(diagnostics["scores"][idx])
     return BlockEstimate(
-        rho_hat=rho.value,
-        raw_rho=rho.raw,
+        rho_hat=rho_hat,
+        raw_rho=raw,
         b_hat=BlockMatrix(chosen),
-        mu=cfg.lam * rho.value,
+        mu=cfg.lam * rho_hat,
         delta=delta,
         dp_domain=_dp_domain(g.n, cfg.sensitivity_mode),
         diagnostics=diag,

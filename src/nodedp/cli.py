@@ -48,8 +48,6 @@ from .graphons import (
 from .graphs import LabeledGraph
 from .rng import substream
 
-AUDIT_TOLERANCE = 1e-9
-
 
 def _read_graph(path: str) -> LabeledGraph:
     with open(path) as fh:
@@ -91,12 +89,10 @@ def _cmd_estimate_density(args) -> int:
         est = laplace_density_estimator(g, args.epsilon, rng)
     else:
         cfg = HomogeneityConfig(rho=args.rho, C=args.C, n=g.n)
-        if args.mode == "restricted":
-            est = restricted_density_estimator(g, args.epsilon, cfg, rng)
-        elif args.mode == "extended":
-            est = extended_density_estimator(g, args.epsilon, cfg, "exact", rng)
+        if args.mode == "extended":
+            est = extended_density_estimator(g, args.epsilon, cfg, rng)
         else:  # promise
-            est = extended_density_estimator(g, args.epsilon, cfg, "promise", rng)
+            est = restricted_density_estimator(g, args.epsilon, cfg, rng)
     record = {
         "value": est.value,
         "mode": est.mode,
@@ -167,9 +163,9 @@ def _cmd_audit_dp(args) -> int:
     print(
         f"mechanism={report.mechanism} n={report.n} epsilon={report.epsilon} "
         f"pairs={report.pairs_checked} max_violation={report.max_violation:.3e} "
-        f"{'PASS' if report.passed(AUDIT_TOLERANCE) else 'FAIL'}"
+        f"{'PASS' if report.passed() else 'FAIL'}"
     )
-    return 0 if report.passed(AUDIT_TOLERANCE) else 1
+    return 0 if report.passed() else 1
 
 
 def _cmd_audit_sensitivity(args) -> int:
@@ -265,9 +261,9 @@ def _cmd_experiment_reduction(args) -> int:
     print(
         f"bits={report.n} epsilon={report.epsilon} pairs={report.pairs_checked} "
         f"max_violation={report.max_violation:.3e} "
-        f"{'PASS' if report.passed(AUDIT_TOLERANCE) else 'FAIL'}"
+        f"{'PASS' if report.passed() else 'FAIL'}"
     )
-    return 0 if report.passed(AUDIT_TOLERANCE) else 1
+    return 0 if report.passed() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--epsilon", type=float, required=True)
     d.add_argument(
         "--mode",
-        choices=["baseline", "restricted", "extended", "promise"],
+        choices=["baseline", "promise", "extended"],
         default="baseline",
     )
     d.add_argument("--rho", type=float, default=0.5)

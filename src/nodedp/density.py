@@ -2,9 +2,10 @@
 
 Three routes: the Laplace baseline calibrated to worst-case sensitivity over
 all graphs, a truncated-noise mechanism calibrated to the much smaller
-density sensitivity that holds on the homogeneity set, and the exact
-extension of the latter to the whole graph space (tiny n) or its promise
-mode (any n, DP guaranteed on the homogeneity set only).
+density sensitivity that holds on the homogeneity set (the promise release:
+any n, DP guaranteed on the homogeneity set only), and the exact extension
+of the latter to the whole graph space (tiny n).  Each release samples the
+one mechanism object its audit certifies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .mechanisms import (
     PiecewiseExpDensity,
     _check_epsilon,
     extend_mechanism,
-    sample_laplace,
     truncated_laplace_density,
     truncation_rate,
 )
@@ -59,7 +59,7 @@ class HomogeneityConfig:
 @dataclass(frozen=True)
 class DensityEstimate:
     value: float
-    mode: str  # baseline | restricted | extended-exact | promise
+    mode: str  # baseline | promise | extended-exact
     epsilon: float
     dp_domain: str  # where the stated epsilon is guaranteed
     raw: float | None = None  # pre-clamp value where applicable
@@ -69,17 +69,19 @@ class DensityEstimate:
 
 
 def laplace_density_mechanism(g: LabeledGraph, epsilon: float) -> LaplaceDensity:
-    """Output law of the baseline before clamping (used by audits)."""
-    _check_epsilon(epsilon)
-    return LaplaceDensity(edge_density(g), 4.0 / (g.n * epsilon))
+    """e(G) + Lap(4/(n eps)) before clamping: the law the audits certify, and
+    the one the baseline and the block estimator's first stage sample."""
+    eps = _check_epsilon(epsilon)
+    return LaplaceDensity(edge_density(g), 4.0 / (g.n * eps))
 
 
 def laplace_density_estimator(
     g: LabeledGraph, epsilon: float, rng: np.random.Generator
 ) -> DensityEstimate:
-    """e(G) + Lap(4/(n eps)), clamped to [0,1]; eps-node-DP on every graph."""
+    """A draw of laplace_density_mechanism clamped to [0,1]; eps-node-DP on
+    every graph."""
     eps = _check_epsilon(epsilon)
-    raw = edge_density(g) + float(sample_laplace(4.0 / (g.n * eps), rng))
+    raw = float(laplace_density_mechanism(g, eps).sample(rng))
     return DensityEstimate(
         value=min(max(raw, 0.0), 1.0),
         mode="baseline",
@@ -122,41 +124,19 @@ def homogeneity_worst_margin(g: LabeledGraph, cfg: HomogeneityConfig) -> float:
     return float((deviation - cfg.tolerance(sizes)).max())
 
 
-def homogeneity_membership(
-    g: LabeledGraph,
-    cfg: HomogeneityConfig,
-    rng: np.random.Generator | None = None,
-    sampled_subsets: int = 10**5,
-) -> bool:
+def homogeneity_membership(g: LabeledGraph, cfg: HomogeneityConfig) -> bool:
     """True iff e(G) <= rho and every nonempty subset's boundary edge count is
     within tolerance of the count its own density predicts.
 
-    Exact for n <= 16.  Beyond that a random-subset audit runs instead and
-    True only certifies "no violation found" among the sampled subsets.
+    Always exact: a graph over the density cap is rejected first, and the
+    subset scan refuses n > EXACT_SUBSET_SCAN_MAX_N.
     """
     if edge_density(g) > cfg.rho + 1e-12:
         return False
-    if g.n <= EXACT_SUBSET_SCAN_MAX_N:
-        return homogeneity_worst_margin(g, cfg) <= 1e-9
-    if rng is None:
-        raise ValueError("sampled-audit mode (n > 16) requires an rng")
-    n = g.n
-    e = edge_density(g)
-    adj = g.adjacency
-    for _ in range(sampled_subsets):
-        size = int(rng.integers(1, n + 1))
-        members = rng.choice(n, size=size, replace=False)
-        mask = np.zeros(n, dtype=bool)
-        mask[members] = True
-        outside = ~mask
-        boundary = g.edge_count - int(adj[np.ix_(outside, outside)].sum()) // 2
-        slots = size * (n - size) + size * (size - 1) / 2.0
-        if abs(boundary - e * slots) > float(cfg.tolerance(size)) + 1e-9:
-            return False
-    return True
+    return homogeneity_worst_margin(g, cfg) <= 1e-9
 
 
-# -- restricted (truncated-noise) estimator ---------------------------------------
+# -- restricted (truncated-noise) estimator: the promise release -----------------
 
 
 def restricted_density_mechanism(
@@ -171,16 +151,16 @@ def restricted_density_estimator(
     cfg: HomogeneityConfig,
     rng: np.random.Generator,
 ) -> DensityEstimate:
-    """Sample the truncated-noise law centered at e(G).
+    """Sample the truncated-noise law centered at e(G): the promise release.
 
     (eps/2)-node-DP between inputs in the homogeneity set; the caller is
-    responsible for the membership promise.
+    responsible for the membership promise, and dp_domain says so.
     """
     eps = _check_epsilon(epsilon)
     value = float(restricted_density_mechanism(g, eps, cfg).sample(rng))
     return DensityEstimate(
         value=value,
-        mode="restricted",
+        mode="promise",
         epsilon=eps / 2.0,
         dp_domain=f"H(rho={cfg.rho}, C={cfg.C}) only",
     )
@@ -233,30 +213,18 @@ def extended_density_estimator(
     g: LabeledGraph,
     epsilon: float,
     cfg: HomogeneityConfig,
-    mode: str,
     rng: np.random.Generator,
 ) -> DensityEstimate:
-    """mode='exact': sample the materialized extension (eps-DP everywhere,
-    n <= 5).  mode='promise': run the restricted mechanism directly; the
-    output is labeled as DP on the homogeneity set only."""
+    """Sample the materialized extension: eps-node-DP on every graph, n <= 5.
+    Larger n takes the promise release, restricted_density_estimator."""
     eps = _check_epsilon(epsilon)
-    if mode == "exact":
-        mech = extended_density_mechanism(g.n, eps, cfg)
-        return DensityEstimate(
-            value=float(mech(g).sample(rng)),
-            mode="extended-exact",
-            epsilon=eps,
-            dp_domain="all graphs",
-        )
-    if mode == "promise":
-        est = restricted_density_estimator(g, eps, cfg, rng)
-        return DensityEstimate(
-            value=est.value,
-            mode="promise",
-            epsilon=eps / 2.0,
-            dp_domain=f"H(rho={cfg.rho}, C={cfg.C}) only",
-        )
-    raise ValueError("mode must be 'exact' or 'promise'")
+    mech = extended_density_mechanism(g.n, eps, cfg)
+    return DensityEstimate(
+        value=float(mech(g).sample(rng)),
+        mode="extended-exact",
+        epsilon=eps,
+        dp_domain="all graphs",
+    )
 
 
 # -- analytic oracles ----------------------------------------------------------------

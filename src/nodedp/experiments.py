@@ -1,7 +1,7 @@
 """Monte Carlo experiment harness: MSE grids, the rewired-coupling checks,
 and homogeneity membership rates.
 
-The baseline, restricted and promise estimators read a graph only through
+The baseline and promise estimators read a graph only through
 its edge density e(G), so their cells draw the sufficient statistic instead
 of the graph: m edges in every trial under G(n,m), Binomial(C(n,2), p) edges
 under G(n,p).  Such a cell takes one stream from (master seed, cell
@@ -48,9 +48,11 @@ from .graphs import all_graphs, binom2, node_distance
 from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_density
 from .rng import substream
 
-DENSITY_ESTIMATORS = ("baseline", "restricted", "promise", "extended")
+DENSITY_ESTIMATORS = ("baseline", "promise", "extended")
 # Estimators whose output law depends on the graph only through e(G).
-EDGE_COUNT_ESTIMATORS = ("baseline", "restricted", "promise")
+EDGE_COUNT_ESTIMATORS = ("baseline", "promise")
+# Resamples behind every bootstrap interval.
+BOOTSTRAP_RESAMPLES = 1000
 # Bytes one chunk of bootstrap_halfwidth's [rows, trials] resample index may
 # take (a single row may exceed it at more than 2^21 trials).
 _BOOTSTRAP_CHUNK_BYTES = 16 * 2**20
@@ -74,7 +76,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    estimator: str  # baseline | restricted | promise | extended | blocks
+    estimator: str  # baseline | promise | extended | blocks
     model: str  # gnp | gnm | wrandom
     n_grid: tuple[int, ...]
     epsilon_grid: tuple[float, ...]
@@ -129,19 +131,18 @@ class ExperimentRecord:
     wall_time: float  # seconds; excluded from the CSV to keep bytes stable
 
 
-def bootstrap_halfwidth(
-    errors: np.ndarray, rng: np.random.Generator, resamples: int = 1000
-) -> float:
+def bootstrap_halfwidth(errors: np.ndarray, rng: np.random.Generator) -> float:
     """Half-width of a 95% percentile bootstrap interval for the mean.
 
     The resample rows are drawn and averaged in chunks of at most
     _BOOTSTRAP_CHUNK_BYTES (or one row); the stream and each row's mean are
-    those of the one-piece [resamples, trials] draw."""
+    those of the one-piece [BOOTSTRAP_RESAMPLES, trials] draw."""
     errors = np.asarray(errors, dtype=float)
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * errors.size))
-    means = np.empty(resamples)
-    for first in range(0, resamples, rows):
-        idx = rng.integers(0, errors.size, size=(min(rows, resamples - first), errors.size))
+    means = np.empty(BOOTSTRAP_RESAMPLES)
+    for first in range(0, BOOTSTRAP_RESAMPLES, rows):
+        size = (min(rows, BOOTSTRAP_RESAMPLES - first), errors.size)
+        idx = rng.integers(0, errors.size, size=size)
         means[first : first + idx.shape[0]] = errors[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(hi - lo) / 2.0
@@ -163,9 +164,9 @@ def _edge_densities(
 def _edge_count_cell(
     cfg: ExperimentConfig, n: int, eps: float, p: float, m: int
 ) -> np.ndarray:
-    """Squared errors of a baseline, restricted or promise cell, all from one
-    stream.  The baseline adds Lap(4/(n eps)) and clamps to [0, 1], as
-    laplace_density_estimator does; the other two sample the law that
+    """Squared errors of a baseline or promise cell, all from one stream.
+    The baseline adds Lap(4/(n eps)) and clamps to [0, 1], as
+    laplace_density_estimator does; the promise cell samples the law that
     restricted_density_mechanism builds, once per distinct centre, each
     group by one inverse-CDF call in sorted-centre order."""
     hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)  # rejects rho, C, n out of range
@@ -208,7 +209,7 @@ def _graph_cell(cfg: ExperimentConfig, n: int, eps: float, p: float, m: int) -> 
             errors[t] = delta2_hat_blocks(est.b_hat, target) ** 2
         else:
             g = sample_gnp(n, p, rng) if cfg.model == "gnp" else sample_gnm(n, m, rng)
-            est = extended_density_estimator(g, eps, hcfg, "exact", rng)
+            est = extended_density_estimator(g, eps, hcfg, rng)
             errors[t] = (est.value - p) ** 2
     return errors
 
@@ -257,11 +258,6 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
     for r in records:
         lines.append(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def write_records_csv(records: Sequence[ExperimentRecord], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(records_to_csv(records))
 
 
 # -- rate-exponent extraction ------------------------------------------------------

@@ -230,6 +230,10 @@ def degree_cap(g: LabeledGraph, d: int) -> LabeledGraph:
 
 # -- node distance (rewiring metric) ----------------------------------------
 
+# Most branch-and-bound nodes one node_distance call may explore before it
+# refuses with a ResourceLimitError.
+NODE_DISTANCE_BUDGET = 10**6
+
 
 def _greedy_cover_bound(adj: dict[int, set[int]]) -> int:
     """Size of a greedy max-degree cover; cheap upper bound."""
@@ -261,7 +265,7 @@ def _matching_lower_bound(adj: dict[int, set[int]]) -> int:
     return count
 
 
-def _min_vertex_cover_size(adj: dict[int, set[int]], budget: int) -> int:
+def _min_vertex_cover_size(adj: dict[int, set[int]]) -> int:
     """Exact minimum vertex cover by branch and bound with degree-0/1 kernels."""
     nodes = 0
     best = _greedy_cover_bound(adj)
@@ -269,9 +273,9 @@ def _min_vertex_cover_size(adj: dict[int, set[int]], budget: int) -> int:
     def explore(work: dict[int, set[int]], acc: int) -> None:
         nonlocal nodes, best
         nodes += 1
-        if nodes > budget:
+        if nodes > NODE_DISTANCE_BUDGET:
             raise ResourceLimitError(
-                f"vertex-cover search exceeded budget of {budget} nodes"
+                f"vertex-cover search exceeded budget of {NODE_DISTANCE_BUDGET} nodes"
             )
         # kernelize: drop isolated vertices, resolve degree-1 vertices
         while True:
@@ -306,7 +310,7 @@ def _min_vertex_cover_size(adj: dict[int, set[int]], budget: int) -> int:
     return best
 
 
-def node_distance(g1: LabeledGraph, g2: LabeledGraph, budget: int = 10**6) -> int:
+def node_distance(g1: LabeledGraph, g2: LabeledGraph) -> int:
     """Minimum number of vertices of g1 to rewire to obtain g2.
 
     Equals the exact minimum vertex cover of the symmetric-difference graph:
@@ -323,7 +327,7 @@ def node_distance(g1: LabeledGraph, g2: LabeledGraph, budget: int = 10**6) -> in
     for u, v in zip(us.tolist(), vs.tolist()):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    return _min_vertex_cover_size(adj, budget)
+    return _min_vertex_cover_size(adj)
 
 
 # -- tiny-scale enumeration --------------------------------------------------

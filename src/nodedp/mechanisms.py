@@ -234,9 +234,6 @@ class PiecewiseExpDensity:
     def log_pdf(self, q):
         return self.shape(q) - self.log_normalizer
 
-    def pdf(self, q):
-        return np.exp(self.log_pdf(q))
-
     def cdf(self, q):
         q = np.asarray(q, dtype=float)
         idx = np.clip(np.searchsorted(self.shape.xs, q, side="right") - 1, 0, len(self._h0) - 1)

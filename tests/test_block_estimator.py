@@ -16,9 +16,9 @@ from nodedp.block_estimator import (
     candidate_matrices,
     estimate_blocks,
     measured_score_sensitivity,
-    private_density,
     theoretical_sensitivity,
 )
+from nodedp.density import laplace_density_mechanism
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, all_graphs, degree_cap, edge_density, node_distance
 from nodedp.graphons import (
@@ -31,30 +31,39 @@ from nodedp.graphons import (
 from nodedp.rng import substream
 
 
-# -- private density step ----------------------------------------------------------
+# -- density stage ------------------------------------------------------------------
 
 
-def test_private_density_huge_epsilon_returns_density():
+def test_estimate_blocks_huge_epsilon_releases_the_density():
     g = LabeledGraph.from_edges(5, [(0, 1), (2, 3), (1, 4)])
-    rho = private_density(g, 1e9, substream(0, "pd"))
-    assert rho.value == pytest.approx(edge_density(g), abs=1e-6)
+    est = estimate_blocks(g, EstimatorConfig(epsilon=1e9, lam=1.0, k=1), substream(0, "pd"))
+    assert est.rho_hat == pytest.approx(edge_density(g), abs=1e-6)
 
 
-def test_private_density_clamps_empty_graph_to_floor():
+def test_estimate_blocks_clamps_empty_graph_density_to_floor():
     g = LabeledGraph.empty(6)
-    rho = private_density(g, 1e9, substream(1, "pd"))
-    assert rho.value == pytest.approx(1.0 / 36.0)
-    assert abs(rho.raw) <= 1e-6
+    est = estimate_blocks(g, EstimatorConfig(epsilon=1e9, lam=1.0, k=1), substream(1, "pd"))
+    assert est.rho_hat == pytest.approx(1.0 / 36.0)
+    assert abs(est.raw_rho) <= 1e-6
 
 
-def test_private_density_raw_value_is_unbiased():
+def test_laplace_density_mechanism_raw_value_is_unbiased():
     g = LabeledGraph.from_edges(4, [(0, 1), (1, 2)])
-    rng = substream(2, "pd-bias")
     trials = 10**5
-    raws = np.array([private_density(g, 1.0, rng).raw for t in range(trials)])
+    raws = laplace_density_mechanism(g, 1.0).sample(substream(2, "pd-bias"), size=trials)
     scale = 4.0 / (4 * 1.0)
     sigma = math.sqrt(2 * scale**2 / trials)
     assert abs(raws.mean() - edge_density(g)) <= 3 * sigma
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.0, 7.0])
+def test_estimate_blocks_raw_rho_is_a_draw_of_the_laplace_mechanism(eps):
+    # stage 1 samples the very law the Laplace audits certify
+    g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    est = estimate_blocks(g, EstimatorConfig(epsilon=eps, lam=1.0, k=2), substream(13, "s1"))
+    want = float(laplace_density_mechanism(g, eps).sample(substream(13, "s1")))
+    assert est.raw_rho.hex() == want.hex()
+    assert est.rho_hat == min(max(want, 1.0 / 36.0), 1.0)
 
 
 # -- Score -----------------------------------------------------------------------------

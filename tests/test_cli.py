@@ -53,6 +53,15 @@ def test_estimate_density_json(graph_file, capsys):
     assert "H(" in record["dp_domain"]
 
 
+def test_estimate_density_has_no_restricted_mode(graph_file, capsys):
+    # the truncated-noise release is the promise mode; there is no twin
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "density", "--input", graph_file, "--epsilon", "1.0",
+              "--mode", "restricted"])
+    assert err.value.code == 2
+    assert "invalid choice: 'restricted'" in capsys.readouterr().err
+
+
 def test_estimate_blocks_text_and_diagnostics(graph_file, tmp_path, capsys):
     diag = tmp_path / "diag.csv"
     code = main(

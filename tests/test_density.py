@@ -125,14 +125,16 @@ def test_homogeneity_tight_tolerance_detects_violation():
     assert homogeneity_membership(star, cfg) == _brute_force_membership(star, cfg)
 
 
-def test_homogeneity_sampled_mode_requires_rng_and_runs():
+def test_homogeneity_membership_refuses_beyond_the_exact_scan():
+    # a graph under the density cap reaches the subset scan, which is exact
+    # or refused: no sampled audit stands in for it
     g = sample_gnp(18, 0.5, substream(4, "homog-large"))
     cfg = HomogeneityConfig(rho=1.0, C=49.0, n=18)
-    with pytest.raises(ValueError):
+    assert edge_density(g) <= cfg.rho
+    with pytest.raises(ResourceLimitError):
         homogeneity_membership(g, cfg)
-    assert homogeneity_membership(
-        g, cfg, rng=substream(5, "homog-audit"), sampled_subsets=2000
-    )
+    # over the density cap, the answer needs no scan
+    assert not homogeneity_membership(g, HomogeneityConfig(rho=0.1, C=49.0, n=18))
 
 
 # -- restricted estimator ----------------------------------------------------------------
@@ -185,7 +187,7 @@ def test_restricted_estimate_record_fields():
     g = LabeledGraph.from_edges(6, [(0, 1), (2, 3)])
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=6)
     est = restricted_density_estimator(g, 1.0, cfg, substream(9, "rest"))
-    assert est.mode == "restricted"
+    assert est.mode == "promise"
     assert est.epsilon == 0.5
     assert "H(" in est.dp_domain
     assert 0.0 <= est.value <= 1.0
@@ -212,7 +214,7 @@ def test_extended_exact_agrees_with_restricted_on_h():
 def test_extended_exact_estimator_runs_and_labels():
     g = LabeledGraph.from_edges(4, [(0, 1)])
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=4)
-    est = extended_density_estimator(g, 1.0, cfg, "exact", substream(10, "ext"))
+    est = extended_density_estimator(g, 1.0, cfg, substream(10, "ext"))
     assert est.mode == "extended-exact"
     assert est.dp_domain == "all graphs"
     assert est.epsilon == 1.0
@@ -222,9 +224,9 @@ def test_extended_exact_guard_directs_to_promise():
     g = LabeledGraph.empty(EXACT_EXTENSION_MAX_N + 1)
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=g.n)
     with pytest.raises(ResourceLimitError) as err:
-        extended_density_estimator(g, 1.0, cfg, "exact", substream(11, "ext"))
+        extended_density_estimator(g, 1.0, cfg, substream(11, "ext"))
     assert "promise" in str(err.value)
-    est = extended_density_estimator(g, 1.0, cfg, "promise", substream(11, "ext"))
+    est = restricted_density_estimator(g, 1.0, cfg, substream(11, "ext"))
     assert est.mode == "promise" and "H(" in est.dp_domain
 
 

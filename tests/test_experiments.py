@@ -6,8 +6,8 @@ import pytest
 import nodedp.experiments as experiments
 from nodedp.density import (
     HomogeneityConfig,
-    extended_density_estimator,
     laplace_density_estimator,
+    laplace_density_mechanism,
     predicted_baseline_mse,
     restricted_density_estimator,
     restricted_density_mechanism,
@@ -27,7 +27,7 @@ from nodedp.experiments import (
 )
 from nodedp.graphons import sample_gnp
 from nodedp.graphs import LabeledGraph, binom2, edge_density, triangular_slots
-from nodedp.mechanisms import truncated_laplace_density
+from nodedp.mechanisms import LaplaceDensity, truncated_laplace_density
 from nodedp.rng import substream
 
 
@@ -180,6 +180,7 @@ def test_experiment_config_validation():
     _config(**_BLOCKS)
     for overrides in (
         dict(estimator="nope"),
+        dict(estimator="restricted"),  # the promise release goes by "promise" only
         dict(n_grid=()),
         dict(p=None),  # gnp needs p
         dict(p=1.5),
@@ -208,7 +209,6 @@ def test_density_estimators_read_only_the_edge_count():
     for estimate in (
         lambda g, rng: laplace_density_estimator(g, 1.0, rng),
         lambda g, rng: restricted_density_estimator(g, 1.0, hcfg, rng),
-        lambda g, rng: extended_density_estimator(g, 1.0, hcfg, "promise", rng),
     ):
         a = estimate(star, substream(5, "only-e"))
         b = estimate(path, substream(5, "only-e"))
@@ -217,7 +217,7 @@ def test_density_estimators_read_only_the_edge_count():
 
 def test_edge_count_cell_samples_the_restricted_mechanism():
     n, p, eps = 12, 0.3, 1.0
-    cfg = _config(estimator="restricted", n_grid=(n,), p=p, trials=40, seed=4)
+    cfg = _config(estimator="promise", n_grid=(n,), p=p, trials=40, seed=4)
     hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)
     tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
     counts = substream(*tags).binomial(binom2(n), p, size=cfg.trials)
@@ -230,6 +230,20 @@ def test_edge_count_cell_samples_the_restricted_mechanism():
         mech = restricted_density_mechanism(g, eps, hcfg)
         assert law.shape.xs.tobytes() == mech.shape.xs.tobytes()
         assert law.shape.ys.tobytes() == mech.shape.ys.tobytes()
+
+
+def test_edge_count_cell_samples_the_laplace_mechanism():
+    # the baseline cell's one copy of the scale is the mechanism's scale: its
+    # mse replays exactly from the cell's stream through LaplaceDensity
+    n, p, eps = 12, 0.3, 0.7
+    cfg = _config(n_grid=(n,), epsilon_grid=(eps,), p=p, trials=40, seed=4)
+    rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
+    centres = _edge_densities(cfg, n, p, 0, rng)
+    scale = laplace_density_mechanism(LabeledGraph.empty(n), eps).scale
+    values = LaplaceDensity(centres, scale).sample(rng, size=cfg.trials)
+    want = float(((np.clip(values, 0.0, 1.0) - p) ** 2).mean())
+    (rec,) = run_mse_experiment(cfg)
+    assert rec.mse.hex() == want.hex()
 
 
 def test_gnp_edge_count_is_binomial():
@@ -253,7 +267,7 @@ def test_gnp_promise_cell_with_many_centres_is_byte_stable():
     assert records_to_csv(run_mse_experiment(cfg)) == records_to_csv(run_mse_experiment(cfg))
 
 
-@pytest.mark.parametrize("estimator", ["baseline", "restricted", "promise"])
+@pytest.mark.parametrize("estimator", ["baseline", "promise"])
 def test_gnp_edge_count_cell_runs_one_trial(estimator):
     (rec,) = run_mse_experiment(_config(estimator=estimator, n_grid=(16,), trials=1))
     assert rec.trials == 1 and 0.0 <= rec.mse <= 1.0
@@ -270,7 +284,7 @@ def test_only_graph_cells_build_graphs(monkeypatch):
     for attr in ("sample_gnp", "sample_gnm", "sample_w_random"):
         monkeypatch.setattr(experiments, attr, refuse)
     gnm = dict(model="gnm", p=None, m_fraction=0.5)
-    for estimator in ("baseline", "restricted", "promise"):
+    for estimator in ("baseline", "promise"):
         run_mse_experiment(_config(estimator=estimator, trials=3))
         run_mse_experiment(_config(estimator=estimator, trials=3, **gnm))
     with pytest.raises(_Sampled):

@@ -148,11 +148,12 @@ def test_node_distance_rejects_mismatched_orders():
         node_distance(LabeledGraph.empty(3), LabeledGraph.empty(4))
 
 
-def test_node_distance_budget_exhaustion():
+def test_node_distance_budget_exhaustion(monkeypatch):
     g1 = LabeledGraph.empty(7)
     g2 = LabeledGraph.complete(7)
-    with pytest.raises(ResourceLimitError):
-        node_distance(g1, g2, budget=2)
+    monkeypatch.setattr("nodedp.graphs.NODE_DISTANCE_BUDGET", 2)
+    with pytest.raises(ResourceLimitError, match="budget of 2 nodes"):
+        node_distance(g1, g2)
 
 
 def test_node_distance_matches_bfs_on_sampled_n4_pairs():
