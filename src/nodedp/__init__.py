@@ -11,7 +11,6 @@ from .graphs import (
     LabeledGraph,
     adjacent_graphs,
     all_graphs,
-    boundary_edge_count,
     degree_cap,
     edge_density,
     graph_from_index,

@@ -1,8 +1,10 @@
 """Exhaustive privacy audits at tiny scale.
 
-Everything here enumerates: every graph, every pair, exact rewiring
-distances, exact output laws.  A passing audit is a certificate for the
-checked order and grid, not an asymptotic claim.
+Everything here enumerates: every graph, every pair one rewiring apart,
+exact output laws.  Node distance is the shortest-path metric of single-
+vertex rewirings, so the bound eps on those pairs implies eps * d_v on every
+pair.  A passing audit is a certificate for the checked order and grid, not
+an asymptotic claim.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from .block_estimator import (
     theoretical_sensitivity,
 )
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, cover_table, graph_space_size
+from .graphs import LabeledGraph, all_graphs, rewiring_pairs
 from .mechanisms import max_violation
 
 from .density import graph_space_oracle  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 
-# The pair kernel takes all P x P distances at once: 8 MiB at n = 5, 8 GiB
-# at n = 6.
+# The density audit builds one mechanism and one log-density row per graph
+# and compares every rewiring pair: 1,024 graphs and 66,560 pairs at n = 5
+# in about 0.1 s.  At n = 6 it is 32,768 graphs and 5,603,328 pairs, about
+# 5 s and 290 MiB peak RSS on a 200-point grid, and the rows alone take
+# 250 MiB on the CLI's 1,000-point grid.
 PAIR_AUDIT_MAX_N = 5
 # The finite audit builds one mechanism per graph: 64 at n = 4.
 FINITE_AUDIT_MAX_N = 4
@@ -45,8 +50,8 @@ class AuditReport:
     max_violation: float
     pairs_checked: int
     witness: tuple | None = None
-    # per-pair worst rows (pair id, d_v, grid point, log ratio, bound,
-    # violation), populated on request
+    # per-pair worst rows (pair id, grid point, log ratio, bound, violation)
+    # over rewiring pairs, populated on request
     rows: tuple = ()
 
     def passed(self) -> bool:
@@ -54,26 +59,9 @@ class AuditReport:
 
     def to_csv(self) -> str:
         lines = ["pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"]
-        for i, j, d, q, ratio, bound, violation in self.rows:
-            lines.append(
-                f"{i},{j},{d:.17g},{q:.17g},{ratio:.17g},{bound:.17g},{violation:.17g}"
-            )
+        for i, j, q, ratio, bound, violation in self.rows:
+            lines.append(f"{i},{j},1,{q:.17g},{ratio:.17g},{bound:.17g},{violation:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def _graph_distances(n: int, adjacent_only: bool = False) -> np.ndarray:
-    """[P, P] rewiring distances between all graphs of order n, in
-    ``all_graphs`` order, read from the cover table.  Pairs that are not
-    compared are +inf: the diagonal, and with adjacent_only every pair at
-    distance above 1."""
-    if n > PAIR_AUDIT_MAX_N:
-        raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
-    ids = np.arange(graph_space_size(n))
-    dist = cover_table(n)[ids[:, None] ^ ids].astype(float)
-    dist[dist == 0] = np.inf  # only a graph and itself are at distance 0
-    if adjacent_only:
-        dist[dist > 1] = np.inf
-    return dist
 
 
 def _on_grid(witness, grid):
@@ -89,13 +77,15 @@ def audit_density_mechanism(
     name: str = "density-mechanism",
     collect_rows: bool = False,
 ) -> AuditReport:
-    """Check log f_G(q) - log f_G'(q) <= eps * d_v(G, G') over all graph pairs
-    and grid points.  Density objects must expose log_pdf."""
-    dist = _graph_distances(n)
+    """Check log f_G(q) - log f_G'(q) <= eps over every pair of graphs one
+    rewiring apart and every grid point, which implies eps * d_v(G, G') on
+    every pair.  Density objects must expose log_pdf."""
+    if n > PAIR_AUDIT_MAX_N:
+        raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
     grid = np.asarray(grid, dtype=float)
     logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in all_graphs(n)])
-    v = max_violation(logs, dist, epsilon, collect_rows)
-    rows = tuple((i, j, d, float(grid[t]), r, b, gap) for i, j, d, t, r, b, gap in v.rows)
+    v = max_violation(logs, *rewiring_pairs(n), epsilon, collect_rows)
+    rows = tuple((i, j, float(grid[t]), r, b, gap) for i, j, t, r, b, gap in v.rows)
     return AuditReport(name, n, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid), rows)
 
 
@@ -104,22 +94,19 @@ def audit_finite_mechanism(
     n: int,
     epsilon: float,
     name: str = "finite-mechanism",
-    adjacent_only: bool = True,
 ) -> AuditReport:
-    """Check exact pmf ratios of a finite-output mechanism against
-    exp(eps * d_v).  Candidate lists must align across inputs (compare by
-    index).  With adjacent_only, only rewiring neighbors are compared, which
-    is the binding case for path metrics."""
+    """Check exact pmf ratios of a finite-output mechanism against exp(eps)
+    over every pair of graphs one rewiring apart.  Candidate lists must align
+    across inputs (compare by index)."""
     if n > FINITE_AUDIT_MAX_N:
         raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
-    dist = _graph_distances(n, adjacent_only)
     logs = []
     for g in all_graphs(n):
         lp = np.asarray(mechanism(g).log_probs, dtype=float)
         if logs and lp.size != logs[0].size:
             raise ValueError("candidate lists differ across inputs")
         logs.append(lp)
-    v = max_violation(np.stack(logs), dist, epsilon)
+    v = max_violation(np.stack(logs), *rewiring_pairs(n), epsilon)
     return AuditReport(name, n, epsilon, v.worst, v.pairs, v.witness)
 
 
@@ -194,7 +181,9 @@ def audit_bitstring_reduction(
     epsilon: float,
     grid,
 ) -> AuditReport:
-    """Audit mechanism(bit-string graph) against Hamming distance on inputs.
+    """Audit mechanism(bit-string graph) over every pair of strings one bit
+    flip apart.  Hamming distance is the path metric of these flips, so the
+    bound eps on them implies eps * Hamming on every pair.
 
     Node privacy of the graph mechanism implies the same epsilon against
     bit flips because one flip rewires one vertex.
@@ -209,10 +198,8 @@ def audit_bitstring_reduction(
     logs = np.stack(
         [np.asarray(mechanism(bernoulli_reduction_graph(s)).log_pdf(grid)) for s in strings]
     )
-    flips = ids[:, None] ^ ids
-    hamming = ((flips[:, :, None] >> np.arange(n_bits)) & 1).sum(axis=2).astype(float)
-    np.fill_diagonal(hamming, np.inf)
-    v = max_violation(logs, hamming, epsilon)
+    flipped = np.sort(ids[:, None] ^ (1 << np.arange(n_bits)), axis=1)
+    v = max_violation(logs, np.repeat(ids, n_bits), flipped.ravel(), epsilon)
     return AuditReport(
         "bitstring-reduction", n_bits, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid)
     )

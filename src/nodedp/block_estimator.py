@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import laplace_density_mechanism
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, cover_table, degree_cap
+from .graphs import LabeledGraph, all_graphs, degree_cap, rewiring_pairs
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
@@ -183,17 +183,12 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
             row_of[h.key] = len(rows)
             rows.append(_best_scores_bulk(cands, h.adjacency.astype(float), n, k).values)
         capped_row[i] = row_of[h.key]
-    # Adjacent graphs differ by an edge set covered by one vertex, so the
-    # neighbours of index i are i ^ f for the f with cover size 1.  Each
-    # unordered pair is kept once (|difference| is symmetric), as a pair of
-    # distinct score rows.
-    ids = np.arange(len(graphs))
-    codes = [np.empty(0, dtype=np.intp)]
-    for flip in np.flatnonzero(cover_table(n) == 1):
-        nbr = ids ^ flip
-        upper = nbr > ids
-        codes.append(capped_row[upper] * len(rows) + capped_row[nbr[upper]])
-    first, second = np.divmod(np.unique(np.concatenate(codes)), len(rows))
+    # Each unordered pair of adjacent graphs is kept once (|difference| is
+    # symmetric), as a pair of distinct score rows.
+    i, j = rewiring_pairs(n)
+    upper = j > i
+    codes = np.unique(capped_row[i[upper]] * len(rows) + capped_row[j[upper]])
+    first, second = np.divmod(codes, len(rows))
     first, second = first[first != second], second[first != second]
     scores = np.stack(rows)
     worst = 0.0
@@ -258,11 +253,11 @@ def block_mechanism(
         # Scores cannot depend on the input (measured zero sensitivity);
         # exp(eps/(4*0) * score) degenerates to uniform over the argmax set.
         lw = np.where(scores >= scores.max() - 1e-12, 0.0, -1e9)
-        mech = FiniteMechanism(list(range(cands.shape[0])), lw)
+        mech = FiniteMechanism(lw)
         diagnostics["coefficient"] = math.inf
     else:
         coef = cfg.epsilon / (4.0 * delta)
-        mech = exponential_mechanism_distribution(list(range(cands.shape[0])), scores, coef)
+        mech = exponential_mechanism_distribution(scores, coef)
         diagnostics["coefficient"] = coef
     diagnostics["scores"] = scores
     return mech, cands, delta, diagnostics

@@ -2,7 +2,8 @@
 
 Subcommands: sample, estimate (density | blocks), audit (dp | sensitivity),
 experiment (mse | coupling | homogeneity | reduction).  Audit subcommands
-exit nonzero iff a violation is found.
+exit nonzero iff a violation is found.  The console entry, ``run``, exits 3
+with one stderr line when a request is refused for its size.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .density import (
     laplace_density_mechanism,
     restricted_density_estimator,
 )
+from .errors import ResourceLimitError
 from .experiments import (
     ExperimentConfig,
     homogeneity_probability,
@@ -386,5 +388,15 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """main, with a size refusal (ResourceLimitError) reported as one line
+    on stderr and exit code 3 instead of a traceback."""
+    try:
+        return main(argv)
+    except ResourceLimitError as err:
+        print(f"nodedp: refused: {err}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

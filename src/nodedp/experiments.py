@@ -44,7 +44,7 @@ from .graphons import (
     sample_gnp,
     sample_w_random,
 )
-from .graphs import all_graphs, binom2, node_distance
+from .graphs import all_graphs, node_distance
 from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_density
 from .rng import substream
 
@@ -157,7 +157,7 @@ def _edge_densities(
     if cfg.model == "gnm":
         counts = np.full(cfg.trials, m)
     else:
-        counts = rng.binomial(binom2(n), p, size=cfg.trials)
+        counts = rng.binomial(math.comb(n, 2), p, size=cfg.trials)
     return counts / (n * (n - 1) / 2)
 
 
@@ -216,7 +216,7 @@ def _graph_cell(cfg: ExperimentConfig, n: int, eps: float, p: float, m: int) -> 
 
 def _run_cell(cfg: ExperimentConfig, n: int, eps: float) -> ExperimentRecord:
     start = time.perf_counter()
-    nslots = binom2(n)
+    nslots = math.comb(n, 2)
     m = int(math.floor((cfg.m_fraction or 0.0) * nslots))
     p = cfg.p if cfg.p is not None else (m / nslots if cfg.model == "gnm" else 0.0)
     cell = _edge_count_cell if cfg.estimator in EDGE_COUNT_ESTIMATORS else _graph_cell
@@ -314,7 +314,7 @@ class CouplingReport:
 def exact_rewired_tv(n: int, m: int, k: int) -> tuple[float, float]:
     """(TV distance between G(n,m) and the rewired model, total pmf mass),
     both by exhaustive enumeration at n <= 5."""
-    nslots = binom2(n)
+    nslots = math.comb(n, 2)
     uniform = 1.0 / math.comb(nslots, m)
     tv = 0.0
     mass = 0.0

@@ -211,7 +211,6 @@ class WRandomSample:
 
     graph: LabeledGraph
     labels: np.ndarray
-    edge_probabilities: np.ndarray  # rho * W(x_i, x_j), zero diagonal
     rho: float
 
 
@@ -225,13 +224,11 @@ def sample_w_random(
         raise ValueError("rho must be nonnegative")
     labels = rng.random(n)
     probs = rho * w.evaluate(labels[:, None], labels[None, :])
-    np.fill_diagonal(probs, 0.0)
     iu = np.triu_indices(n, 1)
     adj = np.zeros((n, n), dtype=bool)
     adj[iu] = rng.random(len(iu[0])) < probs[iu]
-    probs.flags.writeable = False
     labels.flags.writeable = False
-    return WRandomSample(LabeledGraph(adj | adj.T), labels, probs, rho)
+    return WRandomSample(LabeledGraph(adj | adj.T), labels, rho)
 
 
 # -- G(n,p), G(n,m) and the rewired coupling model ------------------------------

@@ -9,12 +9,12 @@ Two exact routes compute it.  ``node_distance`` runs branch and bound on one
 pair of graphs of any order.  The enumerated spaces (n <= MAX_ENUMERATION_N)
 read it from ``cover_table(n)``: graph indices are edge bitmasks, the
 difference of two graphs is the XOR of their indices, so
-d(G, H) = cover_table(n)[index(G) ^ index(H)] for every pair at once.
+d(G, H) = cover_table(n)[index(G) ^ index(H)] for every pair at once, and
+``rewiring_pairs(n)`` lists the pairs at distance 1.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -89,9 +89,6 @@ class LabeledGraph:
     @property
     def max_degree(self) -> int:
         return 0 if self.n == 0 else int(self._adj.sum(axis=1).max())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u, v])
 
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self._adj[v])
@@ -184,20 +181,6 @@ def edge_density(g: LabeledGraph) -> float:
     if g.n < 2:
         raise ValueError("edge density needs n >= 2")
     return g.edge_count / (g.n * (g.n - 1) / 2)
-
-
-def boundary_edge_count(g: LabeledGraph, members: Iterable[int]) -> int:
-    """Number of edges with at least one endpoint in the given vertex set."""
-    s = frozenset(int(v) for v in members)
-    if not s:
-        raise ValueError("vertex set must be nonempty")
-    if not all(0 <= v < g.n for v in s):
-        raise ValueError("vertex set out of range")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(s)] = True
-    outside = ~mask
-    inside_complement = int(g.adjacency[np.ix_(outside, outside)].sum()) // 2
-    return g.edge_count - inside_complement
 
 
 def degree_cap(g: LabeledGraph, d: int) -> LabeledGraph:
@@ -391,6 +374,27 @@ def cover_table(n: int) -> np.ndarray:
     return table
 
 
+# Largest order rewiring_pairs lists: 32,768 graphs x 171 rewirings, 5.6 M
+# pairs, at n = 6; n = 7 would give 880 M.
+REWIRING_PAIRS_MAX_N = 6
+
+
+def rewiring_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered index pairs (i, j) of the graphs of order n one rewiring
+    apart, sorted row-major: j = i ^ f over the edge masks f that one vertex
+    covers (cover size 1).  Node distance is the shortest-path metric of
+    these pairs, so a bound eps on each of them implies eps * d on every
+    pair of graphs."""
+    if n > REWIRING_PAIRS_MAX_N:
+        raise ResourceLimitError(
+            f"rewiring pairs limited to n <= {REWIRING_PAIRS_MAX_N}, got {n}"
+        )
+    flips = np.flatnonzero(cover_table(n) == 1)
+    ids = np.arange(graph_space_size(n))
+    second = np.sort(ids[:, None] ^ flips, axis=1)
+    return np.repeat(ids, flips.size), second.ravel()
+
+
 def adjacent_graphs(g: LabeledGraph) -> Iterator[LabeledGraph]:
     """Exactly the set of graphs at node distance <= 1 from g (including g)."""
     if g.n > MAX_ENUMERATION_N:
@@ -410,7 +414,3 @@ def adjacent_graphs(g: LabeledGraph) -> Iterator[LabeledGraph]:
 
 def graph_space_size(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
-
-
-def binom2(n: int) -> int:
-    return math.comb(n, 2)

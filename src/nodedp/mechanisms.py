@@ -77,17 +77,14 @@ class LaplaceDensity:
 
 
 class FiniteMechanism:
-    """Distribution over a finite candidate list, normalized in log space."""
+    """Distribution over candidate indices 0..C-1, normalized in log space."""
 
-    def __init__(self, candidates: Sequence, log_weights) -> None:
-        if len(candidates) == 0:
-            raise ValueError("candidate list must be nonempty")
+    def __init__(self, log_weights) -> None:
         lw = np.asarray(log_weights, dtype=float)
-        if lw.shape != (len(candidates),):
-            raise ValueError("one log weight per candidate required")
+        if lw.ndim != 1 or lw.size == 0:
+            raise ValueError("need a nonempty 1-d array of log weights, one per candidate")
         if not np.isfinite(lw).all():
             raise ValueError("log weights must be finite")
-        self.candidates = list(candidates)
         log_probs = lw - logsumexp(lw)
         probs = np.exp(log_probs)
         residue = probs.sum()  # 1 +- a few ulps per candidate after exp()
@@ -102,28 +99,22 @@ class FiniteMechanism:
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_probs)
 
-    def sample_index(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator) -> int:
+        """One candidate index."""
         return int(np.searchsorted(self._cum, rng.random(), side="right"))
-
-    def sample(self, rng: np.random.Generator):
-        return self.candidates[self.sample_index(rng)]
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.searchsorted(self._cum, rng.random(size), side="right")
 
 
-def exponential_mechanism_distribution(
-    candidates: Sequence, scores, coefficient: float
-) -> FiniteMechanism:
-    """P(c) proportional to exp(coefficient * score(c))."""
+def exponential_mechanism_distribution(scores, coefficient: float) -> FiniteMechanism:
+    """P(c) proportional to exp(coefficient * scores[c])."""
     s = np.asarray(scores, dtype=float)
-    if len(candidates) == 0:
-        raise ValueError("candidate list must be nonempty")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
     if not (math.isfinite(coefficient) and coefficient >= 0):
         raise ValueError("coefficient must be a finite nonnegative real")
-    return FiniteMechanism(candidates, coefficient * s)
+    return FiniteMechanism(coefficient * s)
 
 
 # -- piecewise-linear log shapes -------------------------------------------------
@@ -409,61 +400,54 @@ def extend_mechanism(
     return extended
 
 
-# Bytes one chunk of max_violation's [rows, P, T] gap tensor may take.  The
-# kernel walks the first point axis in chunks of this size, so memory stays
-# bounded whatever the point and grid counts are.
+# Bytes one chunk of max_violation's [pairs, T] gap array may take.  The
+# kernel walks the pair list in chunks of this size, so memory stays bounded
+# whatever the pair and column counts are.
 _AUDIT_CHUNK_BYTES = 16 * 2**20
 
 
 class Violation(NamedTuple):
     worst: float  # largest gap over compared pairs and columns; -inf if none
-    pairs: int  # ordered pairs compared (finite distance)
+    pairs: int  # ordered pairs compared
     witness: tuple[int, int, int] | None  # (i, j, t) of the first largest gap
-    # per compared pair in row-major order, on request:
-    # (i, j, distance, t, log ratio, epsilon * distance, gap)
+    # per compared pair in the given order, on request:
+    # (i, j, t, log ratio, epsilon, gap)
     rows: tuple = ()
 
 
-def max_violation(logs, dist, epsilon: float, collect_rows: bool = False) -> Violation:
-    """Worst privacy gap log p_i[t] - log p_j[t] - epsilon * dist[i, j] over
-    ordered pairs (i, j) and columns t.
+def max_violation(logs, first, second, epsilon: float, collect_rows: bool = False) -> Violation:
+    """Worst privacy gap log p_i[t] - log p_j[t] - epsilon over the pairs
+    (i, j) = (first[s], second[s]) and columns t.
 
     logs is [P, T]: log densities on a grid or log pmfs over candidates, one
-    row per input.  dist is [P, P]; a pair that is not compared (the
-    diagonal, non-neighbours) has distance +inf.  Each pair reports its first
-    maximizing column, and the witness is the first maximum in row-major
-    (i, j, t) order; a NaN gap is never a witness.  A nonpositive worst gap
-    (within tolerance) certifies epsilon-DP on the compared pairs.
+    row per input.  Each pair reports its first maximizing column, and the
+    witness is the first maximum in pair order, then column order; a NaN gap
+    is never a witness.  A nonpositive worst gap (within tolerance)
+    certifies the bound epsilon on every listed pair.
     """
     logs = np.asarray(logs, dtype=float)
-    dist = np.asarray(dist, dtype=float)
-    points, width = logs.shape
-    if dist.shape != (points, points):
-        raise ValueError(f"need a {points} x {points} distance matrix, got {dist.shape}")
-    step = max(1, _AUDIT_CHUNK_BYTES // (8 * points * width))
-    worst, witness, pairs = -math.inf, None, 0
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ValueError("first and second must be 1-d index arrays of equal length")
+    step = max(1, _AUDIT_CHUNK_BYTES // (8 * logs.shape[1]))
+    worst, witness = -math.inf, None
     columns = []
-    for lo in range(0, points, step):
-        block = dist[lo : lo + step]
-        compared = block < math.inf
-        bound = epsilon * np.where(compared, block, 0.0)
-        gaps = logs[lo : lo + step, None, :] - logs[None, :, :]
-        gaps -= bound[:, :, None]
-        t = gaps.argmax(axis=2)
-        pair_gap = np.take_along_axis(gaps, t[:, :, None], axis=2)[:, :, 0]
-        ranked = np.where(compared & ~np.isnan(pair_gap), pair_gap, -math.inf)
+    for lo in range(0, first.size, step):
+        i, j = first[lo : lo + step], second[lo : lo + step]
+        gaps = logs[i]
+        gaps -= logs[j]
+        gaps -= epsilon
+        t = gaps.argmax(axis=1)
+        pair_gap = gaps[np.arange(t.size), t]
+        ranked = np.where(np.isnan(pair_gap), -math.inf, pair_gap)
         best = int(ranked.argmax())
-        if ranked.flat[best] > worst:
-            i, j = divmod(best, points)
-            worst, witness = float(ranked.flat[best]), (lo + i, j, int(t[i, j]))
-        ii, jj = np.nonzero(compared)
-        pairs += ii.size
+        if ranked[best] > worst:
+            worst, witness = float(ranked[best]), (int(i[best]), int(j[best]), int(t[best]))
         if collect_rows:
-            tt = t[ii, jj]
-            ratio = logs[lo + ii, tt] - logs[jj, tt]
-            columns.append((lo + ii, jj, block[ii, jj], tt, ratio, bound[ii, jj], pair_gap[ii, jj]))
+            ratio = logs[i, t] - logs[j, t]
+            columns.append((i, j, t, ratio, np.full(t.size, float(epsilon)), pair_gap))
     rows = ()
-    if collect_rows and columns:
+    if columns:
         rows = tuple(zip(*(np.concatenate(c).tolist() for c in zip(*columns))))
-    return Violation(worst, pairs, witness, rows)
-
+    return Violation(worst, first.size, witness, rows)

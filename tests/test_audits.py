@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from nodedp.audits import (
+    AUDIT_TOLERANCE,
     audit_bitstring_reduction,
     audit_block_mechanism,
     audit_density_mechanism,
@@ -20,13 +22,18 @@ from nodedp.block_estimator import (
     candidate_matrices,
     measured_score_sensitivity,
 )
-from nodedp.density import laplace_density_mechanism
+from nodedp.density import (
+    HomogeneityConfig,
+    extended_density_mechanism,
+    laplace_density_mechanism,
+)
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import (
     LabeledGraph,
     all_graphs,
     degree_cap,
     node_distance,
+    rewiring_pairs,
     triangular_slots,
 )
 from nodedp.mechanisms import LaplaceDensity
@@ -41,7 +48,7 @@ def test_audit_laplace_baseline_passes():
         lambda g: laplace_density_mechanism(g, eps), 4, eps, GRID, name="laplace"
     )
     assert report.passed()
-    assert report.pairs_checked == 64 * 63
+    assert report.pairs_checked == 64 * len(_star_flips(4)) == 1408
 
 
 def test_audit_detects_intentionally_broken_scale():
@@ -124,50 +131,15 @@ def test_reduction_composed_mechanism_is_dp_on_bitstrings():
         lambda g: laplace_density_mechanism(g, eps), 4, eps, GRID
     )
     assert report.passed()
-    assert report.pairs_checked == 16 * 15
+    assert report.pairs_checked == 16 * 4  # each string and its four one-bit flips
 
 
-# -- the pair kernel against the pair loops it replaced -------------------------------
+# -- the pair kernel against pair loops ------------------------------------------------
 #
-# Each oracle below is the loop the audit ran before the cover table and
-# max_violation: distances from node_distance (or Hamming), pairs in
-# row-major order, the first strictly larger gap kept as the witness.
-
-
-def _loop_density_audit(mechanism, n, epsilon, grid):
-    points = list(all_graphs(n))
-    logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in points])
-    worst, witness, pairs, rows = -math.inf, None, 0, []
-    for i in range(len(points)):
-        for j in range(len(points)):
-            if i == j:
-                continue
-            pairs += 1
-            d = float(node_distance(points[i], points[j]))
-            ratios = logs[i] - logs[j]
-            t = int((ratios - epsilon * d).argmax())
-            gap = float(ratios[t]) - epsilon * d
-            if gap > worst:
-                worst, witness = gap, (i, j, float(grid[t]))
-            rows.append((i, j, d, float(grid[t]), float(ratios[t]), epsilon * d, gap))
-    return worst, pairs, witness, tuple(rows)
-
-
-@pytest.mark.parametrize(
-    "mechanism",
-    [
-        lambda g: laplace_density_mechanism(g, 1.0),
-        lambda g: LaplaceDensity(g.edge_count / 6.0, 0.25),  # violates
-    ],
-    ids=["laplace", "broken"],
-)
-def test_density_audit_matches_pair_loop(mechanism):
-    report = audit_density_mechanism(mechanism, 4, 1.0, GRID, collect_rows=True)
-    worst, pairs, witness, rows = _loop_density_audit(mechanism, 4, 1.0, GRID)
-    assert report.max_violation == worst
-    assert report.pairs_checked == pairs
-    assert report.witness == witness
-    assert report.rows == rows
+# The oracle is the loop the audits ran before they compared neighbours
+# only: every ordered pair in row-major order, at its node_distance (or
+# Hamming) distance, the first strictly larger gap kept as the witness.
+# Restricted to the pairs at distance 1 it is the audits' own pair set.
 
 
 def _star_flips(n):
@@ -186,36 +158,142 @@ def _star_flips(n):
     return flips
 
 
-def _loop_finite_audit(mechanism, n, epsilon, adjacent_only):
-    """Pairs in row-major order (the neighbours of i by increasing index), so
-    the witness is the first largest gap in (i, j, t) order."""
-    graphs = list(all_graphs(n))
-    logs = np.stack([np.asarray(mechanism(g).log_probs) for g in graphs])
+@pytest.mark.parametrize("n,count", [(3, 48), (4, 1408), (5, 66560)])
+def test_rewiring_pairs_are_the_star_flips_in_row_major_order(n, count):
     flips = _star_flips(n)
-    worst, witness, pairs = -math.inf, None, 0
-    for i in range(len(graphs)):
-        for j in range(len(graphs)):
-            if i == j or (adjacent_only and (i ^ j) not in flips):
+    graphs = range(1 << len(triangular_slots(n)))
+    want = [(i, j) for i in graphs for j in sorted(i ^ f for f in flips)]
+    first, second = rewiring_pairs(n)
+    assert list(zip(first.tolist(), second.tolist())) == want
+    assert len(want) == count
+
+
+def _loop_audit(logs, distance, epsilon, neighbours_only):
+    """Worst gap, pair count, witness (i, j, t) and per-pair rows over the
+    ordered pairs of rows of logs: those at distance 1 with neighbours_only,
+    else every pair at its distance."""
+    worst, witness, pairs, rows = -math.inf, None, 0, []
+    for i in range(len(logs)):
+        for j in range(len(logs)):
+            if i == j:
+                continue
+            d = float(distance(i, j))
+            if neighbours_only and d != 1.0:
                 continue
             pairs += 1
-            d = 1.0 if adjacent_only else float(node_distance(graphs[i], graphs[j]))
-            gaps = logs[i] - logs[j] - epsilon * d
-            t = int(gaps.argmax())
-            if gaps[t] > worst:
-                worst, witness = float(gaps[t]), (i, j, t)
-    return worst, pairs, witness
+            ratios = logs[i] - logs[j]
+            t = int((ratios - epsilon * d).argmax())
+            gap = float(ratios[t]) - epsilon * d
+            if gap > worst:
+                worst, witness = gap, (i, j, t)
+            rows.append((i, j, t, float(ratios[t]), epsilon * d, gap))
+    return worst, pairs, witness, rows
 
 
-@pytest.mark.parametrize("adjacent_only", [True, False])
+@functools.lru_cache(maxsize=None)
+def _node_distances(n):
+    """[P, P] node_distance of every ordered pair of graphs of order n."""
+    graphs = list(all_graphs(n))
+    return np.array([[node_distance(g, h) for h in graphs] for g in graphs])
+
+
+def _graph_distance(n):
+    table = _node_distances(n)
+    return lambda i, j: table[i, j]
+
+
+def _hamming(i, j):
+    return bin(i ^ j).count("1")
+
+
+def _density_logs(mechanism, n, grid):
+    return np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in all_graphs(n)])
+
+
+def _bitstring_logs(mechanism, n_bits, grid):
+    strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in range(1 << n_bits)]
+    return np.stack(
+        [np.asarray(mechanism(bernoulli_reduction_graph(s)).log_pdf(grid)) for s in strings]
+    )
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        lambda g: laplace_density_mechanism(g, 1.0),
+        lambda g: LaplaceDensity(g.edge_count / 6.0, 0.25),  # violates
+    ],
+    ids=["laplace", "broken"],
+)
+def test_density_audit_matches_pair_loop(mechanism):
+    report = audit_density_mechanism(mechanism, 4, 1.0, GRID, collect_rows=True)
+    logs = _density_logs(mechanism, 4, GRID)
+    worst, pairs, (i, j, t), rows = _loop_audit(logs, _graph_distance(4), 1.0, True)
+    assert report.max_violation == worst
+    assert report.pairs_checked == pairs == 1408
+    assert report.witness == (i, j, float(GRID[t]))
+    assert report.rows == tuple((i, j, float(GRID[t]), r, b, g) for i, j, t, r, b, g in rows)
+
+
+def _all_pairs_panel():
+    """(report, logs, distance, epsilon) for calibrated and broken Laplace
+    laws at n = 3 and 4, the n = 4 extension and 4-bit strings."""
+    panel = []
+    for n in (3, 4):
+        for scale, eps in ((4.0 / n, 1.0), (2.0 / n, 1.0), (1.0 / n, 1.0), (0.5 / n, 2.0)):
+            mech = lambda g, s=scale, n=n: LaplaceDensity(g.edge_count / math.comb(n, 2), s)
+            report = audit_density_mechanism(mech, n, eps, GRID)
+            panel.append((report, _density_logs(mech, n, GRID), _graph_distance(n), eps))
+    extended = extended_density_mechanism(4, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=4))
+    unit = np.linspace(0.0, 1.0, 201)
+    for claim in (0.5, 1.0, 2.0, 4.0):
+        report = audit_density_mechanism(extended, 4, claim, unit)
+        panel.append((report, _density_logs(extended, 4, unit), _graph_distance(4), claim))
+    for scale in (None, 0.05, 0.5):
+        mech = (
+            (lambda g: laplace_density_mechanism(g, 1.0)) if scale is None
+            else (lambda g, s=scale: LaplaceDensity(g.edge_count / 6.0, s))
+        )
+        report = audit_bitstring_reduction(mech, 4, 1.0, GRID)
+        panel.append((report, _bitstring_logs(mech, 4, GRID), _hamming, 1.0))
+    return panel
+
+
+def test_neighbour_audits_keep_the_all_pairs_verdict():
+    """Node distance and Hamming distance are path metrics, so the bound on
+    pairs one step apart decides the bound on every pair: same verdict, and
+    a worst gap no larger than over all pairs (equal when the audit passes)."""
+    verdicts = set()
+    for report, logs, distance, eps in _all_pairs_panel():
+        worst, pairs, _, _ = _loop_audit(logs, distance, eps, False)
+        assert pairs == len(logs) * (len(logs) - 1)
+        assert report.passed() == (worst <= AUDIT_TOLERANCE)
+        assert report.max_violation <= worst
+        if report.passed():
+            assert report.max_violation == worst
+        verdicts.add(report.passed())
+    assert verdicts == {True, False}  # the panel holds both outcomes
+
+
+@pytest.mark.parametrize("neighbours_only", [True, False])
 @pytest.mark.parametrize("epsilon", [0.5, 1.0 / 200.0])
-def test_finite_audit_matches_pair_loop(adjacent_only, epsilon):
+def test_finite_audit_matches_pair_loop(neighbours_only, epsilon):
+    """With neighbours_only the loop is the audit's own pair set, and every
+    reported value matches; over all pairs the verdict matches."""
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
     mechanism = lambda g: block_mechanism(g, 0.5, cfg)[0]
-    report = audit_finite_mechanism(mechanism, 4, epsilon, adjacent_only=adjacent_only)
-    worst, pairs, witness = _loop_finite_audit(mechanism, 4, epsilon, adjacent_only)
-    assert report.max_violation == worst
-    assert report.pairs_checked == pairs == (1408 if adjacent_only else 64 * 63)
-    assert report.witness == witness
+    report = audit_finite_mechanism(mechanism, 4, epsilon)
+    logs = np.stack([mechanism(g).log_probs for g in all_graphs(4)])
+    worst, pairs, witness, _ = _loop_audit(logs, _graph_distance(4), epsilon, neighbours_only)
+    assert report.pairs_checked == 1408
+    assert report.passed() == (worst <= AUDIT_TOLERANCE)
+    if neighbours_only:
+        assert report.max_violation == worst
+        assert pairs == 1408
+        assert report.witness == witness
+    else:
+        assert pairs == 64 * 63
+        assert report.max_violation <= worst
 
 
 @pytest.mark.parametrize(
@@ -227,26 +305,12 @@ def test_finite_audit_matches_pair_loop(adjacent_only, epsilon):
     ids=["laplace", "broken"],
 )
 def test_bitstring_audit_matches_pair_loop(mechanism):
-    n_bits = 4
-    report = audit_bitstring_reduction(mechanism, n_bits, 1.0, GRID)
-    strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in range(1 << n_bits)]
-    logs = np.stack(
-        [np.asarray(mechanism(bernoulli_reduction_graph(s)).log_pdf(GRID)) for s in strings]
-    )
-    worst, witness, pairs = -math.inf, None, 0
-    for i, si in enumerate(strings):
-        for j, sj in enumerate(strings):
-            if i == j:
-                continue
-            pairs += 1
-            hamming = sum(a != b for a, b in zip(si, sj))
-            gaps = logs[i] - logs[j] - 1.0 * hamming
-            t = int(gaps.argmax())
-            if gaps[t] > worst:
-                worst, witness = float(gaps[t]), (i, j, float(GRID[t]))
+    report = audit_bitstring_reduction(mechanism, 4, 1.0, GRID)
+    logs = _bitstring_logs(mechanism, 4, GRID)
+    worst, pairs, (i, j, t), _ = _loop_audit(logs, _hamming, 1.0, True)
     assert report.max_violation == worst
-    assert report.pairs_checked == pairs
-    assert report.witness == witness
+    assert report.pairs_checked == pairs == 64
+    assert report.witness == (i, j, float(GRID[t]))
 
 
 @pytest.mark.parametrize("n,k,d,mu", [(4, 2, 4, 0.4), (5, 2, 4, 0.4), (4, 3, 3, 0.5)])
@@ -290,7 +354,7 @@ def test_finite_and_bitstring_audits_refuse_above_their_limits():
 
 
 def test_laplace_certificate_n5_in_bounded_memory():
-    """The n = 5 certificate: 1,047,552 ordered pairs on a 200-point grid."""
+    """The n = 5 certificate: 66,560 ordered rewiring pairs on a 200-point grid."""
     grid = np.linspace(-1.0, 2.0, 200)
     tracemalloc.start()
     start = time.perf_counter()
@@ -304,5 +368,5 @@ def test_laplace_certificate_n5_in_bounded_memory():
     elapsed = time.perf_counter() - start
     print(f"laplace n=5 audit: {elapsed:.2f}s, tracemalloc peak {peak / 2**20:.1f} MiB")
     assert report.passed()
-    assert report.pairs_checked == 1024 * 1023
+    assert report.pairs_checked == 1024 * len(_star_flips(5)) == 66560
     assert peak < 64 * 2**20

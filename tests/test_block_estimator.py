@@ -270,7 +270,7 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert diag["candidate_count"] == len(mech.candidates) == 10**6
+    assert diag["candidate_count"] == mech.log_probs.size == 10**6
     assert diag["equipartitions"] == 1680
     assert peak < 256 * 2**20
 
@@ -425,7 +425,7 @@ def test_block_mechanism_audited_mode_uses_measured_delta():
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
     mech, cands, delta, diag = block_mechanism(g, 0.5, cfg)
     assert delta == pytest.approx(measured_score_sensitivity(4, 2, 1.0, 4))
-    assert len(mech.candidates) == cands.shape[0]
+    assert mech.log_probs.size == cands.shape[0]
 
 
 def test_estimator_config_validation():

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nodedp
 from nodedp.cli import main
-from nodedp.graphs import LabeledGraph
+from nodedp.errors import ResourceLimitError
+from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
 
 
 @pytest.fixture
@@ -181,4 +187,33 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"
-    assert len(lines) == 1 + 8 * 7  # ordered pairs over the 8 graphs on n=3
+    rows = [line.split(",") for line in lines[1:]]
+    # the ordered pairs one rewiring apart over the 8 graphs on n=3
+    want = [
+        (i, j) for i in range(8) for j in range(8)
+        if node_distance(graph_from_index(3, i), graph_from_index(3, j)) == 1
+    ]
+    assert [(int(r[0]), int(r[1])) for r in rows] == want
+    assert len(want) == 48
+    assert {r[2] for r in rows} == {"1"}
+
+
+def test_refusal_is_one_stderr_line_and_exit_code_3():
+    env = dict(os.environ)
+    src = str(Path(nodedp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nodedp.cli", "experiment", "homogeneity",
+         "--n", "18", "--p", "0.3", "--samples", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "nodedp: refused: exact subset scan limited to n <= 16"
+    ]
+
+
+def test_main_raises_refusals():
+    with pytest.raises(ResourceLimitError):
+        main(["experiment", "homogeneity", "--n", "18", "--p", "0.3", "--samples", "2"])

@@ -26,7 +26,7 @@ from nodedp.experiments import (
     slope_fit,
 )
 from nodedp.graphons import sample_gnp
-from nodedp.graphs import LabeledGraph, binom2, edge_density, triangular_slots
+from nodedp.graphs import LabeledGraph, edge_density, triangular_slots
 from nodedp.mechanisms import LaplaceDensity, truncated_laplace_density
 from nodedp.rng import substream
 
@@ -220,7 +220,7 @@ def test_edge_count_cell_samples_the_restricted_mechanism():
     cfg = _config(estimator="promise", n_grid=(n,), p=p, trials=40, seed=4)
     hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)
     tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
-    counts = substream(*tags).binomial(binom2(n), p, size=cfg.trials)
+    counts = substream(*tags).binomial(math.comb(n, 2), p, size=cfg.trials)
     centres = _edge_densities(cfg, n, p, 0, substream(*tags))
     slots = triangular_slots(n)
     for count, centre in zip(counts.tolist(), centres.tolist()):
@@ -252,7 +252,7 @@ def test_gnp_edge_count_is_binomial():
         [sample_gnp(n, p, substream(8, "gnp-count", t)).edge_count for t in range(samples)],
         dtype=float,
     )
-    slots = binom2(n)
+    slots = math.comb(n, 2)
     mean, var = slots * p, slots * p * (1 - p)
     mu4 = var * (1 + 3 * (slots - 2) * p * (1 - p))  # fourth central moment
     assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / samples)

@@ -177,7 +177,7 @@ def test_w_random_two_clique_splits_by_labels():
         side = w.block_of(sample.labels)
         for i in range(10):
             for j in range(i + 1, 10):
-                assert sample.graph.has_edge(i, j) == (side[i] == side[j])
+                assert sample.graph.adjacency[i, j] == (side[i] == side[j])
 
 
 def test_w_random_edge_count_binomial_chi_square_n5():

@@ -6,12 +6,12 @@ from nodedp.graphs import (
     LabeledGraph,
     adjacent_graphs,
     all_graphs,
-    boundary_edge_count,
     cover_table,
     degree_cap,
     edge_density,
     graph_from_index,
     node_distance,
+    rewiring_pairs,
     triangular_slots,
 )
 from nodedp.rng import substream
@@ -231,27 +231,9 @@ def test_adjacent_graphs_guard():
         list(adjacent_graphs(LabeledGraph.empty(8)))
 
 
-# -- boundary edges ---------------------------------------------------------------------
-
-
-def test_boundary_edge_count_full_set_is_total():
-    g = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    assert boundary_edge_count(g, range(5)) == 3
-
-
-def test_boundary_edge_count_singleton_is_degree():
-    g = LabeledGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (2, 3)])
-    assert boundary_edge_count(g, {0}) == 3
-
-
-def test_boundary_edge_count_k4_pair():
-    # |S| = 2 on K4: k(n-k) + C(k,2) = 2*2 + 1 = 5 slots, all present
-    assert boundary_edge_count(LabeledGraph.complete(4), {0, 1}) == 5
-
-
-def test_boundary_edge_count_rejects_empty_set():
-    with pytest.raises(ValueError):
-        boundary_edge_count(LabeledGraph.empty(3), [])
+def test_rewiring_pairs_guard():
+    with pytest.raises(ResourceLimitError, match="n <= 6"):
+        rewiring_pairs(7)
 
 
 # -- degree cap ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_laplace_density_normalizes():
 
 
 def test_exponential_mechanism_uniform_when_scores_equal():
-    mech = exponential_mechanism_distribution(list(range(10)), [7.0] * 10, 3.0)
+    mech = exponential_mechanism_distribution([7.0] * 10, 3.0)
     rng = substream(5, "expmech-uniform")
     counts = np.bincount(mech.sample_indices(rng, 10**5), minlength=10)
     expect = 10**4
@@ -73,13 +73,13 @@ def test_exponential_mechanism_uniform_when_scores_equal():
 
 
 def test_exponential_mechanism_zero_coefficient_is_uniform():
-    mech = exponential_mechanism_distribution([0, 1, 2], [0.0, 5.0, -2.0], 0.0)
+    mech = exponential_mechanism_distribution([0.0, 5.0, -2.0], 0.0)
     assert np.allclose(mech.probabilities(), 1.0 / 3.0)
 
 
 def test_exponential_mechanism_two_candidate_closed_form():
     gamma, s = 2.0, 0.5  # gamma * s = 1
-    mech = exponential_mechanism_distribution([0, 1], [0.0, s], gamma)
+    mech = exponential_mechanism_distribution([0.0, s], gamma)
     p_second = 1.0 / (1.0 + math.exp(-gamma * s))
     assert mech.probabilities()[1] == pytest.approx(p_second)
     rng = substream(6, "expmech-two")
@@ -90,20 +90,20 @@ def test_exponential_mechanism_two_candidate_closed_form():
 
 def test_exponential_mechanism_shift_invariance():
     scores = np.array([0.1, 1.4, -0.3, 0.9])
-    a = exponential_mechanism_distribution(list(range(4)), scores, 2.5)
-    b = exponential_mechanism_distribution(list(range(4)), scores + 100.0, 2.5)
+    a = exponential_mechanism_distribution(scores, 2.5)
+    b = exponential_mechanism_distribution(scores + 100.0, 2.5)
     assert np.allclose(a.probabilities(), b.probabilities(), rtol=1e-12, atol=0.0)
 
 
 def test_exponential_mechanism_input_validation():
     with pytest.raises(ValueError):
-        exponential_mechanism_distribution([], [], 1.0)
+        exponential_mechanism_distribution([], 1.0)
     with pytest.raises(ValueError):
-        exponential_mechanism_distribution([0], [math.nan], 1.0)
+        exponential_mechanism_distribution([math.nan], 1.0)
 
 
 def test_finite_mechanism_probabilities_sum_to_one():
-    mech = FiniteMechanism(list(range(5)), [0.0, -300.0, 2.0, 700.0, 699.0])
+    mech = FiniteMechanism([0.0, -300.0, 2.0, 700.0, 699.0])
     assert abs(mech.probabilities().sum() - 1.0) <= 1e-12
 
 
@@ -278,13 +278,12 @@ def _line_base(point):
     return unit_laplace_density(centers[point], 1.0)
 
 
-def _line_violation(points, extended, eps, grid):
-    """Worst audit gap of the extension over ordered pairs of the given
-    line points, at |i - j| apart."""
+def _line_violation(points, extended, bound, grid):
+    """Worst audit gap of the extension over ordered pairs of consecutive
+    given line points, against the bound."""
     logs = np.stack([extended(p).log_pdf(grid) for p in points])
-    dist = np.abs(np.subtract.outer(points, points)).astype(float)
-    np.fill_diagonal(dist, math.inf)
-    return max_violation(logs, dist, eps).worst
+    left = np.arange(len(points) - 1)
+    return max_violation(logs, np.r_[left, left + 1], np.r_[left + 1, left], bound).worst
 
 
 def test_extension_agrees_with_base_on_h():
@@ -323,6 +322,7 @@ def test_extension_is_twice_epsilon_dp():
     eps = 0.7
     extended = extend_mechanism(_line_space(), _line_base, eps)
     grid = np.linspace(0, 1, 1001)
+    # line neighbours at the extension's budget 2 eps
     assert _line_violation([0, 1, 2], extended, 2 * eps, grid) <= 1e-9
 
 
@@ -365,7 +365,8 @@ def test_extension_is_epsilon_dominated_between_h_points():
     eps = 0.7
     extended = extend_mechanism(_line_space(), _line_base, eps)
     grid = np.linspace(0, 1, 1001)
-    assert _line_violation([0, 2], extended, eps, grid) <= 1e-9
+    # the H points 0 and 2 are two apart: the base's bound eps * 2
+    assert _line_violation([0, 2], extended, 2 * eps, grid) <= 1e-9
 
 
 # -- logsumexp ------------------------------------------------------------------------
@@ -395,16 +396,17 @@ def test_logsumexp_is_bit_identical_to_scipy():
 
 def test_max_violation_witness_is_first_maximum_in_row_major_order():
     logs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    inf = math.inf
-    dist = np.array([[inf, 1.0, 2.0], [1.0, inf, 1.0], [2.0, 1.0, inf]])
-    # pairs (0,1), (1,0), (1,2) and (2,1) all reach gap 0
-    v = max_violation(logs, dist, 1.0)
+    first, second = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+    # pairs (0,1), (1,0), (1,2) and (2,1) all reach gap 0; (0,2), (2,0) -1
+    v = max_violation(logs, first, second, 1.0)
     assert (v.worst, v.pairs, v.witness) == (0.0, 6, (0, 1, 1))
-    dist[0, 1] = inf  # no longer compared
-    v = max_violation(logs, dist, 1.0, collect_rows=True)
+    v = max_violation(logs, first[1:], second[1:], 1.0, collect_rows=True)  # (0,1) dropped
     assert (v.worst, v.pairs, v.witness) == (0.0, 5, (1, 0, 0))
     assert [row[:2] for row in v.rows] == [(0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    assert v.rows[1] == (1, 0, 1.0, 0, 1.0, 1.0, 0.0)
+    assert v.rows[1] == (1, 0, 0, 1.0, 1.0, 0.0)
+    # the given order decides, not the indices
+    v = max_violation(logs, [2, 0], [1, 1], 1.0)
+    assert (v.worst, v.pairs, v.witness) == (0.0, 2, (2, 1, 1))
 
 
 def test_max_violation_ignores_nan_gaps_and_empty_pair_sets():
@@ -412,9 +414,9 @@ def test_max_violation_ignores_nan_gaps_and_empty_pair_sets():
     # report a NaN gap, which is never a witness
     logs = np.array([[np.inf, 0.0], [np.inf, 0.5]])
     with np.errstate(invalid="ignore"):
-        v = max_violation(logs, np.array([[math.inf, 0.0], [0.0, math.inf]]), 1.0)
-        assert (v.worst, v.pairs, v.witness) == (-math.inf, 2, None)
-        v = max_violation(logs, np.full((2, 2), math.inf), 1.0)
+        v = max_violation(logs, [0, 1], [1, 0], 1.0)
+    assert (v.worst, v.pairs, v.witness) == (-math.inf, 2, None)
+    v = max_violation(logs, [], [], 1.0)
     assert (v.worst, v.pairs, v.witness) == (-math.inf, 0, None)
 
 
@@ -425,23 +427,18 @@ def test_max_violation_matches_pair_loop_at_any_chunk_size(chunk_bytes, monkeypa
     rng = substream(20260810, "max-violation", str(chunk_bytes))
     p, width, eps = 23, 17, 0.7
     logs = np.round(rng.normal(size=(p, width)), 1)  # rounding makes ties
-    dist = rng.integers(0, 4, size=(p, p)).astype(float)
-    dist[rng.random((p, p)) < 0.3] = math.inf
-    np.fill_diagonal(dist, math.inf)
-    worst, witness, pairs, rows = -math.inf, None, 0, []
-    for i in range(p):
-        for j in range(p):
-            if dist[i, j] == math.inf:
-                continue
-            pairs += 1
-            ratios = logs[i] - logs[j]
-            t = int((ratios - eps * dist[i, j]).argmax())
-            gap = float(ratios[t]) - eps * dist[i, j]
-            if gap > worst:
-                worst, witness = gap, (i, j, t)
-            rows.append((i, j, dist[i, j], t, float(ratios[t]), eps * dist[i, j], gap))
-    v = max_violation(logs, dist, eps, collect_rows=True)
-    assert (v.worst, v.pairs, v.witness, v.rows) == (worst, pairs, witness, tuple(rows))
+    first = rng.integers(0, p, size=300)
+    second = (first + rng.integers(1, p, size=300)) % p  # never first
+    worst, witness, rows = -math.inf, None, []
+    for i, j in zip(first.tolist(), second.tolist()):
+        ratios = logs[i] - logs[j]
+        t = int((ratios - eps).argmax())
+        gap = float(ratios[t]) - eps
+        if gap > worst:
+            worst, witness = gap, (i, j, t)
+        rows.append((i, j, t, float(ratios[t]), eps, gap))
+    v = max_violation(logs, first, second, eps, collect_rows=True)
+    assert (v.worst, v.pairs, v.witness, v.rows) == (worst, 300, witness, tuple(rows))
 
 
 # -- the deduplicated extension against the pointwise fold over all of H -------------

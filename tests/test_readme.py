@@ -1,16 +1,19 @@
 """The README's Python quickstart runs as written, in a fresh interpreter,
 within a time limit: a hang fails the test instead of stalling the suite.
-The caps its "Scale limits" section names exist in the package."""
+The caps its "Scale limits" section names exist in the package, and its
+command-line examples parse."""
 
 import importlib
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import nodedp
+from nodedp.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,18 @@ def test_readme_scale_limit_caps_are_module_constants():
     ]
     missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
     assert not missing, f"README caps missing from nodedp: {missing}"
+
+
+def test_readme_command_line_examples_parse():
+    """Every `nodedp ...` command in the "Command line" block parses with the
+    CLI's own parser, so flags and choices cannot drift from the docs."""
+    section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, flags=re.DOTALL).group(1)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("nodedp ")
+    ]
+    assert len(commands) == 12
+    for argv in commands:
+        build_parser().parse_args(argv)
