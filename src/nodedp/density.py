@@ -113,13 +113,8 @@ def homogeneity_worst_margin(g: LabeledGraph, cfg: HomogeneityConfig) -> float:
     sizes = masks.sum(axis=1)
     slots = sizes * (n - sizes) + sizes * (sizes - 1) / 2.0
     e = edge_density(g)
-    edges = g.edges()
-    if edges:
-        us = np.array([u for u, _ in edges])
-        vs = np.array([v for _, v in edges])
-        boundary = (masks[:, us] | masks[:, vs]).sum(axis=1)
-    else:
-        boundary = np.zeros(masks.shape[0])
+    us, vs = g.edges().T
+    boundary = (masks[:, us] | masks[:, vs]).sum(axis=1)
     deviation = np.abs(boundary - e * slots)
     return float((deviation - cfg.tolerance(sizes)).max())
 

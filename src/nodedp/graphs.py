@@ -24,6 +24,15 @@ from .errors import ResourceLimitError
 
 MAX_ENUMERATION_N = 7
 
+# Largest order ``from_edges`` builds, and with it the edge-list parser: the
+# n x n bool adjacency stays at most 256 MiB.  Without it a header alone
+# sizes the allocation (``60000 0`` asks for 3.35 GiB).
+EDGE_LIST_MAX_N = 2**14
+
+# Significant digits one edge-list number may have, so that its value fits
+# an int64 (10**18 - 1 < 2**63) and numpy's fixed-width sum cannot wrap.
+_EDGE_LIST_DIGITS = 18
+
 
 def triangular_slots(n: int) -> list[tuple[int, int]]:
     """Upper-triangle vertex pairs in row-major order: (0,1), (0,2), ..."""
@@ -51,14 +60,29 @@ class LabeledGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
+    def from_edges(cls, n: int, edges) -> "LabeledGraph":
+        """Graph on n vertices with the given (u, v) pairs: a list of pairs or
+        an [m, 2] integer array, placed by one scatter."""
+        if n > EDGE_LIST_MAX_N:
+            raise ResourceLimitError(
+                f"edge-list graphs limited to n <= {EDGE_LIST_MAX_N}, got n = {n}"
+            )
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            u, v = pairs[loops.argmax()].tolist()
+            raise ValueError(f"self-loop ({u},{v})")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+            u, v = pairs[outside.argmax()].tolist()
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u, v] = adj[v, u] = True
+        adj[pairs[:, 0], pairs[:, 1]] = True
+        adj[pairs[:, 1], pairs[:, 0]] = True
         return cls(adj)
 
     @classmethod
@@ -93,16 +117,18 @@ class LabeledGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self._adj[v])
 
-    def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self._adj, 1))
-        return list(zip(us.tolist(), vs.tolist()))
+    def edges(self) -> np.ndarray:
+        """[m, 2] int64 array of the edges (u, v), u < v, in row-major order."""
+        return np.argwhere(np.triu(self._adj, 1))
 
     @property
     def key(self) -> bytes:
         """Canonical hashable key: packed upper-triangle bits."""
         if self._key is None:
-            iu = np.triu_indices(self.n, 1)
-            self._key = np.packbits(self._adj[iu]).tobytes()
+            # a mask selects in row-major order, like triu_indices, at a
+            # tenth of its cost; the n=5 extension keys 1,024 graphs per build
+            upper = np.arange(self.n)[:, None] < np.arange(self.n)
+            self._key = np.packbits(self._adj[upper]).tobytes()
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -139,20 +165,38 @@ class LabeledGraph:
     # -- wire formats --------------------------------------------------------
 
     def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        """Header ``n m``, then one ``u v`` line per edge in row-major order.
+
+        Numbers are written in numpy: one byte column per digit position,
+        filled by repeated division, with leading zeros masked out."""
+        pairs = self.edges()
+        width = len(str(max(self.n - 1, 0)))
+        cells = np.empty(pairs.shape + (width + 1,), dtype=np.uint8)
+        cells[:, 0, width] = ord(" ")
+        cells[:, 1, width] = ord("\n")
+        keep = np.ones(cells.shape, dtype=bool)
+        rest = pairs
+        for j in range(width - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            cells[..., j] = digit + ord("0")
+            if j:
+                keep[..., j - 1] = rest > 0
+        return f"{self.n} {len(pairs)}\n" + cells[keep].tobytes().decode("ascii")
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "LabeledGraph":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if not rows:
-            raise ValueError("empty graph text")
-        n, m = (int(x) for x in rows[0].split())
-        if len(rows) - 1 != m:
-            raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-        g = cls.from_edges(n, [tuple(int(x) for x in ln.split()) for ln in rows[1:]])
-        if g.edge_count != m:  # a repeated edge, in either orientation, collapses
+        """Parse a header line ``n m`` and exactly m lines ``u v``.
+
+        The text holds ASCII digits, spaces, tabs, CR and LF only; blank
+        lines are ignored.  Refuses n > EDGE_LIST_MAX_N before allocating,
+        and a repeated edge, in either orientation, by its edge count.
+        """
+        rows = _edge_list_rows(text)
+        n, m = rows[0].tolist()
+        if rows.shape[0] - 1 != m:
+            raise ValueError(f"expected {m} edge lines, found {rows.shape[0] - 1}")
+        g = cls.from_edges(n, rows[1:])
+        if g.edge_count != m:
             raise ValueError(f"duplicate edges: {m} lines give {g.edge_count} edges")
         return g
 
@@ -171,6 +215,67 @@ class LabeledGraph:
         iu = np.triu_indices(n, 1)
         adj[iu] = bits.astype(bool)
         return cls(adj | adj.T)
+
+
+def _line_number(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def _edge_list_rows(text: str) -> np.ndarray:
+    """The two numbers of every nonblank line, as an [L, 2] int64 array, in
+    one numpy pass over the bytes.
+
+    A number is a maximal run of ASCII digits; a line ends at LF or CR, so
+    CRLF leaves a blank line, which is ignored.  Each number is accumulated
+    by Horner's rule from its last digit, one vectorised step per digit
+    position, and placed on its line by a running count of line breaks.
+    """
+    # errors="replace" keeps one byte per character, so offsets match the text
+    raw = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
+    digits = raw - np.uint8(ord("0"))  # wraps to >= 10 below "0"
+    padded = np.zeros(raw.size + 2, dtype=bool)  # digit mask, False at both ends
+    digit = padded[1:-1]
+    np.less(digits, 10, out=digit)
+    breaks = (raw == ord("\n")) | (raw == ord("\r"))
+    bad = np.flatnonzero(~(digit | breaks | (raw == ord(" ")) | (raw == ord("\t"))))
+    if bad.size:
+        at = int(bad[0])
+        raise ValueError(
+            f"line {_line_number(text, at)}: unexpected character {text[at]!r};"
+            " edge lists hold ASCII digits, spaces, tabs, CR and LF only"
+        )
+    # a number starts where the digit mask rises and ends where it falls
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size == 0:
+        raise ValueError("empty graph text")
+    line = np.cumsum(breaks, dtype=np.int64)[starts]
+    counts = np.bincount(line)
+    wrong = np.flatnonzero((counts != 0) & (counts != 2))
+    if wrong.size:
+        first = int(starts[np.searchsorted(line, wrong[0])])
+        raise ValueError(
+            f"line {_line_number(text, first)}: {counts[wrong[0]]} numbers, expected 2"
+        )
+    lengths = ends - starts
+    if lengths.max() > _EDGE_LIST_DIGITS:
+        # every byte above "0" is now a digit 1-9; a long number may only
+        # carry zeros before its last _EDGE_LIST_DIGITS digits
+        significant = np.flatnonzero(raw > ord("0"))
+        heads = np.searchsorted(significant, ends - _EDGE_LIST_DIGITS) - np.searchsorted(
+            significant, starts
+        )
+        too_long = np.flatnonzero((lengths > _EDGE_LIST_DIGITS) & (heads > 0))
+        if too_long.size:
+            raise ValueError(
+                f"line {_line_number(text, int(starts[too_long[0]]))}: a number with more"
+                f" than {_EDGE_LIST_DIGITS} significant digits"
+            )
+    values = digits[ends - 1].astype(np.int64)
+    for k in range(2, min(int(lengths.max()), _EDGE_LIST_DIGITS) + 1):
+        place = np.int64(10 ** (k - 1))
+        np.add(values, digits[ends - k] * place, out=values, where=lengths >= k)
+    return values.reshape(-1, 2)
 
 
 # -- edge statistics ---------------------------------------------------------

@@ -198,19 +198,38 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     assert {r[2] for r in rows} == {"1"}
 
 
-def test_refusal_is_one_stderr_line_and_exit_code_3():
+def _run_cli(*argv):
     env = dict(os.environ)
     src = str(Path(nodedp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "nodedp.cli", "experiment", "homogeneity",
-         "--n", "18", "--p", "0.3", "--samples", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "nodedp.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_refusal_is_one_stderr_line_and_exit_code_3():
+    done = _run_cli(
+        "experiment", "homogeneity", "--n", "18", "--p", "0.3", "--samples", "2"
     )
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.splitlines() == [
         "nodedp: refused: exact subset scan limited to n <= 16"
+    ]
+
+
+def test_an_oversized_header_is_refused_before_allocating(tmp_path):
+    """An 8-byte file would otherwise ask for a 3.35 GiB adjacency."""
+    path = tmp_path / "big.txt"
+    path.write_text("60000 0\n")
+    done = _run_cli(
+        "estimate", "density", "--input", str(path), "--epsilon", "1.0", "--mode", "baseline"
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "nodedp: refused: edge-list graphs limited to n <= 16384, got n = 60000"
     ]
 
 

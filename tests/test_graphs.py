@@ -98,6 +98,165 @@ def test_edge_list_rejects_a_count_that_disagrees_with_the_edges(text):
         LabeledGraph.from_edge_list_text(text)
 
 
+# -- differential oracle: the per-line parser and writer the numpy ones replaced
+
+
+def per_line_parse(text):
+    """One Python tuple per line; builds the adjacency edge by edge."""
+    rows = [ln for ln in text.splitlines() if ln.strip()]
+    if not rows:
+        raise ValueError("empty graph text")
+    n, m = (int(x) for x in rows[0].split())
+    if len(rows) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+    adj = np.zeros((n, n), dtype=bool)
+    for ln in rows[1:]:
+        u, v = (int(x) for x in ln.split())
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        adj[u, v] = adj[v, u] = True
+    g = LabeledGraph(adj)
+    if g.edge_count != m:
+        raise ValueError(f"duplicate edges: {m} lines give {g.edge_count} edges")
+    return g
+
+
+def per_line_text(g):
+    us, vs = np.nonzero(np.triu(g.adjacency, 1))
+    lines = [f"{g.n} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in zip(us.tolist(), vs.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+VALID_EDGE_LISTS = [
+    "4 2\n0 1\n2 3\n",
+    "4 2\n\n0 1\n\n\n2 3\n\n",  # blank lines
+    "4 2\r\n0 1\r\n2 3\r\n",  # CRLF
+    "4 2\r0 1\r2 3\r",  # CR alone
+    "4\t2\n0\t1\n  2 \t 3  \n",  # tabs and runs of blanks
+    "  \n \t\n4 2\n0 1\n2 3\n",  # blank-only lines before the header
+    "04 002\n000 1\n2 03\n",  # leading zeros
+    "5 1\n" + "0" * 30 + "1 4\n",  # more leading zeros than an int64 has digits
+    "4 2\n0 1\n2 3",  # no trailing newline
+    "5 0",
+    "5 0\n",
+    "0 0\n",
+    "1 0\n",
+    "12 3\n11 10\n0 11\n10 9\n",  # multi-digit, unsorted, either orientation
+]
+
+INVALID_EDGE_LISTS = [
+    "4 2\n0 1 2\n3\n",  # 3 + 1 tokens: the total count is still even
+    "4 2\n0 1 2\n2 3\n",  # a 3-token line
+    "4 2\n0\n2 3\n",  # a 1-token line
+    "4\n0 1\n",  # a 1-token header
+    "4 1 0\n0 1\n",  # a 3-token header
+    "4 1\n-1 2\n",
+    "4 1\n0 x\n",
+    "4 1\n0 1x\n",
+    "4 1\n0 1.0\n",
+    "4 1\n0 é\n",  # non-ASCII
+    "4 1\n2 2\n",  # self-loop
+    "4 1\n0 4\n",  # out of range
+    "4 1\n7 1\n",
+    "3 1\n0 " + "9" * 20 + "\n",  # beyond int64
+    "4 2\n0 1\n0 1\n",  # duplicate
+    "4 2\n0 1\n1 0\n",  # duplicate, reversed
+    "4 2\n0 1\n",  # too few lines
+    "4 1\n0 1\n2 3\n",  # too many lines
+    "4 0\n0 1\n",
+    "",
+    "\n\n",
+    " \t\r\n",
+]
+
+# Texts the per-line parser accepted and the numpy parser refuses: int()
+# takes a sign, underscores and non-ASCII digits, str.split more blanks and
+# str.splitlines more line breaks.
+TIGHTENED_EDGE_LISTS = [
+    "4 1\n+0 1\n",
+    "12 1\n0 1_0\n",
+    "4 1\n0 \u0663\n",  # ARABIC-INDIC DIGIT THREE
+    "4 1\n0\u00a01\n",  # NO-BREAK SPACE
+    "4 1\x0c0 1\n",  # form feed as a line break
+    "4 1\x0b0 1\n",  # vertical tab as a line break
+    "4 1\u20280 1\n",  # LINE SEPARATOR
+]
+
+
+@pytest.mark.parametrize("text", VALID_EDGE_LISTS + INVALID_EDGE_LISTS)
+def test_parser_matches_per_line_oracle(text):
+    """The same graph, or a ValueError on both sides."""
+    try:
+        want = per_line_parse(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            LabeledGraph.from_edge_list_text(text)
+    else:
+        assert LabeledGraph.from_edge_list_text(text) == want
+
+
+def test_corpus_is_split_as_labelled():
+    for text in VALID_EDGE_LISTS:
+        per_line_parse(text)
+    for text in INVALID_EDGE_LISTS:
+        with pytest.raises(ValueError):
+            per_line_parse(text)
+
+
+@pytest.mark.parametrize("text", TIGHTENED_EDGE_LISTS)
+def test_parser_refuses_what_int_and_split_used_to_accept(text):
+    per_line_parse(text)
+    with pytest.raises(ValueError):
+        LabeledGraph.from_edge_list_text(text)
+
+
+def test_edge_list_round_trip_matches_per_line_writer_on_all_n4_graphs():
+    for g in all_graphs(4):
+        text = g.to_edge_list_text()
+        assert text == per_line_text(g)
+        assert LabeledGraph.from_edge_list_text(text) == g == per_line_parse(text)
+
+
+def test_edge_list_round_trip_matches_per_line_writer_at_n64():
+    rng = substream(5, "edge-list-round-trip")
+    upper = np.triu(rng.random((64, 64)) < 0.3, 1)
+    g = LabeledGraph(upper | upper.T)
+    text = g.to_edge_list_text()
+    assert text == per_line_text(g)
+    assert LabeledGraph.from_edge_list_text(text) == g == per_line_parse(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 101])
+def test_writer_matches_per_line_writer_at_digit_boundaries(n):
+    assert LabeledGraph.complete(n).to_edge_list_text() == per_line_text(LabeledGraph.complete(n))
+    assert LabeledGraph.empty(n).to_edge_list_text() == f"{n} 0\n"
+
+
+def test_edge_list_header_order_is_capped_before_allocating(monkeypatch):
+    with pytest.raises(ResourceLimitError, match="n = 60000"):
+        LabeledGraph.from_edge_list_text("60000 0\n")
+    monkeypatch.setattr("nodedp.graphs.EDGE_LIST_MAX_N", 8)
+    assert LabeledGraph.from_edge_list_text("8 1\n0 7\n").n == 8
+    with pytest.raises(ResourceLimitError, match="n <= 8, got n = 9"):
+        LabeledGraph.from_edge_list_text("9 1\n0 1\n")
+    with pytest.raises(ResourceLimitError):
+        LabeledGraph.from_edges(9, [])
+
+
+def test_from_edges_takes_pairs_or_an_index_array():
+    want = LabeledGraph.from_edges(5, [(0, 1), (4, 2)])
+    assert LabeledGraph.from_edges(5, np.array([[0, 1], [4, 2]])) == want
+    assert want.edges().tolist() == [[0, 1], [2, 4]]
+    assert LabeledGraph.from_edges(5, []) == LabeledGraph.empty(5)
+    assert LabeledGraph.empty(5).edges().shape == (0, 2)
+    for bad in ([(0, 1, 2)], [0, 1], [(1, 1)], [(0, 5)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            LabeledGraph.from_edges(5, bad)
+
+
 def test_hex_round_trip_all_n4():
     for g in all_graphs(4):
         assert LabeledGraph.from_hex(4, g.to_hex()) == g
