@@ -25,12 +25,14 @@ from .errors import ResourceLimitError
 MAX_ENUMERATION_N = 7
 
 # Largest order ``from_edges`` builds, and with it the edge-list parser: the
-# n x n bool adjacency stays at most 256 MiB.  Without it a header alone
-# sizes the allocation (``60000 0`` asks for 3.35 GiB).
+# n x n bool adjacency, the one n x n array built, stays at most 256 MiB.
+# Without it a header alone sizes the allocation (``60000 0`` asks for
+# 3.35 GiB).
 EDGE_LIST_MAX_N = 2**14
 
-# Significant digits one edge-list number may have, so that its value fits
-# an int64 (10**18 - 1 < 2**63) and numpy's fixed-width sum cannot wrap.
+# Digits one edge-list number may have, leading zeros included, so that its
+# value fits an int64 (10**18 - 1 < 2**63) and numpy's fixed-width sum
+# cannot wrap.
 _EDGE_LIST_DIGITS = 18
 
 
@@ -83,7 +85,19 @@ class LabeledGraph:
         adj = np.zeros((n, n), dtype=bool)
         adj[pairs[:, 0], pairs[:, 1]] = True
         adj[pairs[:, 1], pairs[:, 0]] = True
-        return cls(adj)
+        return cls._wrap(adj)
+
+    @classmethod
+    def _wrap(cls, adj: np.ndarray) -> "LabeledGraph":
+        """Take ownership of a bool adjacency built square, symmetric and
+        loop-free, without the copy and transpose check of ``__init__``, so
+        building a graph peaks at one adjacency."""
+        g = cls.__new__(cls)
+        adj.flags.writeable = False
+        g.n = adj.shape[0]
+        g._adj = adj
+        g._key = None
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "LabeledGraph":
@@ -188,8 +202,9 @@ class LabeledGraph:
         """Parse a header line ``n m`` and exactly m lines ``u v``.
 
         The text holds ASCII digits, spaces, tabs, CR and LF only; blank
-        lines are ignored.  Refuses n > EDGE_LIST_MAX_N before allocating,
-        and a repeated edge, in either orientation, by its edge count.
+        lines are ignored.  Refuses a number longer than 18 digits, n >
+        EDGE_LIST_MAX_N before allocating the adjacency, and a repeated
+        edge, in either orientation, by its edge count.
         """
         rows = _edge_list_rows(text)
         n, m = rows[0].tolist()
@@ -218,7 +233,9 @@ class LabeledGraph:
 
 
 def _line_number(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
+    """Line of ``text[offset]`` when LF, CR and CRLF each end one line."""
+    head = text[:offset]
+    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
 
 
 def _edge_list_rows(text: str) -> np.ndarray:
@@ -258,23 +275,19 @@ def _edge_list_rows(text: str) -> np.ndarray:
             f"line {_line_number(text, first)}: {counts[wrong[0]]} numbers, expected 2"
         )
     lengths = ends - starts
-    if lengths.max() > _EDGE_LIST_DIGITS:
-        # every byte above "0" is now a digit 1-9; a long number may only
-        # carry zeros before its last _EDGE_LIST_DIGITS digits
-        significant = np.flatnonzero(raw > ord("0"))
-        heads = np.searchsorted(significant, ends - _EDGE_LIST_DIGITS) - np.searchsorted(
-            significant, starts
+    longest = int(lengths.max())
+    if longest > _EDGE_LIST_DIGITS:
+        at = int(starts[np.argmax(lengths > _EDGE_LIST_DIGITS)])
+        raise ValueError(
+            f"line {_line_number(text, at)}: a number with more than"
+            f" {_EDGE_LIST_DIGITS} digits"
         )
-        too_long = np.flatnonzero((lengths > _EDGE_LIST_DIGITS) & (heads > 0))
-        if too_long.size:
-            raise ValueError(
-                f"line {_line_number(text, int(starts[too_long[0]]))}: a number with more"
-                f" than {_EDGE_LIST_DIGITS} significant digits"
-            )
+    # multiply in int64: under numpy 1.x value-based casting a uint8 digit
+    # times a small int64 scalar stays uint8 and wraps
     values = digits[ends - 1].astype(np.int64)
-    for k in range(2, min(int(lengths.max()), _EDGE_LIST_DIGITS) + 1):
-        place = np.int64(10 ** (k - 1))
-        np.add(values, digits[ends - k] * place, out=values, where=lengths >= k)
+    for k in range(2, longest + 1):
+        scaled = np.multiply(digits[ends - k], 10 ** (k - 1), dtype=np.int64)
+        np.add(values, scaled, out=values, where=lengths >= k)
     return values.reshape(-1, 2)
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import (
     LabeledGraph,
+    _edge_list_rows,
     adjacent_graphs,
     all_graphs,
     cover_table,
@@ -138,7 +141,6 @@ VALID_EDGE_LISTS = [
     "4\t2\n0\t1\n  2 \t 3  \n",  # tabs and runs of blanks
     "  \n \t\n4 2\n0 1\n2 3\n",  # blank-only lines before the header
     "04 002\n000 1\n2 03\n",  # leading zeros
-    "5 1\n" + "0" * 30 + "1 4\n",  # more leading zeros than an int64 has digits
     "4 2\n0 1\n2 3",  # no trailing newline
     "5 0",
     "5 0\n",
@@ -173,8 +175,8 @@ INVALID_EDGE_LISTS = [
 ]
 
 # Texts the per-line parser accepted and the numpy parser refuses: int()
-# takes a sign, underscores and non-ASCII digits, str.split more blanks and
-# str.splitlines more line breaks.
+# takes a sign, underscores, non-ASCII digits and any number of leading
+# zeros, str.split more blanks and str.splitlines more line breaks.
 TIGHTENED_EDGE_LISTS = [
     "4 1\n+0 1\n",
     "12 1\n0 1_0\n",
@@ -183,6 +185,7 @@ TIGHTENED_EDGE_LISTS = [
     "4 1\x0c0 1\n",  # form feed as a line break
     "4 1\x0b0 1\n",  # vertical tab as a line break
     "4 1\u20280 1\n",  # LINE SEPARATOR
+    "5 1\n" + "0" * 30 + "1 4\n",  # more digits than an int64 holds, all but one zeros
 ]
 
 
@@ -220,13 +223,44 @@ def test_edge_list_round_trip_matches_per_line_writer_on_all_n4_graphs():
         assert LabeledGraph.from_edge_list_text(text) == g == per_line_parse(text)
 
 
-def test_edge_list_round_trip_matches_per_line_writer_at_n64():
-    rng = substream(5, "edge-list-round-trip")
-    upper = np.triu(rng.random((64, 64)) < 0.3, 1)
+# n = 600 has 3-digit vertices with every leading digit
+@pytest.mark.parametrize("n, p", [(64, 0.3), (600, 0.02)])
+def test_edge_list_round_trip_matches_per_line_writer_on_seeded_graphs(n, p):
+    rng = substream(5, "edge-list-round-trip", n)
+    upper = np.triu(rng.random((n, n)) < p, 1)
     g = LabeledGraph(upper | upper.T)
     text = g.to_edge_list_text()
     assert text == per_line_text(g)
     assert LabeledGraph.from_edge_list_text(text) == g == per_line_parse(text)
+
+
+def test_edge_list_numbers_of_every_width_parse_exactly():
+    numbers = [int("987654321098765432"[:w]) for w in range(1, 19)]
+    numbers += [255, 256, 512, 999, 1000, 4096, 16383, 65535, 65536, 10**18 - 1]
+    text = "\n".join(f"{a}\t{b}" for a, b in zip(numbers[::2], numbers[1::2]))
+    assert _edge_list_rows(text).ravel().tolist() == numbers
+    with pytest.raises(ValueError, match="line 2: a number with more than 18 digits"):
+        _edge_list_rows("1 1\n0 " + "0" * 19 + "\n")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_edge_list_errors_name_the_line_under_every_line_break(brk):
+    with pytest.raises(ValueError, match="line 3: unexpected character 'x'"):
+        LabeledGraph.from_edge_list_text(brk.join(["4 2", "0 1", "2 x", ""]))
+    with pytest.raises(ValueError, match="line 4: 3 numbers"):
+        LabeledGraph.from_edge_list_text(brk.join(["4 2", "0 1", "", "2 3 1", ""]))
+
+
+def test_building_from_an_edge_list_peaks_at_one_adjacency():
+    n = 2048
+    tracemalloc.start()
+    try:
+        g = LabeledGraph.from_edge_list_text(f"{n} 1\n0 {n - 1}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 1
+    assert peak < 1.1 * n * n, peak
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 101])
