@@ -14,6 +14,7 @@ from .graphs import (
     degree_cap,
     edge_density,
     graph_from_index,
+    graph_index,
     node_distance,
 )
 from .graphons import (
@@ -34,7 +35,6 @@ from .graphons import (
 from .mechanisms import (
     FiniteMechanism,
     LaplaceDensity,
-    MetricSpaceOracle,
     PiecewiseExpDensity,
     PiecewiseLinear,
     exponential_mechanism_distribution,
@@ -55,8 +55,9 @@ from .density import (
     DensityEstimate,
     HomogeneityConfig,
     extended_density_estimator,
+    extend_over_graphs,
     extended_density_mechanism,
-    graph_space_oracle,
+    homogeneity_by_index,
     homogeneity_membership,
     homogeneity_worst_margin,
     laplace_density_estimator,

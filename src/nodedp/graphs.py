@@ -140,7 +140,7 @@ class LabeledGraph:
         """Canonical hashable key: packed upper-triangle bits."""
         if self._key is None:
             # a mask selects in row-major order, like triu_indices, at a
-            # tenth of its cost; the n=5 extension keys 1,024 graphs per build
+            # tenth of its cost
             upper = np.arange(self.n)[:, None] < np.arange(self.n)
             self._key = np.packbits(self._adj[upper]).tobytes()
         return self._key
@@ -449,6 +449,14 @@ def graph_from_index(n: int, index: int) -> LabeledGraph:
     return LabeledGraph(adj)
 
 
+def graph_index(g: LabeledGraph) -> int:
+    """Index of g in ``graph_from_index`` order, its inverse: bit t is the
+    t-th slot of ``triangular_slots``."""
+    upper = np.arange(g.n)[:, None] < np.arange(g.n)
+    bits = np.packbits(g.adjacency[upper], bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
 def all_graphs(n: int) -> Iterator[LabeledGraph]:
     """All 2^(n(n-1)/2) labeled graphs, each exactly once. Refuses n > 7."""
     if n > MAX_ENUMERATION_N:
@@ -457,6 +465,22 @@ def all_graphs(n: int) -> Iterator[LabeledGraph]:
         )
     for index in range(1 << (n * (n - 1) // 2)):
         yield graph_from_index(n, index)
+
+
+def all_adjacencies(n: int) -> np.ndarray:
+    """Bool adjacency of every graph on n vertices, [2^C(n,2), n, n], in
+    index order: the graphs of ``all_graphs(n)`` in one array."""
+    if n > MAX_ENUMERATION_N:
+        raise ResourceLimitError(
+            f"graph-space enumeration limited to n <= {MAX_ENUMERATION_N}, got {n}"
+        )
+    us, vs = np.triu_indices(n, 1)  # row-major, like triangular_slots
+    ids = np.arange(1 << us.size)
+    bits = (ids[:, None] >> np.arange(us.size)) & 1 == 1
+    adjacency = np.zeros((ids.size, n, n), dtype=bool)
+    adjacency[:, us, vs] = bits
+    adjacency[:, vs, us] = bits
+    return adjacency
 
 
 @lru_cache(maxsize=None)

@@ -41,12 +41,12 @@ from nodedp.block_estimator import (
 )
 from nodedp.density import (
     HomogeneityConfig,
+    extend_over_graphs,
     extended_density_mechanism,
     homogeneity_membership,
     laplace_density_mechanism,
     predicted_baseline_mse,
     predicted_restricted_mse,
-    graph_space_oracle,
 )
 from nodedp.experiments import (
     ExperimentConfig,
@@ -72,7 +72,6 @@ from nodedp.graphons import (
     StepGraphon,
 )
 from nodedp.mechanisms import (
-    extend_mechanism,
     truncated_laplace_density,
     truncation_rate,
     unit_laplace_density,
@@ -224,14 +223,15 @@ def test_criterion_2_exhaustive_dp_certification():
 def test_criterion_3_extension_operator_exactness():
     eps, n = 1.0, 4
     scale = 8.0 / (n * eps)  # the unit-interval Laplace base is (eps/2)-DP
-    space = graph_space_oracle(n, contains=lambda g: g.max_degree <= 2)
+    graphs = list(all_graphs(n))
+    in_h = [g.max_degree <= 2 for g in graphs]
     base = lambda g: unit_laplace_density(edge_density(g), scale)
-    extended = extend_mechanism(space, base, eps / 2.0)
+    extended = extend_over_graphs(n, in_h, base, eps / 2.0)
     grid = np.linspace(0.0, 1.0, 1000)
     sup_gap = 0.0
     members = 0
-    for g in space.points:
-        if space.contains(g):
+    for g, member in zip(graphs, in_h):
+        if member:
             members += 1
             gap = np.abs(extended(g).log_pdf(grid) - base(g).log_pdf(grid))
             sup_gap = max(sup_gap, float(gap.max()))

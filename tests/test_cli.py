@@ -59,6 +59,30 @@ def test_estimate_density_json(graph_file, capsys):
     assert "H(" in record["dp_domain"]
 
 
+# (n, graph index, epsilon, seed, stdout) of `nodedp estimate density --mode
+# extended`, recorded from the per-graph extension build that the
+# index-based build replaced; the release must stay byte for byte the same.
+EXTENDED_RELEASES = [
+    (5, 0, "1.0", 0, '{"value": 0.6657906243882228, "mode": "extended-exact", "epsilon": 1.0, "dp_domain": "all graphs"}\n'),
+    (5, 1023, "1.0", 3, '{"value": 0.02777014843254289, "mode": "extended-exact", "epsilon": 1.0, "dp_domain": "all graphs"}\n'),
+    (5, 31, "0.5", 7, '{"value": 0.22605995175555663, "mode": "extended-exact", "epsilon": 0.5, "dp_domain": "all graphs"}\n'),
+    (5, 504, "2.0", 11, '{"value": 0.501391571989889, "mode": "extended-exact", "epsilon": 2.0, "dp_domain": "all graphs"}\n'),
+    (5, 37, "1.0", 5, '{"value": 0.2819018530501687, "mode": "extended-exact", "epsilon": 1.0, "dp_domain": "all graphs"}\n'),
+    (4, 21, "1.0", 2, '{"value": 0.9437934332073035, "mode": "extended-exact", "epsilon": 1.0, "dp_domain": "all graphs"}\n'),
+    (3, 5, "0.7", 9, '{"value": 0.4063326785718475, "mode": "extended-exact", "epsilon": 0.7, "dp_domain": "all graphs"}\n'),
+]
+
+
+@pytest.mark.parametrize("n, index, epsilon, seed, want", EXTENDED_RELEASES)
+def test_extended_release_bytes_are_pinned(n, index, epsilon, seed, want, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(graph_from_index(n, index).to_edge_list_text())
+    argv = ["estimate", "density", "--input", str(path), "--epsilon", epsilon,
+            "--mode", "extended", "--seed", str(seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_estimate_density_has_no_restricted_mode(graph_file, capsys):
     # the truncated-noise release is the promise mode; there is no twin
     with pytest.raises(SystemExit) as err:

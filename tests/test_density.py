@@ -1,14 +1,19 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nodedp.density import (
     EXACT_EXTENSION_MAX_N,
     HomogeneityConfig,
+    _lower_gamma_3,
     extended_density_estimator,
     extended_density_mechanism,
+    homogeneity_by_index,
     homogeneity_membership,
     homogeneity_worst_margin,
     laplace_density_estimator,
@@ -137,6 +142,57 @@ def test_homogeneity_membership_refuses_beyond_the_exact_scan():
     assert not homogeneity_membership(g, HomogeneityConfig(rho=0.1, C=49.0, n=18))
 
 
+def _mask_margin(g, cfg):
+    """The worst margin through a [subsets, edges] boundary mask: another
+    route to homogeneity_worst_margin, in the same float operations."""
+    n = g.n
+    ids = np.arange(1, 1 << n)
+    masks = (ids[:, None] >> np.arange(n)) & 1 == 1
+    sizes = masks.sum(axis=1)
+    slots = sizes * (n - sizes) + sizes * (sizes - 1) / 2.0
+    us, vs = g.edges().T
+    boundary = (masks[:, us] | masks[:, vs]).sum(axis=1)
+    deviation = np.abs(boundary - edge_density(g) * slots)
+    return float((deviation - cfg.tolerance(sizes)).max())
+
+
+# rho = 0.5 falls on an edge count at n = 4 and 5 and between two at n = 3;
+# rho = 1/3 falls on one at n = 3 and 4 (1/3 == 2/6) and between two at n = 5
+@pytest.mark.parametrize("rho, C", [(0.5, 49.0), (1.0 / 3.0, 60.0)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_scan_matches_the_per_graph_scan_on_every_graph(n, rho, C):
+    cfg = HomogeneityConfig(rho=rho, C=C, n=n)
+    in_h, margins = homogeneity_by_index(n, cfg)
+    graphs = list(all_graphs(n))
+    assert 0 < in_h.sum() < len(graphs)  # H is a strict subset
+    assert in_h.tolist() == [homogeneity_membership(g, cfg) for g in graphs]
+    assert in_h.tolist() == [_brute_force_membership(g, cfg) for g in graphs]
+    assert margins.tolist() == [homogeneity_worst_margin(g, cfg) for g in graphs]
+    assert margins.tolist() == [_mask_margin(g, cfg) for g in graphs]
+
+
+def test_worst_margin_matches_the_mask_scan_on_random_graphs():
+    rng = substream(6, "margin-mask")
+    for n in range(6, 14):
+        for p in (0.1, 0.5, 0.9):
+            g = sample_gnp(n, p, rng)
+            for C in (48.01, 49.0):
+                cfg = HomogeneityConfig(rho=1.0, C=C, n=n)
+                assert homogeneity_worst_margin(g, cfg) == _mask_margin(g, cfg)
+
+
+def test_single_graph_scan_at_n16_peaks_below_the_mask():
+    g = LabeledGraph.complete(16)
+    cfg = HomogeneityConfig(rho=1.0, C=49.0, n=16)
+    tracemalloc.start()
+    try:
+        homogeneity_worst_margin(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * g.edge_count  # one byte per subset and edge
+
+
 # -- restricted estimator ----------------------------------------------------------------
 
 
@@ -211,6 +267,31 @@ def test_extended_exact_agrees_with_restricted_on_h():
     assert checked > 0
 
 
+# SHA-256 over the xs, ys and log_normalizer bytes of the extended law at
+# every n = 5 input in index order (rho 0.5, C 49, eps 1), recorded from the
+# per-graph build (one LabeledGraph and one membership scan per input, one
+# base law per H member, shapes grouped by their bytes) that the index-based
+# build replaced.
+EXTENDED_N5_SHA256 = "025cc1aa47eea9b2d892812d04bfd54114ba9fb31a63981e6d8e06c303d4b813"
+
+
+def test_extended_law_bytes_are_pinned_at_every_n5_input():
+    mech = extended_density_mechanism(5, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=5))
+    digest = hashlib.sha256()
+    for g in all_graphs(5):
+        dens = mech(g)
+        digest.update(dens.shape.xs.tobytes())
+        digest.update(dens.shape.ys.tobytes())
+        digest.update(np.float64(dens.log_normalizer).tobytes())
+    assert digest.hexdigest() == EXTENDED_N5_SHA256
+
+
+def test_extended_mechanism_refuses_another_order():
+    mech = extended_density_mechanism(4, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=4))
+    with pytest.raises(ValueError, match="order 4"):
+        mech(LabeledGraph.empty(3))
+
+
 def test_extended_exact_estimator_runs_and_labels():
     g = LabeledGraph.from_edges(4, [(0, 1)])
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=4)
@@ -254,3 +335,36 @@ def test_predicted_restricted_mse_is_two_b_squared_at_large_n():
         n = 2**k
         b = 16.0 * C / (eps * truncation_rate(n, rho))
         assert predicted_restricted_mse(n, rho, eps, C) == pytest.approx(2 * b * b, rel=1e-6)
+
+
+def test_lower_gamma_terms_match_scipy():
+    # P(1, x) = -expm1(-x); P(3, x) by series below x = 1, closed form above
+    x = np.logspace(-12, 3, 3001)
+    p1 = np.array([-math.expm1(-v) for v in x])
+    p3 = np.array([_lower_gamma_3(v) for v in x])
+    assert np.abs(p1 / special.gammainc(1, x) - 1.0).max() <= 1e-13
+    assert np.abs(p3 / special.gammainc(3, x) - 1.0).max() <= 1e-13
+    assert _lower_gamma_3(0.0) == 0.0
+
+
+def test_predicted_restricted_mse_matches_the_scipy_closed_form():
+    def reference(n, rho, eps, C, center):
+        rate = truncation_rate(n, rho)
+        a, radius = eps * rate / (16.0 * C), n / rate
+        z = m2 = 0.0
+        for side in (center, 1.0 - center):
+            peak = min(side, radius)
+            z += special.gammainc(1, a * peak) / a
+            m2 += 2.0 * special.gammainc(3, a * peak) / a**3
+            if side > radius:
+                tail = math.exp(-a * radius)
+                z += tail * (side - radius)
+                m2 += tail * (side**3 - radius**3) / 3.0
+        return m2 / z
+
+    for n in (8, 64, 512, 4096, 2**16, 2**22):
+        for eps in (0.1, 1.0, 10.0):
+            for center in (0.0, 0.3, 0.5):
+                want = reference(n, 0.5, eps, 49.0, center)
+                got = predicted_restricted_mse(n, 0.5, eps, 49.0, center)
+                assert got == pytest.approx(want, rel=1e-13)

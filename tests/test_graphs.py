@@ -8,11 +8,13 @@ from nodedp.graphs import (
     LabeledGraph,
     _edge_list_rows,
     adjacent_graphs,
+    all_adjacencies,
     all_graphs,
     cover_table,
     degree_cap,
     edge_density,
     graph_from_index,
+    graph_index,
     node_distance,
     rewiring_pairs,
     triangular_slots,
@@ -294,6 +296,17 @@ def test_from_edges_takes_pairs_or_an_index_array():
 def test_hex_round_trip_all_n4():
     for g in all_graphs(4):
         assert LabeledGraph.from_hex(4, g.to_hex()) == g
+
+
+def test_graph_index_inverts_graph_from_index_at_every_index():
+    for n in range(2, 6):
+        stack = all_adjacencies(n)
+        for i in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_index(n, i)
+            assert graph_index(g) == i
+            assert np.array_equal(stack[i], g.adjacency)
+    g = LabeledGraph.from_edges(40, [(0, 39), (38, 39)])  # past 64 index bits
+    assert graph_from_index(40, graph_index(g)) == g
 
 
 def test_graph_from_index_bijection():

@@ -9,16 +9,16 @@ from nodedp import mechanisms
 from nodedp.audits import audit_density_mechanism
 from nodedp.density import (
     HomogeneityConfig,
-    graph_space_oracle,
+    extend_over_graphs,
+    extended_density_mechanism,
     homogeneity_membership,
     restricted_density_mechanism,
 )
 from nodedp.errors import ResourceLimitError
-from nodedp.graphs import edge_density
+from nodedp.graphs import all_graphs, cover_table, edge_density
 from nodedp.mechanisms import (
     FiniteMechanism,
     LaplaceDensity,
-    MetricSpaceOracle,
     PiecewiseExpDensity,
     PiecewiseLinear,
     exponential_mechanism_distribution,
@@ -264,18 +264,15 @@ def test_clipped_penalty_subadditive():
 # -- extension ------------------------------------------------------------------------------
 
 
-def _line_space():
-    points = [0, 1, 2]
-    return MetricSpaceOracle(
-        points=points,
-        distance=lambda i, j: float(abs(i - j)),
-        contains=lambda i: i in (0, 2),
-    )
-
-
 def _line_base(point):
     centers = {0: 0.25, 2: 0.75}
     return unit_laplace_density(centers[point], 1.0)
+
+
+# The line 0 - 1 - 2 with H = {0, 2}: the base laws of the H points, and
+# each point's distance to each of them.
+_LINE_BASES = [_line_base(0), _line_base(2)]
+_LINE_DISTANCES = np.array([[0, 2], [1, 1], [2, 0]])
 
 
 def _line_violation(points, extended, bound, grid):
@@ -287,7 +284,7 @@ def _line_violation(points, extended, bound, grid):
 
 
 def test_extension_agrees_with_base_on_h():
-    extended = extend_mechanism(_line_space(), _line_base, 1.0)
+    extended = extend_mechanism(_LINE_BASES, _LINE_DISTANCES, 1.0)
     grid = np.linspace(0, 1, 1001)
     for p in (0, 2):
         gap = np.abs(extended(p).log_pdf(grid) - _line_base(p).log_pdf(grid))
@@ -296,7 +293,7 @@ def test_extension_agrees_with_base_on_h():
 
 def test_extension_middle_point_is_renormalized_min():
     eps = 1.0
-    extended = extend_mechanism(_line_space(), _line_base, eps)
+    extended = extend_mechanism(_LINE_BASES, _LINE_DISTANCES, eps)
     grid = np.linspace(0, 1, 1001)
     f0 = np.exp(_line_base(0).log_pdf(grid)) * math.exp(eps)
     f2 = np.exp(_line_base(2).log_pdf(grid)) * math.exp(eps)
@@ -307,11 +304,10 @@ def test_extension_middle_point_is_renormalized_min():
 
 
 def test_extension_with_full_h_reproduces_base():
-    space = MetricSpaceOracle(
-        points=[0, 1, 2], distance=lambda i, j: float(abs(i - j))
-    )
+    points = np.arange(3)
     base = lambda p: unit_laplace_density(0.25 + 0.25 * p, 1.0)  # 1-DP on the line
-    extended = extend_mechanism(space, base, 1.0)
+    distances = np.abs(points[:, None] - points)  # H is every point
+    extended = extend_mechanism([base(p) for p in points], distances, 1.0)
     grid = np.linspace(0, 1, 501)
     for p in (0, 1, 2):
         gap = np.abs(extended(p).log_pdf(grid) - base(p).log_pdf(grid))
@@ -320,22 +316,20 @@ def test_extension_with_full_h_reproduces_base():
 
 def test_extension_is_twice_epsilon_dp():
     eps = 0.7
-    extended = extend_mechanism(_line_space(), _line_base, eps)
+    extended = extend_mechanism(_LINE_BASES, _LINE_DISTANCES, eps)
     grid = np.linspace(0, 1, 1001)
     # line neighbours at the extension's budget 2 eps
     assert _line_violation([0, 1, 2], extended, 2 * eps, grid) <= 1e-9
 
 
 def test_extension_promise_mode_and_guards(monkeypatch):
-    space = _line_space()
     monkeypatch.setattr(mechanisms, "EXTENSION_BUDGET", 1)
     with pytest.raises(ResourceLimitError, match="promise mode"):
-        extend_mechanism(space, _line_base, 1.0)
-    empty_h = MetricSpaceOracle(
-        points=[0, 1], distance=lambda i, j: 1.0, contains=lambda _: False
-    )
-    with pytest.raises(ValueError):
-        extend_mechanism(empty_h, _line_base, 1.0)
+        extend_mechanism(_LINE_BASES, _LINE_DISTANCES, 1.0)
+    with pytest.raises(ValueError):  # H empty: no base law, no column
+        extend_mechanism([], np.zeros((2, 0), dtype=int), 1.0)
+    with pytest.raises(ValueError):  # one column per base law
+        extend_mechanism(_LINE_BASES, _LINE_DISTANCES[:, :1], 1.0)
 
 
 # -- density-ratio audits -----------------------------------------------------------------
@@ -363,7 +357,7 @@ def test_dp_audit_detects_broken_scale():
 
 def test_extension_is_epsilon_dominated_between_h_points():
     eps = 0.7
-    extended = extend_mechanism(_line_space(), _line_base, eps)
+    extended = extend_mechanism(_LINE_BASES, _LINE_DISTANCES, eps)
     grid = np.linspace(0, 1, 1001)
     # the H points 0 and 2 are two apart: the base's bound eps * 2
     assert _line_violation([0, 2], extended, 2 * eps, grid) <= 1e-9
@@ -466,30 +460,37 @@ def _fold_over_h(shapes, shifts):
     return PiecewiseExpDensity(PiecewiseLinear(xs, ys))
 
 
-def _assert_extension_matches_fold(space, base, eps, grid):
-    extended = extend_mechanism(space, base, eps)
-    h_points = [p for p in space.points if space.contains(p)]
+def _assert_extension_matches_fold(n, contains, base, eps, extended, grid):
+    """The extension against _fold_over_h at every graph of order n: H from
+    the per-graph predicate contains, distances from cover_table."""
+    graphs = list(all_graphs(n))
+    table = cover_table(n)
+    h_points = [i for i, g in enumerate(graphs) if contains(g)]
     shapes = []
-    for p in h_points:
-        dens = base(p)
+    for i in h_points:
+        dens = base(graphs[i])
         shapes.append((dens.shape.xs, dens.shape.ys - dens.log_normalizer))
     worst = 0.0
-    for x in space.points:
-        want = _fold_over_h(shapes, [eps * space.distance(x, p) for p in h_points])
-        worst = max(worst, float(np.abs(extended(x).log_pdf(grid) - want.log_pdf(grid)).max()))
+    for x, g in enumerate(graphs):
+        want = _fold_over_h(shapes, [eps * float(table[x ^ i]) for i in h_points])
+        worst = max(worst, float(np.abs(extended(g).log_pdf(grid) - want.log_pdf(grid)).max()))
     assert worst <= 1e-12
     return len(h_points)
 
 
 def test_extension_matches_fold_over_h_for_every_n5_input():
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=5)
-    space = graph_space_oracle(5, contains=lambda g: homogeneity_membership(g, cfg))
+    contains = lambda g: homogeneity_membership(g, cfg)
     base = lambda g: restricted_density_mechanism(g, 1.0, cfg)
-    h_size = _assert_extension_matches_fold(space, base, 0.5, np.linspace(0.0, 1.0, 201))
+    extended = extended_density_mechanism(5, 1.0, cfg)
+    grid = np.linspace(0.0, 1.0, 201)
+    h_size = _assert_extension_matches_fold(5, contains, base, 0.5, extended, grid)
     assert h_size == 638
 
 
 def test_extension_matches_fold_over_h_on_the_criterion_3_space():
-    space = graph_space_oracle(4, contains=lambda g: g.max_degree <= 2)
+    contains = lambda g: g.max_degree <= 2
     base = lambda g: unit_laplace_density(edge_density(g), 2.0)
-    _assert_extension_matches_fold(space, base, 0.5, np.linspace(0.0, 1.0, 1000))
+    extended = extend_over_graphs(4, [contains(g) for g in all_graphs(4)], base, 0.5)
+    grid = np.linspace(0.0, 1.0, 1000)
+    _assert_extension_matches_fold(4, contains, base, 0.5, extended, grid)
