@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import laplace_density_mechanism
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, degree_cap, rewiring_pairs
+from .graphs import LabeledGraph, all_graphs, degree_cap, graph_index, rewiring_pairs
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
@@ -173,24 +173,21 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
             f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
         )
     cands = candidate_matrices(n, k, mu)
-    row_of: dict[bytes, int] = {}  # capped graph -> its row of best scores
-    rows = []
-    graphs = list(all_graphs(n))
-    capped_row = np.empty(len(graphs), dtype=np.intp)
-    for i, g in enumerate(graphs):
-        h = degree_cap(g, d)
-        if h.key not in row_of:
-            row_of[h.key] = len(rows)
-            rows.append(_best_scores_bulk(cands, h.adjacency.astype(float), n, k).values)
-        capped_row[i] = row_of[h.key]
+    capped = [degree_cap(g, d) for g in all_graphs(n)]
+    # one row of best scores per distinct capped graph
+    _, reps, capped_row = np.unique(
+        [graph_index(h) for h in capped], return_index=True, return_inverse=True
+    )
+    scores = np.stack(
+        [_best_scores_bulk(cands, capped[i].adjacency.astype(float), n, k).values for i in reps]
+    )
     # Each unordered pair of adjacent graphs is kept once (|difference| is
     # symmetric), as a pair of distinct score rows.
     i, j = rewiring_pairs(n)
     upper = j > i
-    codes = np.unique(capped_row[i[upper]] * len(rows) + capped_row[j[upper]])
-    first, second = np.divmod(codes, len(rows))
+    codes = np.unique(capped_row[i[upper]] * len(reps) + capped_row[j[upper]])
+    first, second = np.divmod(codes, len(reps))
     first, second = first[first != second], second[first != second]
-    scores = np.stack(rows)
     worst = 0.0
     step = max(1, _SCORE_CHUNK_BYTES // (8 * scores.shape[1]))
     for lo in range(0, first.size, step):

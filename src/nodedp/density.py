@@ -17,14 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import (
-    LabeledGraph,
-    all_adjacencies,
-    cover_table,
-    edge_density,
-    graph_from_index,
-    graph_index,
-)
+from .graphs import LabeledGraph, all_adjacencies, cover_table, edge_density, graph_index
 from .graphs import all_graphs, node_distance  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .mechanisms import (
     LaplaceDensity,
@@ -52,6 +45,11 @@ class HomogeneityConfig:
             raise ValueError("C must exceed 48")
         if self.n < 3:
             raise ValueError("n must be at least 3")
+
+    def check_order(self, n: int) -> None:
+        """Refuse graphs of another order than the one calibrated for."""
+        if n != self.n:
+            raise ValueError(f"homogeneity config is for n = {self.n}, got n = {n}")
 
     def tolerance(self, subset_size) -> np.ndarray:
         """C * max(sqrt(rho), sqrt(log n / n)) * s * sqrt(n log n)."""
@@ -113,6 +111,7 @@ def _worst_margins(
     a 2-core Xeon, numpy 2.4).
     """
     b, n = adjacency.shape[:2]
+    cfg.check_order(n)
     if n > EXACT_SUBSET_SCAN_MAX_N:
         raise ResourceLimitError(
             f"exact subset scan limited to n <= {EXACT_SUBSET_SCAN_MAX_N}"
@@ -149,6 +148,7 @@ def homogeneity_membership(g: LabeledGraph, cfg: HomogeneityConfig) -> bool:
     Always exact: a graph over the density cap is rejected first, and the
     subset scan refuses n > EXACT_SUBSET_SCAN_MAX_N.
     """
+    cfg.check_order(g.n)
     if edge_density(g) > cfg.rho + 1e-12:
         return False
     return homogeneity_worst_margin(g, cfg) <= 1e-9
@@ -177,6 +177,7 @@ def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> tuple[np.ndarray, np
 def restricted_density_mechanism(
     g: LabeledGraph, epsilon: float, cfg: HomogeneityConfig
 ) -> PiecewiseExpDensity:
+    cfg.check_order(g.n)
     return truncated_laplace_density(edge_density(g), epsilon, cfg.C, cfg.rho, cfg.n)
 
 
@@ -212,18 +213,17 @@ graph_space_oracle = None  # noqa: F401  (wrapped here by perfbench/tracing.py)
 def extend_over_graphs(
     n: int,
     in_h,
-    base: Callable[[LabeledGraph], PiecewiseExpDensity],
+    base: Callable[[float], PiecewiseExpDensity],
     epsilon: float,
 ) -> Callable[[LabeledGraph], PiecewiseExpDensity]:
     """Exact extension, at distance cost epsilon, of a base law on the graphs
     of order n whose indices in_h marks (a bool per graph index) to every
     graph of order n.
 
-    The base must read G only through e(G): one base law is built per
-    distinct edge count in H, groups in order of their first index, from
-    the group's first member.  The distance from input x to a group is
-    cover_table(n)[x ^ members].min().  Enumerates the full graph space, so
-    n <= EXACT_EXTENSION_MAX_N.
+    The base law of G in H is base(e(G)): one law per distinct edge count
+    in H, groups in order of their first index.  The distance from input x
+    to a group is cover_table(n)[x ^ members].min().  Enumerates the full
+    graph space, so n <= EXACT_EXTENSION_MAX_N.
     """
     _check_exact_extension(n)
     table = cover_table(n)
@@ -239,7 +239,7 @@ def extend_over_graphs(
     for j, i in enumerate(first):
         group = members[counts == counts[i]]
         distances[:, j] = table[ids[:, None] ^ group].min(axis=1)
-    bases = [base(graph_from_index(n, int(members[i]))) for i in first]
+    bases = [base(int(counts[i]) / (n * (n - 1) / 2)) for i in first]
     extended = extend_mechanism(bases, distances, epsilon)
 
     def mechanism(g: LabeledGraph) -> PiecewiseExpDensity:
@@ -263,7 +263,8 @@ def extended_density_mechanism(
     """
     eps = _check_epsilon(epsilon)
     in_h, _ = homogeneity_by_index(n, cfg)
-    base = lambda g: restricted_density_mechanism(g, eps, cfg)
+    # restricted_density_mechanism's law, as a function of e(G)
+    base = lambda e: truncated_laplace_density(e, eps, cfg.C, cfg.rho, cfg.n)
     return extend_over_graphs(n, in_h, base, eps / 2.0)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .density import (
     HomogeneityConfig,
@@ -274,8 +273,22 @@ def slope_fit(records: Sequence[ExperimentRecord]) -> tuple[float, float]:
         raise ValueError("need at least three distinct n values")
     if (mses <= 0).any():
         raise ValueError("MSE values must be positive for a log fit")
-    fit = stats.linregress(np.log(ns), np.log(mses))
-    return float(fit.slope), float(fit.stderr)
+    ssxm, ssxym, _, ssym = np.cov(np.log(ns), np.log(mses), bias=True).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)  # as scipy's linregress
+    return float(ssxym / ssxm), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(ns) - 2)))
+
+
+def chi2_sf(stat: float, df: int) -> float:
+    """P[chi^2_df >= stat] = Q(df/2, x), x = stat/2, as a finite sum at integer
+    or half-integer shape: e^-x x^s / Gamma(s+1), each term from its log, over
+    s = 0, 1, ... < df/2 for even df; erfc(sqrt x) plus s = 1/2, 3/2, ... for odd df."""
+    if stat <= 0.0:
+        return 1.0
+    x, half = stat / 2.0, 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(x)) if half else 0.0
+    for i in range(df // 2):
+        total += math.exp((i + half) * math.log(x) - x - math.lgamma(i + half + 1.0))
+    return min(total, 1.0)
 
 
 # -- homogeneity rate ---------------------------------------------------------------
@@ -358,28 +371,26 @@ def run_distinguishability_experiment(
                 observed.append(counts.get(g.key, 0))
                 expected.append(rewired_model_pmf(g, m, k) * trials)
         observed, expected = np.array(observed, float), np.array(expected, float)
-        # pool low-expectation cells so the chi-square approximation is valid
-        order = np.argsort(expected)
-        obs_p, exp_p = [], []
-        acc_o = acc_e = 0.0
-        for idx in order:
-            acc_o += observed[idx]
-            acc_e += expected[idx]
-            if acc_e >= 5.0:
-                obs_p.append(acc_o)
-                exp_p.append(acc_e)
-                acc_o = acc_e = 0.0
-        if acc_e > 0:
-            if obs_p:
-                obs_p[-1] += acc_o
-                exp_p[-1] += acc_e
-            else:  # too few trials to fill even one pooled cell
-                obs_p, exp_p = [acc_o], [acc_e]
+        # pool cells in order of expectation until each expects >= 5, so the
+        # chi-square approximation is valid; an unfilled last cell joins the
+        # one before it
+        obs_p, exp_p = [0.0], [0.0]
+        for idx in np.argsort(expected):
+            if exp_p[-1] >= 5.0:
+                obs_p.append(0.0)
+                exp_p.append(0.0)
+            obs_p[-1] += observed[idx]
+            exp_p[-1] += expected[idx]
+        if len(exp_p) > 1 and exp_p[-1] < 5.0:
+            tail_o, tail_e = obs_p.pop(), exp_p.pop()
+            obs_p[-1] += tail_o
+            exp_p[-1] += tail_e
         exp_arr = np.array(exp_p) * (sum(obs_p) / sum(exp_p))
         if len(obs_p) < 2:
             pvalue = 1.0
         else:
-            pvalue = float(stats.chisquare(np.array(obs_p), exp_arr).pvalue)
+            stat = float(((np.array(obs_p) - exp_arr) ** 2 / exp_arr).sum())
+            pvalue = chi2_sf(stat, len(obs_p) - 1)
     return CouplingReport(
         n=n,
         m=m,

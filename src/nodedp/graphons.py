@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, upper_slots
 
 # -- block matrices and step graphons -----------------------------------------
 
@@ -223,32 +223,20 @@ def sample_w_random(
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     labels = rng.random(n)
-    probs = rho * w.evaluate(labels[:, None], labels[None, :])
-    iu = np.triu_indices(n, 1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu] = rng.random(len(iu[0])) < probs[iu]
+    probs = upper_slots(rho * w.evaluate(labels[:, None], labels[None, :]))
+    g = LabeledGraph.from_slots(n, rng.random(probs.size) < probs)
     labels.flags.writeable = False
-    return WRandomSample(LabeledGraph(adj | adj.T), labels, rho)
+    return WRandomSample(g, labels, rho)
 
 
 # -- G(n,p), G(n,m) and the rewired coupling model ------------------------------
-
-
-def _graph_from_slots(n: int, slots: np.ndarray) -> LabeledGraph:
-    iu = np.triu_indices(n, 1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu[0][slots], iu[1][slots]] = True
-    return LabeledGraph(adj | adj.T)
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> LabeledGraph:
     """Erdos-Renyi graph: each edge independently present with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    iu = np.triu_indices(n, 1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu] = rng.random(len(iu[0])) < p
-    return LabeledGraph(adj | adj.T)
+    return LabeledGraph.from_slots(n, rng.random(n * (n - 1) // 2) < p)
 
 
 def sample_gnm(n: int, m: int, rng: np.random.Generator) -> LabeledGraph:
@@ -256,8 +244,9 @@ def sample_gnm(n: int, m: int, rng: np.random.Generator) -> LabeledGraph:
     nslots = n * (n - 1) // 2
     if not 0 <= m <= nslots:
         raise ValueError(f"m={m} out of range [0, {nslots}]")
-    slots = rng.choice(nslots, size=m, replace=False)
-    return _graph_from_slots(n, slots)
+    bits = np.zeros(nslots, dtype=bool)
+    bits[rng.choice(nslots, size=m, replace=False)] = True
+    return LabeledGraph.from_slots(n, bits)
 
 
 def sample_gnm_rewired_coupled(
@@ -270,10 +259,9 @@ def sample_gnm_rewired_coupled(
     stage1 = sample_gnm(n, m + k, rng)
     v = int(rng.integers(n))
     nbrs = stage1.neighbors(v)
-    drop = rng.choice(nbrs, size=min(len(nbrs), k), replace=False) if len(nbrs) else []
+    drop = rng.choice(nbrs, size=min(len(nbrs), k), replace=False) if len(nbrs) else nbrs
     adj = stage1.adjacency.copy()
-    for u in drop:
-        adj[v, u] = adj[u, v] = False
+    adj[v, drop] = adj[drop, v] = False
     return stage1, LabeledGraph(adj)
 
 

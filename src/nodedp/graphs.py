@@ -15,6 +15,7 @@ d(G, H) = cover_table(n)[index(G) ^ index(H)] for every pair at once, and
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -39,6 +40,25 @@ _EDGE_LIST_DIGITS = 18
 def triangular_slots(n: int) -> list[tuple[int, int]]:
     """Upper-triangle vertex pairs in row-major order: (0,1), (0,2), ..."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def upper_slots(matrix: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of an [n, n] matrix in slot order, the
+    row-major order of ``triangular_slots``: the one slot layout."""
+    n = matrix.shape[0]
+    return matrix[np.arange(n)[:, None] < np.arange(n)]
+
+
+def slot_adjacency(n: int, bits) -> np.ndarray:
+    """Inverse of ``upper_slots``: the symmetric, loop-free bool adjacency
+    [n, n] or [B, n, n] whose slots hold bits [C(n,2)] or [B, C(n,2)]."""
+    upper = np.arange(n)[:, None] < np.arange(n)
+    adj = np.zeros(np.shape(bits)[:-1] + (n, n), dtype=bool)
+    # a mask after a batch axis is ten times slower than one over every
+    # axis at n = 512, so only batches of small graphs take it
+    adj[(upper,) if adj.ndim == 2 else (slice(None), upper)] = bits
+    adj |= np.swapaxes(adj, -1, -2)
+    return adj
 
 
 class LabeledGraph:
@@ -88,6 +108,11 @@ class LabeledGraph:
         return cls._wrap(adj)
 
     @classmethod
+    def from_slots(cls, n: int, bits) -> "LabeledGraph":
+        """Graph on n vertices whose slot t holds an edge iff bits[t]."""
+        return cls._wrap(slot_adjacency(n, bits))
+
+    @classmethod
     def _wrap(cls, adj: np.ndarray) -> "LabeledGraph":
         """Take ownership of a bool adjacency built square, symmetric and
         loop-free, without the copy and transpose check of ``__init__``, so
@@ -101,13 +126,11 @@ class LabeledGraph:
 
     @classmethod
     def empty(cls, n: int) -> "LabeledGraph":
-        return cls(np.zeros((n, n), dtype=bool))
+        return cls.from_slots(n, np.zeros(n * (n - 1) // 2))
 
     @classmethod
     def complete(cls, n: int) -> "LabeledGraph":
-        adj = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(adj, False)
-        return cls(adj)
+        return cls.from_slots(n, np.ones(n * (n - 1) // 2))
 
     # -- basic queries -----------------------------------------------------
 
@@ -139,10 +162,7 @@ class LabeledGraph:
     def key(self) -> bytes:
         """Canonical hashable key: packed upper-triangle bits."""
         if self._key is None:
-            # a mask selects in row-major order, like triu_indices, at a
-            # tenth of its cost
-            upper = np.arange(self.n)[:, None] < np.arange(self.n)
-            self._key = np.packbits(self._adj[upper]).tobytes()
+            self._key = np.packbits(upper_slots(self._adj)).tobytes()
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -221,15 +241,15 @@ class LabeledGraph:
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "LabeledGraph":
+        """Inverse of ``to_hex``; nonzero padding bits are refused."""
         nbits = n * (n - 1) // 2
         raw = bytes.fromhex(text.strip())
         if len(raw) != (nbits + 7) // 8:
             raise ValueError(f"expected {(nbits + 7) // 8} bytes for n={n}")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits]
-        adj = np.zeros((n, n), dtype=bool)
-        iu = np.triu_indices(n, 1)
-        adj[iu] = bits.astype(bool)
-        return cls(adj | adj.T)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        if bits[nbits:].any():
+            raise ValueError(f"padding bits after slot {nbits} must be zero")
+        return cls.from_slots(n, bits[:nbits])
 
 
 def _line_number(text: str, offset: int) -> int:
@@ -440,47 +460,47 @@ def graph_from_index(n: int, index: int) -> LabeledGraph:
     Bit t (least significant first) is the t-th slot of ``triangular_slots``.
     """
     nbits = n * (n - 1) // 2
+    index = operator.index(index)  # numpy integers too
     if not 0 <= index < (1 << nbits):
         raise ValueError("index out of range")
-    adj = np.zeros((n, n), dtype=bool)
-    for t, (u, v) in enumerate(triangular_slots(n)):
-        if (index >> t) & 1:
-            adj[u, v] = adj[v, u] = True
-    return LabeledGraph(adj)
+    raw = np.frombuffer(index.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+    return LabeledGraph.from_slots(n, np.unpackbits(raw, count=nbits, bitorder="little"))
 
 
 def graph_index(g: LabeledGraph) -> int:
     """Index of g in ``graph_from_index`` order, its inverse: bit t is the
     t-th slot of ``triangular_slots``."""
-    upper = np.arange(g.n)[:, None] < np.arange(g.n)
-    bits = np.packbits(g.adjacency[upper], bitorder="little")
+    bits = np.packbits(upper_slots(g.adjacency), bitorder="little")
     return int.from_bytes(bits.tobytes(), "little")
 
 
-def all_graphs(n: int) -> Iterator[LabeledGraph]:
-    """All 2^(n(n-1)/2) labeled graphs, each exactly once. Refuses n > 7."""
+def _check_enumeration(n: int) -> None:
     if n > MAX_ENUMERATION_N:
         raise ResourceLimitError(
             f"graph-space enumeration limited to n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    for index in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_index(n, index)
+
+
+def _index_adjacencies(n: int, ids: np.ndarray) -> np.ndarray:
+    """Bool adjacency [len(ids), n, n] of the graphs with these indices."""
+    return slot_adjacency(n, (ids[:, None] >> np.arange(n * (n - 1) // 2)) & 1)
+
+
+def all_graphs(n: int) -> Iterator[LabeledGraph]:
+    """All 2^(n(n-1)/2) labeled graphs, each exactly once, in index order,
+    decoded 4,096 at a time (200 KiB of adjacency at n = 7).  Refuses n > 7."""
+    _check_enumeration(n)
+    size = graph_space_size(n)
+    for lo in range(0, size, 1 << 12):
+        ids = np.arange(lo, min(lo + (1 << 12), size))
+        yield from map(LabeledGraph._wrap, _index_adjacencies(n, ids))
 
 
 def all_adjacencies(n: int) -> np.ndarray:
     """Bool adjacency of every graph on n vertices, [2^C(n,2), n, n], in
     index order: the graphs of ``all_graphs(n)`` in one array."""
-    if n > MAX_ENUMERATION_N:
-        raise ResourceLimitError(
-            f"graph-space enumeration limited to n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-    us, vs = np.triu_indices(n, 1)  # row-major, like triangular_slots
-    ids = np.arange(1 << us.size)
-    bits = (ids[:, None] >> np.arange(us.size)) & 1 == 1
-    adjacency = np.zeros((ids.size, n, n), dtype=bool)
-    adjacency[:, us, vs] = bits
-    adjacency[:, vs, us] = bits
-    return adjacency
+    _check_enumeration(n)
+    return _index_adjacencies(n, np.arange(graph_space_size(n)))
 
 
 @lru_cache(maxsize=None)
@@ -493,10 +513,7 @@ def cover_table(n: int) -> np.ndarray:
     each vertex subset covers, then a minimum over supersets, one pass per
     edge bit.
     """
-    if n > MAX_ENUMERATION_N:
-        raise ResourceLimitError(
-            f"cover table limited to n <= {MAX_ENUMERATION_N}, got {n}"
-        )
+    _check_enumeration(n)
     nbits = n * (n - 1) // 2
     vertex_masks = np.zeros(n, dtype=np.int64)
     for t, (u, v) in enumerate(triangular_slots(n)):
@@ -538,20 +555,12 @@ def rewiring_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adjacent_graphs(g: LabeledGraph) -> Iterator[LabeledGraph]:
-    """Exactly the set of graphs at node distance <= 1 from g (including g)."""
-    if g.n > MAX_ENUMERATION_N:
-        raise ResourceLimitError(
-            f"rewiring enumeration limited to n <= {MAX_ENUMERATION_N}, got {g.n}"
-        )
-    seen: set[bytes] = set()
-    for v in range(g.n):
-        others = [u for u in range(g.n) if u != v]
-        for mask in range(1 << len(others)):
-            nbhd = [others[i] for i in range(len(others)) if (mask >> i) & 1]
-            h = g.rewire(v, nbhd)
-            if h.key not in seen:
-                seen.add(h.key)
-                yield h
+    """Exactly the set of graphs at node distance <= 1 from g (including g):
+    index(g) ^ f over the edge masks f of cover size at most 1, the
+    neighbour relation of ``rewiring_pairs``.  Refuses n > 7, as
+    ``cover_table`` does."""
+    flips = np.flatnonzero(cover_table(g.n) <= 1)
+    yield from map(LabeledGraph._wrap, _index_adjacencies(g.n, graph_index(g) ^ flips))
 
 
 def graph_space_size(n: int) -> int:

@@ -225,7 +225,7 @@ def test_criterion_3_extension_operator_exactness():
     scale = 8.0 / (n * eps)  # the unit-interval Laplace base is (eps/2)-DP
     graphs = list(all_graphs(n))
     in_h = [g.max_degree <= 2 for g in graphs]
-    base = lambda g: unit_laplace_density(edge_density(g), scale)
+    base = lambda e: unit_laplace_density(e, scale)
     extended = extend_over_graphs(n, in_h, base, eps / 2.0)
     grid = np.linspace(0.0, 1.0, 1000)
     sup_gap = 0.0
@@ -233,7 +233,7 @@ def test_criterion_3_extension_operator_exactness():
     for g, member in zip(graphs, in_h):
         if member:
             members += 1
-            gap = np.abs(extended(g).log_pdf(grid) - base(g).log_pdf(grid))
+            gap = np.abs(extended(g).log_pdf(grid) - base(edge_density(g)).log_pdf(grid))
             sup_gap = max(sup_gap, float(gap.max()))
     violation = audit_density_mechanism(extended, n, eps, grid).max_violation
     ok = sup_gap <= TOL and violation <= TOL and members > 0

@@ -142,6 +142,26 @@ def test_homogeneity_membership_refuses_beyond_the_exact_scan():
     assert not homogeneity_membership(g, HomogeneityConfig(rho=0.1, C=49.0, n=18))
 
 
+def test_homogeneity_config_of_another_order_is_refused():
+    """The tolerance and the promise law are calibrated for cfg.n, so a
+    graph of another order must not be checked or released against them."""
+    cfg = HomogeneityConfig(rho=0.5, C=49.0, n=5)
+    g = sample_gnp(12, 0.3, substream(6, "order-guard"))
+    rng = substream(6, "order-guard-release")
+    calls = [
+        lambda: restricted_density_mechanism(g, 1.0, cfg),
+        lambda: restricted_density_estimator(g, 1.0, cfg, rng),
+        lambda: homogeneity_membership(g, cfg),
+        lambda: homogeneity_worst_margin(g, cfg),
+        lambda: homogeneity_by_index(4, cfg),
+        lambda: extended_density_mechanism(4, 1.0, cfg),
+        lambda: extended_density_estimator(LabeledGraph.empty(4), 1.0, cfg, rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="homogeneity config is for n = 5"):
+            call()
+
+
 def _mask_margin(g, cfg):
     """The worst margin through a [subsets, edges] boundary mask: another
     route to homogeneity_worst_margin, in the same float operations."""

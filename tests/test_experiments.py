@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import nodedp.experiments as experiments
 from nodedp.density import (
@@ -18,6 +19,7 @@ from nodedp.experiments import (
     ExperimentRecord,
     _edge_densities,
     bootstrap_halfwidth,
+    chi2_sf,
     exact_rewired_tv,
     homogeneity_probability,
     records_to_csv,
@@ -59,6 +61,30 @@ def test_slope_fit_recovers_synthetic_exponents():
     assert s2 == pytest.approx(-2.0, abs=1e-9)
     assert s3 == pytest.approx(-3.0, abs=1e-9)
     assert err2 == pytest.approx(0.0, abs=1e-9)
+
+
+def test_slope_fit_matches_linregress():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k = int(rng.integers(3, 9))
+        ns = np.sort(rng.choice(np.arange(8, 5000), size=k, replace=False))
+        mses = np.exp(rng.normal(-5.0, 2.0, size=k))
+        slope, stderr = slope_fit([_record(int(n), float(v)) for n, v in zip(ns, mses)])
+        fit = stats.linregress(np.log(ns.astype(float)), np.log(mses))
+        assert slope == pytest.approx(fit.slope, rel=1e-12, abs=1e-12)
+        assert stderr == pytest.approx(fit.stderr, rel=1e-12, abs=1e-12)
+
+
+def test_chi2_sf_matches_scipy():
+    rng = np.random.default_rng(3)
+    for df in list(range(1, 40)) + [99, 100, 499, 998, 999]:
+        points = np.concatenate(
+            [[1e-9, 0.5, float(df)], rng.uniform(0.0, 3.0 * df + 20.0, 10),
+             np.geomspace(1e-3, 1e4, 12)]
+        )
+        for x in points.tolist():
+            assert abs(chi2_sf(x, df) - stats.chi2.sf(x, df)) <= 1e-12
+    assert chi2_sf(0.0, 3) == 1.0
 
 
 def test_slope_fit_needs_three_points():

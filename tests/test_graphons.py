@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from nodedp.graphons import (
     normalized_l2,
     rewired_model_pmf,
     sample_gnm,
+    sample_gnm_rewired,
     sample_gnm_rewired_coupled,
+    sample_gnp,
     sample_w_random,
     two_clique_graphon,
 )
@@ -196,6 +199,30 @@ def test_w_random_edge_count_binomial_chi_square_n5():
         exp = np.append(exp, expected[~keep].sum())
     pvalue = stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
     assert pvalue > 0.001
+
+
+def test_sampler_draws_are_pinned():
+    """SHA-256 over the keys of 800 graphs from the four samplers at
+    n = 2..39, recorded before the samplers moved to the shared slot
+    builder: the same rng calls must give the same graphs."""
+    w = StepGraphon.equal_blocks([[0.9, 0.2], [0.2, 0.6]])
+    digest = hashlib.sha256()
+    for i in range(200):
+        n = 2 + i % 38
+        slots = n * (n - 1) // 2
+        rng = np.random.default_rng(i)
+        m = (i * 7) % slots
+        for g in (
+            sample_gnp(n, 0.3, rng),
+            sample_gnm(n, i % (slots + 1), rng),
+            sample_w_random(w, 0.8, n, rng).graph,
+            sample_gnm_rewired(n, m, min(2, slots - m), rng),
+        ):
+            digest.update(g.n.to_bytes(2, "little"))
+            digest.update(g.key)
+    assert digest.hexdigest() == (
+        "81882341383aa54b34011beca6ccecfbb4a42f49457ec63df77a38a058ba039f"
+    )
 
 
 def test_gnm_degenerate_cases():

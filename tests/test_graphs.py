@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -307,11 +308,51 @@ def test_graph_index_inverts_graph_from_index_at_every_index():
             assert np.array_equal(stack[i], g.adjacency)
     g = LabeledGraph.from_edges(40, [(0, 39), (38, 39)])  # past 64 index bits
     assert graph_from_index(40, graph_index(g)) == g
+    assert graph_index(graph_from_index(5, np.int64(700))) == 700
 
 
 def test_graph_from_index_bijection():
     seen = {g.key for g in all_graphs(3)}
     assert len(seen) == 8
+
+
+def test_all_graphs_yields_index_order():
+    for n in range(1, 6):
+        got = [graph_index(g) for g in all_graphs(n)]
+        assert got == list(range(1 << (n * (n - 1) // 2)))
+
+
+def test_enumeration_bytes_are_pinned():
+    """SHA-256 over the keys of all_graphs(n) and the all_adjacencies(n)
+    stack for n = 1..5, recorded before both moved to one slot decoder."""
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            digest.update(g.key)
+        digest.update(all_adjacencies(n).tobytes())
+    assert digest.hexdigest() == (
+        "480a1e41d292789b44f0ea74fa75be78018bf246e36b2a2ac6a5740bcca5eb30"
+    )
+
+
+def test_all_graphs_decodes_in_bounded_chunks():
+    graphs = all_graphs(7)  # 2,097,152 graphs, 98 MiB as one adjacency stack
+    tracemalloc.start()
+    try:
+        first = [next(graphs) for _ in range(10_000)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert [graph_index(g) for g in first] == list(range(10_000))
+
+
+def test_from_hex_refuses_padding_bits():
+    assert LabeledGraph.from_hex(3, "e0") == LabeledGraph.complete(3)
+    assert LabeledGraph.complete(3).to_hex() == "e0"
+    for text in ("ff", "e1", "10"):
+        with pytest.raises(ValueError, match="padding"):
+            LabeledGraph.from_hex(3, text)
 
 
 # -- edge density ------------------------------------------------------------------
@@ -419,6 +460,14 @@ def test_adjacent_graphs_n3_matches_distance_filter():
     want = {h.key for h in all_graphs(3) if node_distance(g, h) <= 1}
     assert got == want
     assert len(got) == 7
+
+
+def test_adjacent_graphs_matches_distance_filter_for_every_n4_graph():
+    graphs = list(all_graphs(4))
+    for g in graphs:
+        got = [h.key for h in adjacent_graphs(g)]
+        assert len(got) == len(set(got))
+        assert set(got) == {h.key for h in graphs if node_distance(g, h) <= 1}
 
 
 def test_adjacent_graphs_n2():

@@ -490,7 +490,9 @@ def test_extension_matches_fold_over_h_for_every_n5_input():
 
 def test_extension_matches_fold_over_h_on_the_criterion_3_space():
     contains = lambda g: g.max_degree <= 2
-    base = lambda g: unit_laplace_density(edge_density(g), 2.0)
+    base = lambda e: unit_laplace_density(e, 2.0)
     extended = extend_over_graphs(4, [contains(g) for g in all_graphs(4)], base, 0.5)
     grid = np.linspace(0.0, 1.0, 1000)
-    _assert_extension_matches_fold(4, contains, base, 0.5, extended, grid)
+    _assert_extension_matches_fold(
+        4, contains, lambda g: base(edge_density(g)), 0.5, extended, grid
+    )
