@@ -66,6 +66,24 @@ def _partition_tensors(n: int, k: int) -> np.ndarray:
     return assignments
 
 
+@lru_cache(maxsize=32)
+def _level_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of level scoring at (n, k), read-only: the row and column
+    indices of the T = k(k+1)/2 upper-triangle coordinates, the 0/1 [k * k, T]
+    matrix that sums entries (a, b) and (b, a) into their coordinate, and
+    the penalty weight w |a| |b| of each coordinate, with w = 2 off the
+    diagonal."""
+    rows, cols = np.triu_indices(k)
+    fold = np.zeros((k, k, rows.size))
+    fold[rows, cols, np.arange(rows.size)] = fold[cols, rows, np.arange(rows.size)] = 1.0
+    sizes = np.array(canonical_sizes(n, k), dtype=float)
+    penalty = np.where(rows == cols, 1.0, 2.0) * sizes[rows] * sizes[cols]
+    layout = (rows, cols, fold.reshape(k * k, rows.size), penalty)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
 def _pair_counts(a: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
     """E_ab(pi) = sum of A over ordered pairs with classes (a, b), per
     partition, as [P, k, k]: one scatter-add per nonzero entry of A."""
@@ -87,33 +105,52 @@ class BulkScores(NamedTuple):
 def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
     """Exact max-over-equipartitions score for every candidate at once.
 
-    Score = (2 <E(pi), B> - ||B_pi||^2) / n^2, and the second term is
-    partition-independent because canonical class sizes are fixed, so a
-    partition enters only through its count matrix E(pi).  Each distinct
-    E(pi) is scored once, against chunks of candidates under
-    _SCORE_CHUNK_BYTES.  Distinct rows keep the order of their first
-    occurrence in the lex-ordered enumeration and the argmax takes the first
-    maximum, so ties resolve to the lexicographically smallest assignment.
+    Score = (2 <E(pi), B> - ||B_pi||^2) / n^2.  Candidates must be symmetric
+    and on the 1/n grid, B = L / n with integer levels L; anything else
+    raises ValueError.  In levels the score is
+    (2n <w E(pi), L> - <w cc, L^2>) / n^4 over the T = k(k+1)/2
+    upper-triangle coordinates, with w = 2 off the diagonal and cc the
+    products of the canonical class sizes, so the second term is
+    partition-independent and a partition enters only through E(pi).
+    Each distinct E(pi) is scored once, by one matrix product per chunk of
+    candidates under _SCORE_CHUNK_BYTES.
+
+    For a 0/1 adjacency every term is an integer of at most
+    n^2 max(L) max(2n, max(L)), below 2^53 for every k >= 2 that
+    EQUIPARTITION_BUDGET and CANDIDATE_BUDGET admit (n <= 25, L <= 99).
+    There the arithmetic is exact, each value is the exact rational
+    correctly rounded, and ties are exact.  Distinct rows keep the order of
+    their first occurrence in the lex-ordered enumeration and the argmax
+    takes the first maximum, so ties resolve to the lexicographically
+    smallest assignment.
     """
     counts = _pair_counts(a, _partition_tensors(n, k), k)
     # one opaque key per row; np.unique returns each key's first occurrence
     keys = counts.reshape(len(counts), -1).view(np.dtype((np.void, counts.itemsize * k * k)))
     first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
-    rows = counts[first]
-    sizes = np.array(canonical_sizes(n, k), dtype=float)
-    cc = np.outer(sizes, sizes)
+    rows_ix, cols_ix, fold, penalty = _level_layout(n, k)
+    rows = counts[first].reshape(-1, k * k) @ fold  # w E(pi) on the upper triangle
     total = cands.shape[0]
     values = np.empty(total)
     argmax = np.empty(total, dtype=np.intp)
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + k * k)))
+    # per candidate: a table row, three [T] temporaries and six scalars; the
+    # table is allocated once and every chunk's product is written into it
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + 3 * rows_ix.size + 6)))
+    table = np.empty((min(step, total), rows.shape[0]))
     for lo in range(0, total, step):
         chunk = cands[lo : lo + step]
-        table = np.einsum("ckl,pkl->cp", chunk, rows)
-        table *= 2.0
-        table -= np.einsum("kl,ckl->c", cc, chunk**2)[:, None]
-        table /= n**2
-        best = table.argmax(axis=1)
-        values[lo : lo + step] = table[np.arange(chunk.shape[0]), best]
+        upper = chunk[:, rows_ix, cols_ix]
+        levels = upper * n
+        np.rint(levels, out=levels)
+        if not ((chunk[:, cols_ix, rows_ix] == upper).all() and (levels / n == upper).all()):
+            raise ValueError("candidates must be symmetric with entries on the 1/n grid")
+        products = np.matmul(levels, rows.T, out=table[: chunk.shape[0]])
+        best = products.argmax(axis=1)
+        out = values[lo : lo + step]
+        np.multiply(products[np.arange(chunk.shape[0]), best], 2 * n, out=out)
+        np.square(levels, out=levels)
+        out -= levels @ penalty
+        out /= n**4
         argmax[lo : lo + step] = first[best]
     return BulkScores(values, argmax, rows.shape[0])
 
@@ -219,6 +256,10 @@ def block_mechanism(
 ) -> tuple[FiniteMechanism, np.ndarray, float, dict]:
     """Selection stage given the released density: the exponential mechanism
     over the candidate grid, spending the remaining eps/2.
+
+    The candidates are candidate_matrices(n, k, lambda rho_hat), symmetric
+    and on the 1/n grid, so _best_scores_bulk scores them exactly: each
+    score is the exact max over equipartitions, correctly rounded.
 
     Returns (mechanism, candidate array, delta, diagnostics)."""
     n = g.n

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ def _best(b, a):
     return float(bulk.values[0]), equipartition_array(n, k)[bulk.argmax[0]].astype(int)
 
 
+def _random_grid_matrices(rng, n, k, size=None):
+    """Symmetric k x k matrices with entries drawn from {0, 1/n, ..., 1}."""
+    shape = (k, k) if size is None else (size, k, k)
+    upper = np.triu(rng.integers(0, n + 1, shape)) / n
+    return upper + np.triu(upper, 1).swapaxes(-1, -2)
+
+
 def test_score_zero_matrix_scores_zero():
     a = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency.astype(float)
     value, assignment = _best(np.zeros((2, 2)), a)
@@ -109,8 +117,7 @@ def test_score_matches_direct_formula_on_random_inputs():
         iu = np.triu_indices(n, 1)
         adj[iu] = rng.random(len(iu[0])) < 0.5
         adj = adj + adj.T
-        raw = rng.random((k, k))
-        b = (raw + raw.T) / 2
+        b = _random_grid_matrices(rng, n, k)
         value, assignment = _best(b, adj)
         assert value == pytest.approx(_score_by_definition(b, assignment, adj))
         other = rng.permutation(np.repeat(np.arange(k), n // k))
@@ -122,7 +129,7 @@ def test_score_scaling_identity():
     # algebraic expansion at its maximizer; guards the norm normalization
     n = 4
     a = LabeledGraph.from_edges(n, [(0, 1), (1, 2), (2, 3)]).adjacency.astype(float)
-    b = np.array([[0.4, 0.1], [0.1, 0.6]])
+    b = np.array([[0.5, 0.0], [0.0, 0.5]])
     for c in (0.5, 2.0, 3.7):
         value, assignment = _best(b, c * a)
         expanded = b[np.ix_(assignment, assignment)]
@@ -182,18 +189,23 @@ def _recursive_equipartitions(n, k):
 
 
 def _one_hot_table_scores(cands, a, n, k):
-    """Independent oracle: the full partitions x candidates score table over a
-    float one-hot tensor [P, n, k].  Its size is P x C, so small inputs only."""
+    """Independent oracle: the full partitions x candidates table of
+    n^4 x score, 2n <E, L> - <cc, L^2> in integer levels L = n B, over an
+    int64 one-hot tensor [P, n, k].  Exact for a 0/1 adjacency, so its argmax
+    is the first maximizer in lex order.  Its size is P x C, so small inputs
+    only."""
     assignments = np.stack(list(_recursive_equipartitions(n, k)))
-    onehot = np.zeros((len(assignments), n, k))
-    onehot[np.arange(len(assignments))[:, None], np.arange(n), assignments] = 1.0
+    onehot = np.zeros((len(assignments), n, k), dtype=np.int64)
+    onehot[np.arange(len(assignments))[:, None], np.arange(n), assignments] = 1
+    a = np.asarray(a).astype(np.int64)
     counts = np.einsum("pnk,pnl->pkl", onehot, np.einsum("nm,pmk->pnk", a, onehot))
-    sizes = np.array(canonical_sizes(n, k), dtype=float)
-    cross = np.einsum("pkl,ckl->pc", counts, cands)
-    penalty = np.einsum("kl,ckl->c", np.outer(sizes, sizes), cands**2)
-    table = (2.0 * cross - penalty[None, :]) / n**2
+    levels = np.rint(n * cands).astype(np.int64)
+    sizes = np.array(canonical_sizes(n, k), dtype=np.int64)
+    cross = np.einsum("pkl,ckl->pc", counts, levels)
+    penalty = np.einsum("kl,ckl->c", np.outer(sizes, sizes), levels**2)
+    table = 2 * n * cross - penalty[None, :]
     best = table.argmax(axis=0)
-    return table[best, np.arange(cands.shape[0])], best, assignments
+    return table[best, np.arange(cands.shape[0])] / n**4, best, assignments
 
 
 def _random_graph(n, rng):
@@ -219,7 +231,7 @@ def test_bulk_scores_match_one_hot_table_on_random_capped_graphs(chunk_bytes, mo
                 cands = candidate_matrices(n, k, mu)
                 want, want_p, _ = _one_hot_table_scores(cands, a, n, k)
                 got = _best_scores_bulk(cands, a, n, k)
-                assert np.allclose(got.values, want, rtol=0.0, atol=1e-12)
+                assert got.values.tobytes() == want.tobytes()
                 assert np.array_equal(got.argmax, want_p)
                 assert 1 <= got.distinct_rows <= equipartition_count(n, k)
 
@@ -229,14 +241,53 @@ def test_best_score_assignment_matches_one_hot_table():
     for n, k in ((5, 2), (6, 3), (8, 2), (9, 3)):
         for _ in range(4):
             g = degree_cap(_random_graph(n, rng), int(rng.integers(1, n)))
-            raw = rng.random((k, k))
-            b = (raw + raw.T) / 2
+            b = _random_grid_matrices(rng, n, k)
             want, want_p, assignments = _one_hot_table_scores(
                 b[None], g.adjacency.astype(float), n, k
             )
             value, assignment = _best(b, g.adjacency)
             assert value == pytest.approx(want[0], abs=1e-12)
             assert np.array_equal(assignment, assignments[want_p[0]])
+
+
+def test_bulk_values_are_exact_rationals_at_the_first_maximizer():
+    # every value is the exact score (2n <E, L> - <cc, L^2>) / n^4 of the
+    # first maximizing equipartition, correctly rounded once
+    rng = substream(15, "bulk-exact-rationals")
+    for n in range(4, 11):
+        for k in (2, 3):
+            a = _random_graph(n, rng).adjacency.astype(np.int64)
+            assignments = equipartition_array(n, k).astype(np.intp)
+            onehot = (assignments[:, :, None] == np.arange(k)).astype(np.int64)
+            counts = onehot.transpose(0, 2, 1) @ a @ onehot
+            sizes = canonical_sizes(n, k)
+            cands = _random_grid_matrices(rng, n, k, size=30)
+            got = _best_scores_bulk(cands, a.astype(float), n, k)
+            for b, value, arg in zip(cands, got.values, got.argmax):
+                levels = [[round(n * x) for x in row] for row in b]
+                penalty = sum(
+                    sizes[i] * sizes[j] * levels[i][j] ** 2 for i in range(k) for j in range(k)
+                )
+                numerators = [
+                    2 * n * sum(int(e[i, j]) * levels[i][j] for i in range(k) for j in range(k))
+                    - penalty
+                    for e in counts
+                ]
+                best = numerators.index(max(numerators))
+                assert arg == best
+                assert value == float(Fraction(numerators[best], n**4))
+
+
+@pytest.mark.parametrize(
+    "b",
+    [np.array([[0.5, 0.1], [0.1, 0.25]]), np.array([[0.5, 0.25], [0.0, 0.5]])],
+    ids=["off-grid", "asymmetric"],
+)
+def test_bulk_scores_refuse_candidates_off_the_symmetric_grid(b):
+    a = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency.astype(float)
+    on_grid = candidate_matrices(4, 2, 0.5)
+    with pytest.raises(ValueError, match="1/n grid"):
+        _best_scores_bulk(np.concatenate([on_grid, b[None]]), a, 4, 2)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (10, 4), (16, 2)])
@@ -280,7 +331,7 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
 
 def test_lipschitz_score_identity_under_cap():
     g = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    b = np.array([[0.5, 0.2], [0.2, 0.5]])
+    b = np.array([[0.6, 0.2], [0.2, 0.6]])
     got = _best(b, degree_cap(g, 4).adjacency)[0]
     assert got == pytest.approx(_best(b, g.adjacency)[0])
 
@@ -297,7 +348,7 @@ def test_lipschitz_score_equals_best_score_on_capped_space_n5():
 
 def test_lipschitz_score_zero_cap_scores_empty_graph():
     g = LabeledGraph.complete(5)
-    b = np.array([[0.5, 0.1], [0.1, 0.3]])
+    b = np.array([[0.6, 0.2], [0.2, 0.4]])
     got = _best(b, degree_cap(g, 0).adjacency)[0]
     want = _best(b, LabeledGraph.empty(5).adjacency)[0]
     assert got == pytest.approx(want)
@@ -313,7 +364,7 @@ def score_by_def_norm(b, assignment, n):
 
 def test_lipschitz_score_star_composes_with_degree_cap():
     star = LabeledGraph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
-    b = np.array([[0.4, 0.2], [0.2, 0.4]])
+    b = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6
     capped = degree_cap(star, 2)
     assert capped.degrees.max() <= 2 and capped != star
     a = capped.adjacency.astype(float)
