@@ -24,6 +24,7 @@ from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipar
 from .mechanisms import (
     FiniteMechanism,
     exponential_mechanism_distribution,
+    max_violation,
     _check_epsilon,
 )
 
@@ -225,12 +226,13 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
     codes = np.unique(capped_row[i[upper]] * len(reps) + capped_row[j[upper]])
     first, second = np.divmod(codes, len(reps))
     first, second = first[first != second], second[first != second]
-    worst = 0.0
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * scores.shape[1]))
-    for lo in range(0, first.size, step):
-        gaps = np.abs(scores[first[lo : lo + step]] - scores[second[lo : lo + step]])
-        worst = max(worst, float(gaps.max()))
-    return worst
+    # the largest |s_i - s_j|, as the worse of the two signed gaps, one
+    # max_violation pass over the unordered pairs each
+    return max(
+        0.0,
+        max_violation(scores, first, second, 0.0).worst,
+        max_violation(scores, second, first, 0.0).worst,
+    )
 
 
 # -- full pipeline -----------------------------------------------------------------

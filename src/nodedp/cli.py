@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -268,7 +269,9 @@ def _cmd_experiment_reduction(args) -> int:
     return 0 if report.passed() else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(prog="nodedp")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -299,6 +299,8 @@ def homogeneity_probability(
 ) -> float:
     """Monte Carlo estimate of P[G(n,p) outside the homogeneity set],
     with exact membership scans."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cfg = HomogeneityConfig(rho=rho, C=C, n=n)
     outside = 0
     for t in range(samples):
@@ -344,6 +346,8 @@ def run_distinguishability_experiment(
     n: int, m: int, k: int, trials: int, seed: int
 ) -> CouplingReport:
     """Structural and distributional validation of the rewired coupling."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     regime_warning = k >= math.sqrt(n)
     if regime_warning:
         warnings.warn(

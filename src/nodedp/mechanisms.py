@@ -415,6 +415,8 @@ def max_violation(logs, first, second, epsilon: float, collect_rows: bool = Fals
     second = np.asarray(second, dtype=np.intp)
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")
+    if logs.ndim != 2 or logs.shape[1] == 0:
+        raise ValueError("logs must be [P, T] with T >= 1 grid points or outputs")
     step = max(1, _AUDIT_CHUNK_BYTES // (8 * logs.shape[1]))
     worst, witness = -math.inf, None
     columns = []

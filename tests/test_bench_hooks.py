@@ -4,14 +4,17 @@ perfbench/tracing.py wraps functions in each module that binds them,
 including names a module re-imports only for the tracer (the
 ``noqa: F401`` imports), and perfbench/workloads.py clears the package's
 lru_caches between repetitions.  Deleting one of those names breaks traced
-benchmark runs; these tests make that a tier-1 failure.
+benchmark runs, and a ``noqa: F401`` binding the tracer no longer patches is
+dead code; these tests make both a tier-1 failure.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -35,6 +38,38 @@ def test_tracer_installs_and_restores_every_hook():
         tracer.uninstall()
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def _hook_bindings() -> set[tuple[str, str]]:
+    """(module, name) of every import or assignment in src/nodedp marked
+    ``noqa: F401``: the names bound only for the tracer."""
+    found = set()
+    for path in sorted((ROOT / "src" / "nodedp").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign)):
+                continue
+            if not any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            if isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = [alias.asname or alias.name for alias in node.names]
+            found.update((f"nodedp.{path.stem}", name) for name in names)
+    return found
+
+
+def test_every_hook_binding_is_patched_by_the_tracer():
+    bindings = _hook_bindings()
+    assert bindings, "found no noqa: F401 bindings"
+    tracer = _load("tracing").Tracer()
+    try:
+        tracer.install()
+        patched = {(owner.__name__, attr) for owner, attr, _ in tracer._saved}
+    finally:
+        tracer.uninstall()
+    assert not bindings - patched, sorted(bindings - patched)
 
 
 def test_workloads_clear_the_package_caches():

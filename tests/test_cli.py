@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nodedp
-from nodedp.cli import main
+from nodedp.cli import build_parser, main
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
 
@@ -194,6 +194,27 @@ def test_experiment_homogeneity(capsys):
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert 0.0 <= record["outside_rate"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--grid-points", "0"],
+         "T >= 1 grid points"),
+        (["experiment", "homogeneity", "--n", "6", "--p", "0.3", "--samples", "0"],
+         "samples must be at least 1"),
+        (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "0"],
+         "trials must be at least 1"),
+    ],
+    ids=["no-grid-points", "no-samples", "no-trials"],
+)
+def test_zero_size_requests_are_refused(argv, message):
+    with pytest.raises(ValueError, match=message):
+        main(argv)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_experiment_reduction(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nodedp.errors import ResourceLimitError
+from nodedp.graphons import sample_gnm_rewired_coupled
 from nodedp.graphs import (
     LabeledGraph,
     _edge_list_rows,
@@ -413,6 +414,19 @@ def test_node_distance_matches_bfs_on_sampled_n4_pairs():
         assert d_lib == bfs_distance(neighbors, int(i), int(j))
 
 
+def test_node_distance_matches_cover_table_on_every_n5_graph():
+    empty = LabeledGraph.empty(5)
+    table = cover_table(5)
+    for e in range(1 << 10):
+        assert node_distance(graph_from_index(5, e), empty) == table[e]
+
+
+def test_node_distance_of_a_large_coupled_pair_is_one():
+    stage1, final = sample_gnm_rewired_coupled(2000, 20000, 30, substream(3, "nd-large"))
+    assert stage1 != final
+    assert node_distance(stage1, final) == 1
+
+
 def test_node_distance_is_a_metric_at_n4():
     graphs = [graph_from_index(4, i) for i in range(64)]
     dist = np.zeros((64, 64), dtype=int)
@@ -548,7 +562,7 @@ def test_cover_table_matches_bfs_on_every_n4_pair():
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_cover_table_matches_branch_and_bound_on_random_pairs(n):
+def test_cover_table_matches_node_distance_on_random_pairs(n):
     rng = substream(20260810, "cover-table", n)
     table = cover_table(n)
     for i, j in rng.integers(0, 1 << (n * (n - 1) // 2), size=(200, 2)).tolist():
