@@ -68,33 +68,99 @@ def _partition_tensors(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _level_layout(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of level scoring at (n, k), read-only: the row and column
-    indices of the T = k(k+1)/2 upper-triangle coordinates, the 0/1 [k * k, T]
-    matrix that sums entries (a, b) and (b, a) into their coordinate, and
-    the penalty weight w |a| |b| of each coordinate, with w = 2 off the
-    diagonal."""
+def _level_layout(
+    n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Constants of level scoring at (n, k): the row and column indices of
+    the T = k(k+1)/2 upper-triangle coordinates, the 0/1 [k * k, T] matrix
+    that sums entries (a, b) and (b, a) into their coordinate, the penalty
+    weight w |a| |b| of each coordinate, with w = 2 off the diagonal (these
+    arrays read-only), and the radix of each coordinate of the folded
+    counts, one more than the largest value a 0/1 adjacency with zero
+    diagonal gives: |a| (|a| - 1) + 1 on the diagonal, 2 |a| |b| + 1 off it."""
     rows, cols = np.triu_indices(k)
     fold = np.zeros((k, k, rows.size))
     fold[rows, cols, np.arange(rows.size)] = fold[cols, rows, np.arange(rows.size)] = 1.0
-    sizes = np.array(canonical_sizes(n, k), dtype=float)
-    penalty = np.where(rows == cols, 1.0, 2.0) * sizes[rows] * sizes[cols]
+    sizes = np.array(canonical_sizes(n, k))
+    diagonal = rows == cols
+    penalty = np.where(diagonal, 1.0, 2.0) * sizes[rows] * sizes[cols]
+    radix = tuple((penalty - diagonal * sizes[rows] + 1).astype(int).tolist())
     layout = (rows, cols, fold.reshape(k * k, rows.size), penalty)
     for array in layout:
         array.flags.writeable = False
-    return layout
+    return layout + (radix,)
 
 
-def _pair_counts(a: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
-    """E_ab(pi) = sum of A over ordered pairs with classes (a, b), per
-    partition, as [P, k, k]: one scatter-add per nonzero entry of A."""
-    p = assignments.shape[0]
-    counts = np.zeros((p, k, k))
-    flat = counts.reshape(-1)
-    base = np.arange(p) * (k * k)
-    for i, j in zip(*np.nonzero(a)):
-        flat[base + assignments[:, i].astype(np.intp) * k + assignments[:, j]] += a[i, j]
-    return counts
+def _first_occurrences(rows: np.ndarray, radix: tuple[int, ...]) -> np.ndarray:
+    """Sorted indices of the first occurrence of each distinct row of the
+    nonnegative integer array rows [m, T], whose column t is below radix[t].
+
+    Each row gets one exact int64 key below bound, mixed-radix over the
+    columns, and the first occurrences come from one sort of
+    key * m + index < bound * m.  Where the next column would take that
+    bound past 2^63, the keys are first replaced by their ranks, below m;
+    so nothing wraps as long as m^2 max(radix) <= 2^63, which holds for
+    m <= P at every (n, k) that EQUIPARTITION_BUDGET admits."""
+    m = rows.shape[0]
+    key = np.zeros(m, dtype=np.int64)
+    bound = 1
+    for column, base in zip(rows.T, radix):
+        if bound * base * m > 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = m
+        key *= base
+        key += column
+        bound *= base
+    key *= m
+    key += np.arange(m)
+    key.sort()
+    index = key % m
+    key -= index  # now the sorted row keys, times m
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.sort(index[new])
+
+
+def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct count rows w E(pi) among the equipartitions, as
+    (first, rows): the lex index of each row's first occurrence, increasing,
+    and the rows [U, T] on the upper-triangle coordinates of _level_layout,
+    E_ab = sum of A over ordered pairs with classes (a, b) and w = 2 off the
+    diagonal.
+
+    a must have zero diagonal and entries 0 or one positive value c, c = 1
+    for an adjacency; anything else raises ValueError.
+    Partitions are taken in chunks under _SCORE_CHUNK_BYTES.  The chunk's
+    class indicators [k, P, n] times A (one BLAS product), dotted row-wise
+    with each class's indicators, give E_ab; the fold matrix of
+    _level_layout takes them to w E on the upper triangle.  Every count is
+    c times an integer below its radix.  The integer rows are deduplicated
+    in each chunk, and once more across the chunks' distinct rows."""
+    c = float(a.max(initial=0.0)) or 1.0
+    if ((a != 0) & (a != c)).any() or a.diagonal().any():
+        raise ValueError("adjacency must have zero diagonal and entries 0 or one value c > 0")
+    assignments = _partition_tensors(n, k)
+    _, _, fold, _, radix = _level_layout(n, k)
+    dtype = np.min_scalar_type(max(radix) - 1)
+    # per partition: k indicator rows and their products with A, the k x k
+    # counts, the folded row as float and integer, and the dedup's keys
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (2 * k * n + k * k + 2 * fold.shape[1] + 4)))
+    classes = np.arange(k)[:, None, None]
+    firsts, parts = [], []
+    for lo in range(0, assignments.shape[0], step):
+        chunk = assignments[lo : lo + step]
+        members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
+        counts = np.einsum("apv,bpv->pab", members @ a, members)  # E_ab per partition
+        rows = np.rint(counts.reshape(-1, k * k) @ fold / c).astype(dtype)
+        pick = _first_occurrences(rows, radix)
+        firsts.append(pick + lo)
+        parts.append(rows[pick])
+    first, rows = np.concatenate(firsts), np.concatenate(parts)
+    if len(parts) > 1:  # one chunk's rows are distinct already
+        pick = _first_occurrences(rows, radix)
+        first, rows = first[pick], rows[pick]
+    return first, rows * c
 
 
 class BulkScores(NamedTuple):
@@ -113,8 +179,8 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
     upper-triangle coordinates, with w = 2 off the diagonal and cc the
     products of the canonical class sizes, so the second term is
     partition-independent and a partition enters only through E(pi).
-    Each distinct E(pi) is scored once, by one matrix product per chunk of
-    candidates under _SCORE_CHUNK_BYTES.
+    Each distinct row w E(pi) (_distinct_count_rows) is scored once, by one
+    matrix product per chunk of candidates under _SCORE_CHUNK_BYTES.
 
     For a 0/1 adjacency every term is an integer of at most
     n^2 max(L) max(2n, max(L)), below 2^53 for every k >= 2 that
@@ -125,12 +191,8 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
     takes the first maximum, so ties resolve to the lexicographically
     smallest assignment.
     """
-    counts = _pair_counts(a, _partition_tensors(n, k), k)
-    # one opaque key per row; np.unique returns each key's first occurrence
-    keys = counts.reshape(len(counts), -1).view(np.dtype((np.void, counts.itemsize * k * k)))
-    first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
-    rows_ix, cols_ix, fold, penalty = _level_layout(n, k)
-    rows = counts[first].reshape(-1, k * k) @ fold  # w E(pi) on the upper triangle
+    first, rows = _distinct_count_rows(a, n, k)
+    rows_ix, cols_ix, _, penalty, _ = _level_layout(n, k)
     total = cands.shape[0]
     values = np.empty(total)
     argmax = np.empty(total, dtype=np.intp)

@@ -3,7 +3,8 @@
 Subcommands: sample, estimate (density | blocks), audit (dp | sensitivity),
 experiment (mse | coupling | homogeneity | reduction).  Audit subcommands
 exit nonzero iff a violation is found.  The console entry, ``run``, exits 3
-with one stderr line when a request is refused for its size.
+with one stderr line when a request is refused for its size, and 2 with one
+stderr line when its input is malformed or cannot be read.
 """
 
 from __future__ import annotations
@@ -393,12 +394,17 @@ def main(argv=None) -> int:
 
 def run(argv=None) -> int:
     """main, with a size refusal (ResourceLimitError) reported as one line
-    on stderr and exit code 3 instead of a traceback."""
+    on stderr and exit code 3, and input it cannot use (ValueError, OSError)
+    as one line and exit code 2, the code of argparse's usage errors,
+    instead of a traceback."""
     try:
         return main(argv)
     except ResourceLimitError as err:
         print(f"nodedp: refused: {err}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as err:
+        print(f"nodedp: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

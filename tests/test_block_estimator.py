@@ -9,9 +9,13 @@ import pytest
 
 import nodedp.block_estimator as block_estimator
 from nodedp.block_estimator import (
+    EQUIPARTITION_BUDGET,
     BlockEstimate,
     EstimatorConfig,
     _best_scores_bulk,
+    _distinct_count_rows,
+    _first_occurrences,
+    _level_layout,
     block_mechanism,
     candidate_count,
     candidate_matrices,
@@ -288,6 +292,133 @@ def test_bulk_scores_refuse_candidates_off_the_symmetric_grid(b):
     on_grid = candidate_matrices(4, 2, 0.5)
     with pytest.raises(ValueError, match="1/n grid"):
         _best_scores_bulk(np.concatenate([on_grid, b[None]]), a, 4, 2)
+
+
+# -- distinct count rows and their integer keys -------------------------------------------
+
+
+def _one_hot_count_rows(a, n, k):
+    """Independent oracle: every partition's count row in int64, in lex
+    order, from E = onehot^T A onehot: E_aa on the diagonal and
+    E_ab + E_ba above it, in np.triu_indices(k) order."""
+    assignments = np.stack(list(_recursive_equipartitions(n, k)))
+    onehot = (assignments[:, :, None] == np.arange(k)).astype(np.int64)
+    counts = onehot.transpose(0, 2, 1) @ np.asarray(a).astype(np.int64) @ onehot
+    rows, cols = np.triu_indices(k)
+    return counts[:, rows, cols] + (rows != cols) * counts[:, cols, rows]
+
+
+def _count_row_cases(rng):
+    """Random 0/1 graphs for k = 1..4, each with at most 30,000 partitions."""
+    for k in range(1, 5):
+        for n in range(max(k, 2), 11):
+            if equipartition_count(n, k) <= 30_000:
+                yield n, k, _random_graph(n, rng).adjacency
+
+
+# 4096 bytes hold at most a few dozen partitions here, so most cases run
+# several partition chunks and the merge of their distinct rows
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def test_count_rows_match_int64_one_hot_product(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
+    rng = substream(16, "count-rows", chunk_bytes or 0)
+    for n, k, a in _count_row_cases(rng):
+        want = _one_hot_count_rows(a, n, k)
+        first, rows = _distinct_count_rows(a.astype(float), n, k)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, want[first])
+        # every partition's row is one of the distinct rows
+        assert {tuple(r) for r in want.tolist()} == {tuple(r) for r in rows.tolist()}
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def test_distinct_rows_keep_first_occurrence_order(chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
+    rng = substream(17, "count-row-order", chunk_bytes or 0)
+    for n, k, a in _count_row_cases(rng):
+        want = np.sort(np.unique(_one_hot_count_rows(a, n, k), axis=0, return_index=True)[1])
+        first, _ = _distinct_count_rows(a.astype(float), n, k)
+        assert np.array_equal(first, want)
+        cands = candidate_matrices(n, k, 1.0 / n)
+        assert _best_scores_bulk(cands, a.astype(float), n, k).distinct_rows == want.size
+
+
+@pytest.mark.parametrize("n,k", [(10, 9), (10, 10), (11, 8)])
+def test_first_occurrences_rerank_where_one_key_would_wrap(n, k):
+    # the product of these radices passes 2^63, so the keys are re-ranked
+    # part way; rows are drawn from a pool that holds each column's maximum
+    radix = np.array(_level_layout(n, k)[-1])
+    assert math.prod(radix.tolist()) > 2**63
+    rng = substream(18, "rerank", n, k)
+    pool = np.vstack([radix - 1, np.zeros_like(radix), rng.integers(0, radix, (40, radix.size))])
+    for m in (1, 7, 3000):
+        rows = pool[rng.integers(0, len(pool), m)].astype(np.uint8)
+        want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        assert np.array_equal(_first_occurrences(rows, tuple(radix.tolist())), want)
+
+
+def test_integer_keys_stay_below_2_63_wherever_the_budget_admits():
+    # _first_occurrences keeps key < bound and bound * m <= 2^63 for
+    # m <= P rows; a re-rank sets bound = m * radix, so it needs
+    # P^2 * max(radix) <= 2^63 at every admitted (n, k), k up to n
+    admitted, wrapping = 0, set()
+    for n in range(2, 40):
+        for k in range(2, n + 1):
+            p = equipartition_count(n, k)
+            if p > EQUIPARTITION_BUDGET:
+                continue
+            admitted += 1
+            sizes = canonical_sizes(n, k)
+            want = tuple(
+                sizes[i] * (sizes[i] - 1) + 1 if i == j else 2 * sizes[i] * sizes[j] + 1
+                for i in range(k)
+                for j in range(i, k)
+            )
+            radix = _level_layout(n, k)[-1]
+            assert radix == want
+            assert p * p * max(radix) <= 2**63
+            if math.prod(radix) > 2**63:
+                wrapping.add((n, k))
+    assert admitted == 79
+    # one unranked key would wrap only in the one-candidate corner k ~ n
+    assert wrapping == {(10, 9), (10, 10), (11, 8), (11, 9)}
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (7, 2), (8, 3), (9, 4)])
+def test_complete_graph_count_rows_reach_radix_minus_one(n, k):
+    a = np.ones((n, n)) - np.eye(n)
+    first, rows = _distinct_count_rows(a, n, k)
+    assert first.tolist() == [0]
+    assert rows.tolist() == [[r - 1 for r in _level_layout(n, k)[-1]]]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.eye(3), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), -(np.ones((3, 3)) - np.eye(3))],
+    ids=["self-loops", "two-weights", "negative"],
+)
+def test_count_rows_refuse_other_matrices(a):
+    with pytest.raises(ValueError, match="zero diagonal"):
+        _distinct_count_rows(np.asarray(a, dtype=float), 3, 2)
+
+
+def test_bulk_scoring_peak_memory_at_n20_k2():
+    # n=20, k=2: 184,756 equipartitions.  The parent commit, which built a
+    # [P, k, k] count table by scatters, peaked at 22.2 MiB on this input.
+    rng = substream(16, "bulk-memory")
+    a = _random_graph(20, rng).adjacency.astype(float)
+    cands = candidate_matrices(20, 2, 0.5)
+    block_estimator._partition_tensors.cache_clear()
+    tracemalloc.start()
+    try:
+        bulk = _best_scores_bulk(cands, a, 20, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bulk.distinct_rows == 211
+    assert peak <= 22.2 * 2**20
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (10, 4), (16, 2)])

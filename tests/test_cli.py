@@ -1,15 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nodedp
 from nodedp.cli import build_parser, main
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
+from nodedp.rng import substream
 
 
 @pytest.fixture
@@ -276,6 +279,67 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
     assert done.stderr.splitlines() == [
         "nodedp: refused: edge-list graphs limited to n <= 16384, got n = 60000"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, edge_list, message",
+    [
+        (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "0"],
+         None, "nodedp: error: trials must be at least 1, got 0"),
+        (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--grid-points", "0"],
+         None, "nodedp: error: logs must be [P, T] with T >= 1 grid points or outputs"),
+        (["estimate", "density", "--epsilon", "1.0", "--mode", "baseline", "--input", "{path}"],
+         "3 1\n0 x\n", "nodedp: error: line 2: unexpected character 'x'; edge lists hold "
+         "ASCII digits, spaces, tabs, CR and LF only"),
+        (["estimate", "blocks", "--epsilon", "1.0", "--lambda", "2", "--k", "2", "--input",
+          "{path}"],
+         None, "nodedp: error: [Errno 2] No such file or directory: '{path}'"),
+    ],
+    ids=["no-trials", "no-grid-points", "malformed-edge-list", "missing-input"],
+)
+def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, message, tmp_path):
+    path = tmp_path / "graph.txt"
+    if edge_list is not None:
+        path.write_text(edge_list)
+    done = _run_cli(*(arg.format(path=path) for arg in argv))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [message.format(path=path)]
+
+
+def _planted_edge_list(n, k, seed):
+    """Two-level planted partition: edge probability 0.8 inside the k
+    equal classes, 0.2 across, classes placed by a random permutation."""
+    rng = substream(seed, "planted-blocks")
+    labels = rng.permutation(np.repeat(np.arange(k), n // k))
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(rng.random((n, n)) < np.where(same, 0.8, 0.2), 1)
+    return LabeledGraph(upper | upper.T).to_edge_list_text()
+
+
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (16, 2, "a2be73f7fc8db9d7f2c42ef073edabff9a755faf43ac5fac54473f34eda93884"),
+        (9, 3, "b90e6571bea23ba73741e6499c3e5b4e693b79972eaa40c077684398626d552c"),
+    ],
+)
+def test_block_release_bytes_are_pinned(n, k, digest, tmp_path):
+    # SHA-256 over seeds 0..3 of the released bytes, then the diagnostics
+    # bytes (distinct_count_rows, chosen_score, ...); any change to
+    # equipartition scoring that moves a value, a tie or a count shows here
+    graph = tmp_path / "graph.txt"
+    graph.write_text(_planted_edge_list(n, k, 17))
+    sha = hashlib.sha256()
+    for seed in range(4):
+        out, diag = tmp_path / f"{seed}.txt", tmp_path / f"{seed}.csv"
+        code = main(
+            ["estimate", "blocks", "--input", str(graph), "--epsilon", "4", "--lambda", "2",
+             "--k", str(k), "--seed", str(seed), "--out", str(out), "--diagnostics", str(diag)]
+        )
+        assert code == 0
+        sha.update(out.read_bytes() + diag.read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_main_raises_refusals():
