@@ -21,8 +21,8 @@ from .block_estimator import (
     theoretical_sensitivity,
 )
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, rewiring_pairs
-from .mechanisms import max_violation
+from .graphs import LabeledGraph, all_graphs, graph_space_size, rewiring_pairs
+from .mechanisms import fill_table, max_violation
 
 from .density import graph_space_oracle  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
@@ -50,8 +50,8 @@ class AuditReport:
     max_violation: float
     pairs_checked: int
     witness: tuple | None = None
-    # per-pair worst rows (pair id, grid point, log ratio, bound, violation)
-    # over rewiring pairs, populated on request
+    # per-pair worst rows (pair id, grid point or candidate index, log ratio,
+    # bound, violation) over rewiring pairs, populated on request
     rows: tuple = ()
 
     def passed(self) -> bool:
@@ -64,9 +64,14 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _on_grid(witness, grid):
-    """(i, j, t) with the column index t replaced by its grid point."""
-    return None if witness is None else (witness[0], witness[1], float(grid[witness[2]]))
+def _report(name: str, n: int, epsilon: float, v, grid=None) -> AuditReport:
+    """The AuditReport of max_violation's result v.  A column t of the witness
+    and rows is given as its grid point grid[t] in a grid audit, and as the
+    candidate index t in a pmf audit (grid None)."""
+    at = int if grid is None else (lambda t: float(grid[t]))
+    witness = None if v.witness is None else (v.witness[0], v.witness[1], at(v.witness[2]))
+    rows = tuple((i, j, at(t), r, b, gap) for i, j, t, r, b, gap in v.rows)
+    return AuditReport(name, n, epsilon, v.worst, v.pairs, witness, rows)
 
 
 def audit_density_mechanism(
@@ -83,10 +88,11 @@ def audit_density_mechanism(
     if n > PAIR_AUDIT_MAX_N:
         raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
     grid = np.asarray(grid, dtype=float)
-    logs = np.stack([np.asarray(mechanism(g).log_pdf(grid)) for g in all_graphs(n)])
+    logs = fill_table(
+        (mechanism(g).log_pdf(grid) for g in all_graphs(n)), graph_space_size(n), "grid points"
+    )
     v = max_violation(logs, *rewiring_pairs(n), epsilon, collect_rows)
-    rows = tuple((i, j, float(grid[t]), r, b, gap) for i, j, t, r, b, gap in v.rows)
-    return AuditReport(name, n, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid), rows)
+    return _report(name, n, epsilon, v, grid)
 
 
 def audit_finite_mechanism(
@@ -94,24 +100,26 @@ def audit_finite_mechanism(
     n: int,
     epsilon: float,
     name: str = "finite-mechanism",
+    collect_rows: bool = False,
 ) -> AuditReport:
     """Check exact pmf ratios of a finite-output mechanism against exp(eps)
     over every pair of graphs one rewiring apart.  Candidate lists must align
     across inputs (compare by index)."""
     if n > FINITE_AUDIT_MAX_N:
         raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
-    logs = []
-    for g in all_graphs(n):
-        lp = np.asarray(mechanism(g).log_probs, dtype=float)
-        if logs and lp.size != logs[0].size:
-            raise ValueError("candidate lists differ across inputs")
-        logs.append(lp)
-    v = max_violation(np.stack(logs), *rewiring_pairs(n), epsilon)
-    return AuditReport(name, n, epsilon, v.worst, v.pairs, v.witness)
+    logs = fill_table(
+        (mechanism(g).log_probs for g in all_graphs(n)), graph_space_size(n), "candidates"
+    )
+    v = max_violation(logs, *rewiring_pairs(n), epsilon, collect_rows)
+    return _report(name, n, epsilon, v)
 
 
 def audit_block_mechanism(
-    n: int, rho_hat: float, cfg: EstimatorConfig, epsilon_claimed: float
+    n: int,
+    rho_hat: float,
+    cfg: EstimatorConfig,
+    epsilon_claimed: float,
+    collect_rows: bool = False,
 ) -> AuditReport:
     """Exact pmf audit of the selection stage, conditional on the released
     density (composition with the density step is additive and is audited
@@ -122,7 +130,7 @@ def audit_block_mechanism(
         return m
 
     return audit_finite_mechanism(
-        mech, n, epsilon_claimed, name=f"block-mechanism(rho_hat={rho_hat})"
+        mech, n, epsilon_claimed, f"block-mechanism(rho_hat={rho_hat})", collect_rows
     )
 
 
@@ -195,11 +203,11 @@ def audit_bitstring_reduction(
     grid = np.asarray(grid, dtype=float)
     ids = np.arange(1 << n_bits)
     strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in ids.tolist()]
-    logs = np.stack(
-        [np.asarray(mechanism(bernoulli_reduction_graph(s)).log_pdf(grid)) for s in strings]
+    logs = fill_table(
+        (mechanism(bernoulli_reduction_graph(s)).log_pdf(grid) for s in strings),
+        ids.size,
+        "grid points",
     )
     flipped = np.sort(ids[:, None] ^ (1 << np.arange(n_bits)), axis=1)
     v = max_violation(logs, np.repeat(ids, n_bits), flipped.ravel(), epsilon)
-    return AuditReport(
-        "bitstring-reduction", n_bits, epsilon, v.worst, v.pairs, _on_grid(v.witness, grid)
-    )
+    return _report("bitstring-reduction", n_bits, epsilon, v, grid)

@@ -24,6 +24,7 @@ from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipar
 from .mechanisms import (
     FiniteMechanism,
     exponential_mechanism_distribution,
+    fill_table,
     max_violation,
     _check_epsilon,
 )
@@ -122,12 +123,11 @@ def _first_occurrences(rows: np.ndarray, radix: tuple[int, ...]) -> np.ndarray:
     return np.sort(index[new])
 
 
-def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct count rows w E(pi) among the equipartitions, as
-    (first, rows): the lex index of each row's first occurrence, increasing,
-    and the rows [U, T] on the upper-triangle coordinates of _level_layout,
-    E_ab = sum of A over ordered pairs with classes (a, b) and w = 2 off the
-    diagonal.
+def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The distinct count rows w E(pi) among the equipartitions, [U, T], in
+    the order of their first occurrence in the lex enumeration, on the
+    upper-triangle coordinates of _level_layout: E_ab = sum of A over
+    ordered pairs with classes (a, b), and w = 2 off the diagonal.
 
     a must have zero diagonal and entries 0 or one positive value c, c = 1
     for an adjacency; anything else raises ValueError.
@@ -147,25 +147,21 @@ def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.
     # counts, the folded row as float and integer, and the dedup's keys
     step = max(1, _SCORE_CHUNK_BYTES // (8 * (2 * k * n + k * k + 2 * fold.shape[1] + 4)))
     classes = np.arange(k)[:, None, None]
-    firsts, parts = [], []
+    parts = []
     for lo in range(0, assignments.shape[0], step):
         chunk = assignments[lo : lo + step]
         members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
         counts = np.einsum("apv,bpv->pab", members @ a, members)  # E_ab per partition
         rows = np.rint(counts.reshape(-1, k * k) @ fold / c).astype(dtype)
-        pick = _first_occurrences(rows, radix)
-        firsts.append(pick + lo)
-        parts.append(rows[pick])
-    first, rows = np.concatenate(firsts), np.concatenate(parts)
+        parts.append(rows[_first_occurrences(rows, radix)])
+    rows = np.concatenate(parts)
     if len(parts) > 1:  # one chunk's rows are distinct already
-        pick = _first_occurrences(rows, radix)
-        first, rows = first[pick], rows[pick]
-    return first, rows * c
+        rows = rows[_first_occurrences(rows, radix)]
+    return rows * c
 
 
 class BulkScores(NamedTuple):
     values: np.ndarray  # [C] best score per candidate
-    argmax: np.ndarray  # [C] index of the first maximizing partition
     distinct_rows: int  # distinct count matrices among the partitions
 
 
@@ -185,17 +181,14 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
     For a 0/1 adjacency every term is an integer of at most
     n^2 max(L) max(2n, max(L)), below 2^53 for every k >= 2 that
     EQUIPARTITION_BUDGET and CANDIDATE_BUDGET admit (n <= 25, L <= 99).
-    There the arithmetic is exact, each value is the exact rational
-    correctly rounded, and ties are exact.  Distinct rows keep the order of
-    their first occurrence in the lex-ordered enumeration and the argmax
-    takes the first maximum, so ties resolve to the lexicographically
-    smallest assignment.
+    There the arithmetic is exact, and each value is the exact rational
+    correctly rounded.  The exponential mechanism reads only these values,
+    not which equipartition attains them.
     """
-    first, rows = _distinct_count_rows(a, n, k)
+    rows = _distinct_count_rows(a, n, k)
     rows_ix, cols_ix, _, penalty, _ = _level_layout(n, k)
     total = cands.shape[0]
     values = np.empty(total)
-    argmax = np.empty(total, dtype=np.intp)
     # per candidate: a table row, three [T] temporaries and six scalars; the
     # table is allocated once and every chunk's product is written into it
     step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + 3 * rows_ix.size + 6)))
@@ -208,14 +201,12 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
         if not ((chunk[:, cols_ix, rows_ix] == upper).all() and (levels / n == upper).all()):
             raise ValueError("candidates must be symmetric with entries on the 1/n grid")
         products = np.matmul(levels, rows.T, out=table[: chunk.shape[0]])
-        best = products.argmax(axis=1)
         out = values[lo : lo + step]
-        np.multiply(products[np.arange(chunk.shape[0]), best], 2 * n, out=out)
+        np.multiply(products.max(axis=1), 2 * n, out=out)
         np.square(levels, out=levels)
         out -= levels @ penalty
         out /= n**4
-        argmax[lo : lo + step] = first[best]
-    return BulkScores(values, argmax, rows.shape[0])
+    return BulkScores(values, rows.shape[0])
 
 
 # -- candidate grid -----------------------------------------------------------------
@@ -278,8 +269,10 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
     _, reps, capped_row = np.unique(
         [graph_index(h) for h in capped], return_index=True, return_inverse=True
     )
-    scores = np.stack(
-        [_best_scores_bulk(cands, capped[i].adjacency.astype(float), n, k).values for i in reps]
+    scores = fill_table(
+        (_best_scores_bulk(cands, capped[i].adjacency.astype(float), n, k).values for i in reps),
+        len(reps),
+        "candidates",
     )
     # Each unordered pair of adjacent graphs is kept once (|difference| is
     # symmetric), as a pair of distinct score rows.

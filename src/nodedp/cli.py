@@ -18,6 +18,8 @@ import numpy as np
 
 from . import __version__
 from .audits import (
+    BITSTRING_AUDIT_MAX_BITS,
+    PAIR_AUDIT_MAX_N,
     audit_bitstring_reduction,
     audit_block_mechanism,
     audit_density_mechanism,
@@ -49,8 +51,15 @@ from .graphons import (
     two_clique_graphon,
     StepGraphon,
 )
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, graph_space_size
+from .mechanisms import check_table_size
 from .rng import substream
+
+# Grid of the Laplace audits.  The log-ratio of two Laplace laws of equal
+# scale reaches its supremum |c - c'| / scale beyond both centres, and every
+# centre here, an edge density, lies in [0, 1], so this range has grid points
+# beyond every centre on both sides.
+LAPLACE_GRID = (-1.0, 2.0)
 
 
 def _read_graph(path: str) -> LabeledGraph:
@@ -133,15 +142,26 @@ def _cmd_estimate_blocks(args) -> int:
     return 0
 
 
+def _grid(lo: float, hi: float, points: int, inputs: int) -> np.ndarray:
+    """np.linspace(lo, hi, points), once points is at least 1 and the audit's
+    table of one row per input over these points is known to fit under
+    AUDIT_TABLE_BYTES."""
+    if points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {points}")
+    check_table_size(inputs, points, "--grid-points")
+    return np.linspace(lo, hi, points)
+
+
 def _cmd_audit_dp(args) -> int:
-    grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     collect = bool(args.out)
+    # graphs on n vertices; the audits refuse n > PAIR_AUDIT_MAX_N themselves
+    inputs = graph_space_size(min(args.n, PAIR_AUDIT_MAX_N))
     if args.mechanism == "laplace":
         report = audit_density_mechanism(
             lambda g: laplace_density_mechanism(g, args.epsilon),
             args.n,
             args.epsilon,
-            grid,
+            _grid(*LAPLACE_GRID, args.grid_points, inputs),
             name="laplace-baseline",
             collect_rows=collect,
         )
@@ -152,7 +172,7 @@ def _cmd_audit_dp(args) -> int:
             mech,
             args.n,
             args.epsilon,
-            np.linspace(0.0, 1.0, args.grid_points),
+            _grid(0.0, 1.0, args.grid_points, inputs),
             name="extended-density",
             collect_rows=collect,
         )
@@ -160,7 +180,7 @@ def _cmd_audit_dp(args) -> int:
         cfg = EstimatorConfig(
             epsilon=args.epsilon, lam=args.lam, k=args.k, sensitivity_mode="audited"
         )
-        report = audit_block_mechanism(args.n, args.rho_hat, cfg, args.epsilon)
+        report = audit_block_mechanism(args.n, args.rho_hat, cfg, args.epsilon, collect)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_csv())
@@ -185,7 +205,7 @@ def _cmd_audit_sensitivity(args) -> int:
 def _parse_config_file(path: str) -> dict:
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return json.loads(text)
     out: dict = {}
     for line in text.splitlines():
@@ -197,7 +217,32 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce_config(raw: dict) -> ExperimentConfig:
+_REQUIRED_CONFIG_KEYS = ("estimator", "model", "n_grid", "epsilon_grid", "trials")
+_OPTIONAL_CONFIG_KEYS = {
+    "seed": int,
+    "p": float,
+    "m_fraction": float,
+    "rho": float,
+    "C": float,
+    "k": int,
+    "lam": float,
+    "b_diag": float,
+    "b_off": float,
+}
+
+
+def _coerce_config(raw) -> ExperimentConfig:
+    """The ExperimentConfig of a parsed config file.  A missing required key
+    and an unknown key are refused by name."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be key=value lines or one JSON object")
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in raw]
+    if missing:
+        raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
+    unknown = sorted(set(raw) - set(_REQUIRED_CONFIG_KEYS) - set(_OPTIONAL_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"config has unknown key(s): {', '.join(unknown)}")
+
     def as_list(v, cast):
         if isinstance(v, (list, tuple)):
             return tuple(cast(x) for x in v)
@@ -209,18 +254,9 @@ def _coerce_config(raw: dict) -> ExperimentConfig:
         "n_grid": as_list(raw["n_grid"], int),
         "epsilon_grid": as_list(raw["epsilon_grid"], float),
         "trials": int(raw["trials"]),
-        "seed": int(raw.get("seed", 0)),
+        "seed": 0,
     }
-    for key, cast in (
-        ("p", float),
-        ("m_fraction", float),
-        ("rho", float),
-        ("C", float),
-        ("k", int),
-        ("lam", float),
-        ("b_diag", float),
-        ("b_off", float),
-    ):
+    for key, cast in _OPTIONAL_CONFIG_KEYS.items():
         if key in raw and raw[key] != "":
             kwargs[key] = cast(raw[key])
     return ExperimentConfig(**kwargs)
@@ -255,12 +291,13 @@ def _cmd_experiment_homogeneity(args) -> int:
 
 
 def _cmd_experiment_reduction(args) -> int:
-    grid = np.linspace(-1.0, 2.0, args.grid_points)
+    # bit strings; the audit refuses more than BITSTRING_AUDIT_MAX_BITS itself
+    inputs = 1 << min(args.n_bits, BITSTRING_AUDIT_MAX_BITS)
     report = audit_bitstring_reduction(
         lambda g: laplace_density_mechanism(g, args.epsilon),
         args.n_bits,
         args.epsilon,
-        grid,
+        _grid(*LAPLACE_GRID, args.grid_points, inputs),
     )
     print(
         f"bits={report.n} epsilon={report.epsilon} pairs={report.pairs_checked} "
@@ -340,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rho", type=float, default=0.5)
     a.add_argument("--C", type=float, default=49.0)
     a.add_argument("--grid-points", type=int, default=1000)
-    a.add_argument("--grid-lo", type=float, default=-1.0)
-    a.add_argument("--grid-hi", type=float, default=2.0)
     a.add_argument("--out", help="write per-pair audit rows as CSV")
     a.set_defaults(func=_cmd_audit_dp)
 

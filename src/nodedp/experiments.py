@@ -87,8 +87,8 @@ class ExperimentConfig:
     C: float = 49.0
     k: int | None = None  # blocks only
     lam: float | None = None
-    b_diag: float | None = None  # blocks: 2x2 symmetric truth
-    b_off: float | None = None
+    b_diag: float | None = None  # blocks: k x k truth, b_diag on the diagonal
+    b_off: float | None = None  # and b_off off it
 
     def __post_init__(self):
         if self.trials < 1:
@@ -190,9 +190,7 @@ def _graph_cell(cfg: ExperimentConfig, n: int, eps: float, p: float, m: int) -> 
     more of G than e(G): one graph per trial, each from its own stream."""
     if cfg.estimator == "blocks":
         truth_graphon = StepGraphon.equal_blocks(
-            [[cfg.b_diag, cfg.b_off], [cfg.b_off, cfg.b_diag]]
-            if cfg.k == 2
-            else np.full((cfg.k, cfg.k), cfg.b_diag)
+            np.where(np.eye(cfg.k, dtype=bool), cfg.b_diag, cfg.b_off)
         )
         target = BlockMatrix(cfg.rho * truth_graphon.values)
     else:

@@ -94,10 +94,6 @@ class StepGraphon:
         return self.values.shape[0]
 
     @property
-    def block_lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
-    @property
     def max_value(self) -> float:
         return float(self.values.max())
 
@@ -108,10 +104,6 @@ class StepGraphon:
     def evaluate(self, x, y) -> np.ndarray:
         bx, by = self.block_of(x), self.block_of(y)
         return self.values[bx, by]
-
-    def integral(self) -> float:
-        lens = self.block_lengths
-        return float(lens @ self.values @ lens)
 
 
 def two_clique_graphon(q: float) -> StepGraphon:

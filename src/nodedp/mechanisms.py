@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class FiniteMechanism:
     def sample(self, rng: np.random.Generator) -> int:
         """One candidate index."""
         return int(np.searchsorted(self._cum, rng.random(), side="right"))
-
-    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.searchsorted(self._cum, rng.random(size), side="right")
 
 
 def exponential_mechanism_distribution(scores, coefficient: float) -> FiniteMechanism:
@@ -338,10 +335,6 @@ def unit_laplace_density(center: float, scale: float) -> PiecewiseExpDensity:
 # -- generic extension and audits --------------------------------------------------
 
 
-# Largest (inputs x base laws) distance table the exact extension accepts.
-EXTENSION_BUDGET = 10**7
-
-
 def extend_mechanism(
     bases: Sequence[PiecewiseExpDensity], distances, epsilon: float
 ) -> Callable[[int], PiecewiseExpDensity]:
@@ -368,12 +361,6 @@ def extend_mechanism(
         raise ValueError("distances must be [inputs, groups], one column per base law")
     if not len(bases):
         raise ValueError("hypothesis set H is empty")
-    if distances.size > EXTENSION_BUDGET:
-        raise ResourceLimitError(
-            f"{distances.shape[0]} x {distances.shape[1]} exact extension exceeds "
-            f"budget {EXTENSION_BUDGET}; the density estimator's promise mode runs "
-            "the base directly (DP only on H)"
-        )
     shapes = [b.shape.shift(-b.log_normalizer) for b in bases]
 
     def extended(x: int) -> PiecewiseExpDensity:
@@ -383,6 +370,39 @@ def extend_mechanism(
         )
 
     return extended
+
+
+# Bytes an audit's [inputs, columns] float64 table of log densities, log pmfs
+# or scores may take: 256 MiB, 32 times the 1,024 x 1,000 table of an n = 5
+# audit on the command line's default grid.
+AUDIT_TABLE_BYTES = 256 * 2**20
+
+
+def check_table_size(inputs: int, columns: int, what: str) -> None:
+    """Refuse an [inputs, columns] float64 table over AUDIT_TABLE_BYTES;
+    what names the columns in the message."""
+    size = 8 * inputs * columns
+    if size > AUDIT_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"{inputs} inputs x {columns} {what} take a {size}-byte table, over the "
+            f"cap of {AUDIT_TABLE_BYTES} bytes"
+        )
+
+
+def fill_table(rows: Iterable, inputs: int, what: str) -> np.ndarray:
+    """The [inputs, T] float64 table of the given rows, one per input.  The
+    first row fixes T, and the table is refused by check_table_size before
+    it is allocated; a row of another length raises ValueError."""
+    table = None
+    for r, row in enumerate(rows):
+        row = np.asarray(row, dtype=float)
+        if table is None:
+            check_table_size(inputs, row.size, what)
+            table = np.empty((inputs, row.size))
+        elif row.shape != table.shape[1:]:
+            raise ValueError("candidate lists differ across inputs")
+        table[r] = row
+    return table
 
 
 # Bytes one chunk of max_violation's [pairs, T] gap array may take.  The

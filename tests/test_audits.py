@@ -36,7 +36,7 @@ from nodedp.graphs import (
     rewiring_pairs,
     triangular_slots,
 )
-from nodedp.mechanisms import LaplaceDensity
+from nodedp.mechanisms import AUDIT_TABLE_BYTES, FiniteMechanism, LaplaceDensity
 
 
 GRID = np.linspace(-1.0, 2.0, 401)
@@ -351,6 +351,31 @@ def test_finite_and_bitstring_audits_refuse_above_their_limits():
         audit_finite_mechanism(never_called, 5, 1.0)
     with pytest.raises(ResourceLimitError, match="6 bits"):
         audit_bitstring_reduction(never_called, 7, 1.0, GRID)
+
+
+def test_an_oversized_audit_table_is_refused_after_its_first_row():
+    # 1,024 graphs x 40,000 grid points: a 328 MB table, over the cap
+    calls = []
+
+    def mechanism(g):
+        calls.append(g)
+        return laplace_density_mechanism(g, 1.0)
+
+    grid = np.linspace(-1.0, 2.0, 40_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="a 327680000-byte table"):
+            audit_density_mechanism(mechanism, 5, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1
+    assert peak < AUDIT_TABLE_BYTES / 64
+
+
+def test_finite_audit_refuses_candidate_lists_of_unequal_length():
+    with pytest.raises(ValueError, match="candidate lists differ across inputs"):
+        audit_finite_mechanism(lambda g: FiniteMechanism(np.zeros(1 + g.edge_count)), 3, 1.0)
 
 
 def test_laplace_certificate_n5_in_bounded_memory():

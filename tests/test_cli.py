@@ -3,14 +3,19 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nodedp
-from nodedp.cli import build_parser, main
+from nodedp.audits import audit_block_mechanism
+from nodedp.block_estimator import EstimatorConfig
+from nodedp.cli import build_parser, main, run
 from nodedp.errors import ResourceLimitError
+from nodedp.mechanisms import AUDIT_TABLE_BYTES
 from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
 from nodedp.rng import substream
 
@@ -180,6 +185,26 @@ def test_experiment_mse_json_config(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("estimator=baseline\nmodel=gnp\nn_grid=8\nepsilon_grid=1.0\ntrials=3\np=0.5\n"
+         "seeds=3\n", "config has unknown key(s): seeds"),
+        ("estimator=baseline\nmodel=gnp\nn_grid=8\nepsilon_grid=1.0\np=0.5\nrh0=0.4\n",
+         "config lacks required key(s): trials"),
+        ('[{"estimator": "baseline"}]', "config must be key=value lines or one JSON object"),
+    ],
+    ids=["unknown-key", "missing-key", "json-list"],
+)
+def test_experiment_mse_config_keys_are_checked_by_name(config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    assert run(["experiment", "mse", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"nodedp: error: {message}\n"
+    assert not out.exists()
+
+
 def test_experiment_coupling(capsys):
     code = main(
         ["experiment", "coupling", "--n", "4", "--m", "2", "--k", "1",
@@ -203,7 +228,7 @@ def test_experiment_homogeneity(capsys):
     "argv, message",
     [
         (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--grid-points", "0"],
-         "T >= 1 grid points"),
+         "--grid-points must be at least 1, got 0"),
         (["experiment", "homogeneity", "--n", "6", "--p", "0.3", "--samples", "0"],
          "samples must be at least 1"),
         (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "0"],
@@ -244,6 +269,53 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     assert [(int(r[0]), int(r[1])) for r in rows] == want
     assert len(want) == 48
     assert {r[2] for r in rows} == {"1"}
+
+
+def test_audit_dp_blocks_emits_per_pair_csv(tmp_path, capsys):
+    out = tmp_path / "audit.csv"
+    code = main(
+        ["audit", "dp", "--mechanism", "blocks", "--n", "3", "--epsilon", "1.0",
+         "--k", "2", "--lambda", "2.0", "--rho-hat", "0.5", "--out", str(out)]
+    )
+    assert code == 0
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
+    report = audit_block_mechanism(3, 0.5, cfg, 1.0)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == report.pairs_checked == 48
+    # the first row of largest violation is the witness: (i, j, candidate index)
+    violations = [float(r[6]) for r in rows]
+    worst = rows[violations.index(max(violations))]
+    assert (int(worst[0]), int(worst[1]), int(worst[3])) == report.witness
+    assert float(worst[6]) == report.max_violation
+
+
+@pytest.mark.parametrize(
+    "argv, table_bytes",
+    [
+        # 1,024 graphs x 10^6 grid points, refused before the grid is built
+        (["audit", "dp", "--mechanism", "laplace", "--n", "5", "--grid-points", "1000000"],
+         8 * 1024 * 10**6),
+        # 1,024 capped graphs x 81^3 candidates, refused after the first row
+        (["audit", "sensitivity", "--n", "5", "--k", "2", "--d", "4", "--mu", "16"],
+         8 * 1024 * 81**3),
+    ],
+    ids=["laplace-grid", "sensitivity-candidates"],
+)
+def test_an_oversized_audit_table_is_refused_before_allocating(argv, table_bytes, capsys):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert time.perf_counter() - start < 10.0
+    assert peak < AUDIT_TABLE_BYTES / 4
+    err = capsys.readouterr().err
+    assert err.startswith("nodedp: refused: ") and f"a {table_bytes}-byte table" in err
+    if "--grid-points" in argv:
+        assert "--grid-points" in err
 
 
 def _run_cli(*argv):
@@ -287,7 +359,7 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
         (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "0"],
          None, "nodedp: error: trials must be at least 1, got 0"),
         (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--grid-points", "0"],
-         None, "nodedp: error: logs must be [P, T] with T >= 1 grid points or outputs"),
+         None, "nodedp: error: --grid-points must be at least 1, got 0"),
         (["estimate", "density", "--epsilon", "1.0", "--mode", "baseline", "--input", "{path}"],
          "3 1\n0 x\n", "nodedp: error: line 2: unexpected character 'x'; edge lists hold "
          "ASCII digits, spaces, tabs, CR and LF only"),

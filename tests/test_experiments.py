@@ -328,3 +328,19 @@ def test_bootstrap_halfwidth_chunks_reproduce_the_one_piece_draw(monkeypatch):
     monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK_BYTES", 8 * errors.size * 7 + 5)
     got = bootstrap_halfwidth(errors, substream(3, "bootstrap"))
     assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_blocks_cell_truth_has_b_diag_on_and_b_off_off_the_diagonal(k, monkeypatch):
+    seen = []
+
+    def capture(w, *args, **kwargs):
+        seen.append(w.values)
+        raise _Sampled
+
+    monkeypatch.setattr(experiments, "sample_w_random", capture)
+    with pytest.raises(_Sampled):
+        run_mse_experiment(_config(**dict(_BLOCKS, k=k, b_diag=0.7, b_off=0.1)))
+    want = np.full((k, k), 0.1)
+    np.fill_diagonal(want, 0.7)
+    assert np.array_equal(seen[0], want)

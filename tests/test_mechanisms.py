@@ -66,7 +66,7 @@ def test_laplace_density_normalizes():
 def test_exponential_mechanism_uniform_when_scores_equal():
     mech = exponential_mechanism_distribution([7.0] * 10, 3.0)
     rng = substream(5, "expmech-uniform")
-    counts = np.bincount(mech.sample_indices(rng, 10**5), minlength=10)
+    counts = np.bincount([mech.sample(rng) for _ in range(10**5)], minlength=10)
     expect = 10**4
     sigma = math.sqrt(10**5 * 0.1 * 0.9)
     assert (np.abs(counts - expect) <= 4 * sigma).all()
@@ -83,7 +83,7 @@ def test_exponential_mechanism_two_candidate_closed_form():
     p_second = 1.0 / (1.0 + math.exp(-gamma * s))
     assert mech.probabilities()[1] == pytest.approx(p_second)
     rng = substream(6, "expmech-two")
-    hits = mech.sample_indices(rng, 10**5).sum()
+    hits = sum(mech.sample(rng) for _ in range(10**5))
     sigma = math.sqrt(10**5 * p_second * (1 - p_second))
     assert abs(hits - 10**5 * p_second) <= 3 * sigma
 
@@ -322,10 +322,10 @@ def test_extension_is_twice_epsilon_dp():
     assert _line_violation([0, 1, 2], extended, 2 * eps, grid) <= 1e-9
 
 
-def test_extension_promise_mode_and_guards(monkeypatch):
-    monkeypatch.setattr(mechanisms, "EXTENSION_BUDGET", 1)
+def test_extension_promise_mode_and_guards():
+    # past the exact range the extension is refused before any table exists
     with pytest.raises(ResourceLimitError, match="promise mode"):
-        extend_mechanism(_LINE_BASES, _LINE_DISTANCES, 1.0)
+        extended_density_mechanism(6, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=6))
     with pytest.raises(ValueError):  # H empty: no base law, no column
         extend_mechanism([], np.zeros((2, 0), dtype=int), 1.0)
     with pytest.raises(ValueError):  # one column per base law
