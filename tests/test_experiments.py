@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -137,6 +138,7 @@ def test_mse_experiment_csv_is_byte_stable():
     b = records_to_csv(run_mse_experiment(cfg))
     assert a == b
     assert a.startswith(CSV_SCHEMA + "\n")
+    assert _sha256(a) == "b6c9d59d545603b10a307c54d762dad8d365ed412920df5532f37f8a713f6a45"
 
 
 def test_mse_experiment_blocks_cell_runs():
@@ -181,6 +183,10 @@ def test_distinguishability_experiment_smoke():
 def test_distinguishability_warns_outside_regime():
     with pytest.warns(UserWarning):
         run_distinguishability_experiment(4, 1, 3, trials=100, seed=9)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _config(**overrides):
@@ -290,7 +296,29 @@ def test_gnp_promise_cell_with_many_centres_is_byte_stable():
     cfg = _config(estimator="promise", n_grid=(n,), p=p, trials=200, seed=6)
     tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(1.0))
     assert np.unique(_edge_densities(cfg, n, p, 0, substream(*tags))).size > 50
-    assert records_to_csv(run_mse_experiment(cfg)) == records_to_csv(run_mse_experiment(cfg))
+    csv = records_to_csv(run_mse_experiment(cfg))
+    assert csv == records_to_csv(run_mse_experiment(cfg))
+    assert _sha256(csv) == "7849a49d0eed6c5ed6b58426e71723dffc02fa006e09662882bc459b1a243ccb"
+
+
+def test_small_gnp_promise_cells_are_pinned():
+    # n = 3..8 with p = 0 and 1 (centres exactly 0 and 1), p = 0.01 and 0.99
+    # (a few centres off the edge) and p = 0.5: 3-, 4- and 5-knot laws
+    cfgs = [
+        _config(estimator="promise", n_grid=(3, 4, 5, 8), epsilon_grid=(0.1, 1.0, 1e3),
+                p=p, trials=60, seed=9)
+        for p in (0.0, 0.01, 0.5, 0.99, 1.0)
+    ]
+    knots = set()
+    for cfg in cfgs:
+        for n in cfg.n_grid:
+            tags = (cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(1.0))
+            for centre in np.unique(_edge_densities(cfg, n, cfg.p, 0, substream(*tags))):
+                law = truncated_laplace_density(float(centre), 1.0, cfg.C, cfg.rho, n)
+                knots.add(law.shape.xs.size)
+    assert knots == {3, 4, 5}
+    csv = "".join(records_to_csv(run_mse_experiment(cfg)) for cfg in cfgs)
+    assert _sha256(csv) == "8ca4d379f19fea84f0943bdf319baec3d8b5dcc704edcec75f2483673c49107f"
 
 
 @pytest.mark.parametrize("estimator", ["baseline", "promise"])
