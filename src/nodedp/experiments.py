@@ -44,7 +44,7 @@ from .graphons import (
     sample_w_random,
 )
 from .graphs import all_graphs, node_distance
-from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_density
+from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_quantiles
 from .rng import substream
 
 DENSITY_ESTIMATORS = ("baseline", "promise", "extended")
@@ -177,11 +177,10 @@ def _edge_count_cell(
     else:
         unique, inverse = np.unique(centres, return_inverse=True)
         order = np.argsort(inverse, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
         values = np.empty(cfg.trials)
-        for centre, idx in zip(unique.tolist(), groups):
-            law = truncated_laplace_density(centre, eps, hcfg.C, hcfg.rho, n)
-            values[idx] = law.sample(rng, size=idx.size)
+        values[order] = truncated_laplace_quantiles(
+            unique, inverse[order], rng.random(cfg.trials), eps, hcfg.C, hcfg.rho, n
+        )
     return (values - p) ** 2
 
 

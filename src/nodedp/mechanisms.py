@@ -26,25 +26,28 @@ def _check_epsilon(epsilon: float) -> float:
     return eps
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) over a 1-d array, by scipy.special.logsumexp's own
-    algorithm, so the two agree bit for bit: the maxima are summed apart and
-    enter through log1p, and a non-finite result falls back to the direct
-    formula."""
+def logsumexp(a):
+    """log(sum(exp(a))) along the last axis, row by row by
+    scipy.special.logsumexp's own algorithm, so the two agree bit for bit:
+    a row's maxima are counted apart and the rest enters through log1p, and
+    a row whose result is not finite falls back to the direct formula.  A
+    1-d input gives a scalar."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    top = a.max()
+    if a.shape[-1] == 0:
+        return np.full(a.shape[:-1], -np.inf)[()]
+    top = a.max(axis=-1, keepdims=True)
     at_top = a == top
-    count = np.float64(np.count_nonzero(at_top))
+    count = np.add.reduce(at_top, axis=-1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-        if rest != 0:
-            rest = rest / count
-        out = np.log1p(rest) + np.log(count) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1, keepdims=True)
+        # scipy divides only a nonzero rest; 0 / count is 0 all the same,
+        # since count is 0 only on a NaN row, whose rest is NaN
+        rest /= count
+        out = (np.log1p(rest) + np.log(count) + top)[..., 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1)))
+    return out[()]
 
 
 # -- Laplace -------------------------------------------------------------------
@@ -127,7 +130,7 @@ class PiecewiseLinear:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d knot arrays with >= 2 knots")
-        if not (np.diff(xs) > 0).all():
+        if not (xs[1:] > xs[:-1]).all():
             raise ValueError("knots must be strictly increasing")
         self.xs = xs
         self.ys = ys
@@ -177,39 +180,86 @@ def piecewise_min(funcs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
 def _log_e1m(d: np.ndarray) -> np.ndarray:
     """log((exp(d) - 1) / d) elementwise, stable for any real d (0 -> 0)."""
     d = np.asarray(d, dtype=float)
-    out = np.empty_like(d)
-    small = np.abs(d) < 1e-9
-    out[small] = d[small] / 2.0
-    pos = (~small) & (d > 0)
-    big = pos & (d > 700)
-    mid = pos & ~big
-    out[mid] = np.log(np.expm1(d[mid])) - np.log(d[mid])
-    out[big] = d[big] - np.log(d[big])
-    neg = (~small) & (d < 0)
-    out[neg] = np.log(-np.expm1(d[neg])) - np.log(-d[neg])
-    return out
+    ad = np.abs(d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ad = np.log(ad)
+        out = np.where(d > 700, d - log_ad, np.log(np.abs(np.expm1(d))) - log_ad)
+    return np.where(ad < 1e-9, d / 2.0, out)
+
+
+def _piece_tables(xs: np.ndarray, ys: np.ndarray):
+    """Closed-form tables of the laws proportional to exp(ys) on the knots
+    xs, along the last axis of [..., K] arrays: the log normalizer [...],
+    and per piece its height at the left knot h0 and slope beta [..., K-1],
+    scaled so the piece masses sum to one, and the cumulative masses cum
+    [..., K]."""
+    top = ys.max(axis=-1, keepdims=True)
+    h = ys - top  # work in a shifted scale where exp() never overflows
+    w = xs[..., 1:] - xs[..., :-1]
+    d = h[..., 1:] - h[..., :-1]
+    log_pieces = h[..., :-1] + np.log(w) + _log_e1m(d)
+    log_total = logsumexp(log_pieces)[..., None]
+    cum = np.zeros(xs.shape)
+    np.add.accumulate(np.exp(log_pieces - log_total), axis=-1, out=cum[..., 1:])
+    cum[..., -1] = 1.0
+    return (log_total + top)[..., 0], h[..., :-1] - log_total, d / w, cum
+
+
+def _piece_quantiles(xs, h0, beta, cum, u, rows=None) -> np.ndarray:
+    """Inverse CDF of laws with knots xs and _piece_tables' h0, beta, cum.
+    One law ([K] tables): at every probability in u, of any shape.  A stack
+    ([B, K] tables): at each u[j] of a 1-d u, under the law rows[j]."""
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
+    if rows is None:
+        idx = np.searchsorted(cum, u, side="right") - 1
+    else:
+        # the count of cumulative masses <= u: the same piece for u < 1, since
+        # only the last of them (set to 1) may fall below the one before it
+        idx = (cum[rows] <= u[:, None]).sum(axis=-1) - 1
+    idx = np.minimum(np.maximum(idx, 0), h0.shape[-1] - 1)
+    piece, right = (idx, idx + 1) if rows is None else ((rows, idx), (rows, idx + 1))
+    tau = u - cum[piece]  # remaining mass inside the piece
+    h0 = h0[piece]
+    beta = beta[piece]
+    safe_beta = np.where(beta == 0, 1.0, beta)
+    # Solve exp(h0) (exp(beta t) - 1) / beta = tau for t.  Directly while
+    # beta tau exp(-h0) is finite; a piece that climbs more than ~709
+    # log-units overflows it, and those draws are solved in log space.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = tau * np.exp(-h0)
+        product = beta * scaled
+        t = np.where(
+            np.abs(beta) < 1e-14,
+            scaled,
+            np.log1p(np.maximum(product, -1.0 + 1e-300)) / safe_beta,
+        )
+        bad = ~np.isfinite(product)
+        if bad.any():
+            b, sb = beta[bad], safe_beta[bad]
+            log_bs = np.log(tau[bad]) - h0[bad] + np.log(np.abs(sb))  # log |sb * scaled|
+            t[bad] = np.select(
+                [b > 0, b < 0],
+                [np.logaddexp(0.0, log_bs), np.log1p(-np.minimum(np.exp(log_bs), 1.0))],
+                np.exp(log_bs),  # flat piece: t = scaled
+            ) / sb
+    left = xs[piece]
+    return left + np.minimum(np.maximum(t, 0.0), xs[right] - left)
 
 
 class PiecewiseExpDensity:
     """Probability density on [lo, hi] proportional to exp(shape(q)).
 
     The normalizer, CDF and inverse CDF come from the closed-form integral
-    of exp over each linear piece; no quadrature or rejection anywhere.
+    of exp over each linear piece; no quadrature or rejection anywhere.  The
+    tables and the inverse CDF are _piece_tables and _piece_quantiles, which
+    also serve stacks of laws with equal knot counts
+    (truncated_laplace_quantiles).
     """
 
     def __init__(self, shape: PiecewiseLinear) -> None:
         self.shape = shape
-        top = float(shape.ys.max())
-        h = shape.ys - top  # work in a shifted scale where exp() never overflows
-        w = np.diff(shape.xs)
-        d = np.diff(h)
-        log_pieces = h[:-1] + np.log(w) + _log_e1m(d)
-        log_total = float(logsumexp(log_pieces))
-        self.log_normalizer = log_total + top
-        self._h0 = h[:-1] - log_total  # shifted so piece masses sum to one
-        self._beta = d / w
-        self._cum = np.concatenate([[0.0], np.cumsum(np.exp(log_pieces - log_total))])
-        self._cum[-1] = 1.0
+        log_normalizer, self._h0, self._beta, self._cum = _piece_tables(shape.xs, shape.ys)
+        self.log_normalizer = float(log_normalizer)
 
     @property
     def lo(self) -> float:
@@ -247,36 +297,8 @@ class PiecewiseExpDensity:
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(np.clip(u, 0.0, 1.0))
-        idx = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self._h0) - 1)
-        tau = u - self._cum[idx]  # remaining mass inside the piece
-        h0 = self._h0[idx]
-        beta = self._beta[idx]
-        safe_beta = np.where(beta == 0, 1.0, beta)
-        # Solve exp(h0) (exp(beta t) - 1) / beta = tau for t.  Directly while
-        # beta tau exp(-h0) is finite; a piece that climbs more than ~709
-        # log-units overflows it, and those draws are solved in log space.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = tau * np.exp(-h0)
-            product = beta * scaled
-            t = np.where(
-                np.abs(beta) < 1e-14,
-                scaled,
-                np.log1p(np.maximum(product, -1.0 + 1e-300)) / safe_beta,
-            )
-            bad = ~np.isfinite(product)
-            if bad.any():
-                b, sb = beta[bad], safe_beta[bad]
-                log_bs = np.log(tau[bad]) - h0[bad] + np.log(np.abs(sb))  # log |sb * scaled|
-                t[bad] = np.select(
-                    [b > 0, b < 0],
-                    [np.logaddexp(0.0, log_bs), np.log1p(-np.minimum(np.exp(log_bs), 1.0))],
-                    np.exp(log_bs),  # flat piece: t = scaled
-                ) / sb
-        widths = np.diff(self.shape.xs)[idx]
-        x = self.shape.xs[idx] + np.clip(t, 0.0, widths)
-        return float(x[0]) if scalar else x
+        x = _piece_quantiles(self.shape.xs, self._h0, self._beta, self._cum, u)
+        return float(x) if u.ndim == 0 else x
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.inverse_cdf(rng.random(size))
@@ -295,6 +317,31 @@ def truncation_rate(n: int, rho: float) -> float:
     return n**1.5 / (max(math.sqrt(rho), math.sqrt(logn / n)) * math.sqrt(logn))
 
 
+def _truncated_laplace_knots(centres: np.ndarray, epsilon: float, C: float, rho: float, n: int):
+    """Candidate knots xs, log shape ys and knot mask, each [B, 5], of
+    truncated_laplace_density at each of the B centres.  A law's knots are
+    {0, 1, c, c - r, c + r} intersected with [0, 1]: the distinct entries of
+    the sorted row clip([0, c - r, c, c + r, 1], 0, 1), whose first copies
+    the mask keeps.  The centres must lie in [0, 1]."""
+    eps = _check_epsilon(epsilon)
+    if not C > 48:
+        raise ValueError(f"C must exceed 48, got {C}")
+    if n < 3:
+        raise ValueError("n must be at least 3 (log n degenerate below)")
+    rate = truncation_rate(n, rho)
+    radius = n / rate
+    coef = eps / (16.0 * C)  # (eps/2) * 1/(8C)
+    c = centres[:, None]
+    # each candidate after the one before it; the leading NaN differs from 0
+    row = np.minimum(
+        np.maximum(c + np.array([np.nan, -np.inf, -radius, 0.0, radius, np.inf]), 0.0), 1.0
+    )
+    xs = row[:, 1:]
+    keep = xs != row[:, :-1]
+    ys = -coef * np.minimum(rate * np.abs(xs - c), float(n))
+    return xs, ys, keep
+
+
 def truncated_laplace_density(
     center: float, epsilon: float, C: float, rho: float, n: int
 ) -> PiecewiseExpDensity:
@@ -306,20 +353,36 @@ def truncated_laplace_density(
     calibrates this mechanism to vertex-rewiring distance on homogeneous
     graphs.
     """
-    eps = _check_epsilon(epsilon)
-    if not C > 48:
-        raise ValueError(f"C must exceed 48, got {C}")
-    if n < 3:
-        raise ValueError("n must be at least 3 (log n degenerate below)")
     if not 0.0 <= center <= 1.0:
         raise ValueError("center must lie in [0, 1]")
-    rate = truncation_rate(n, rho)
-    radius = n / rate
-    coef = eps / (16.0 * C)  # (eps/2) * 1/(8C)
-    knots = {0.0, 1.0, center, center - radius, center + radius}
-    xs = np.array(sorted(x for x in knots if 0.0 <= x <= 1.0))
-    ys = -coef * np.minimum(rate * np.abs(xs - center), float(n))
-    return PiecewiseExpDensity(PiecewiseLinear(xs, ys))
+    xs, ys, keep = _truncated_laplace_knots(np.array([float(center)]), epsilon, C, rho, n)
+    return PiecewiseExpDensity(PiecewiseLinear(xs[keep], ys[keep]))
+
+
+def truncated_laplace_quantiles(
+    centres, laws, u, epsilon: float, C: float, rho: float, n: int
+) -> np.ndarray:
+    """truncated_laplace_density(centres[laws[j]], ...).inverse_cdf(u[j]) for
+    every draw j, bit for bit when u lies in [0, 1): one table build over
+    the laws of each knot count and one inverse-CDF pass over their draws."""
+    centres = np.asarray(centres, dtype=float)
+    if not ((centres >= 0.0) & (centres <= 1.0)).all():
+        raise ValueError("centres must lie in [0, 1]")
+    xs, ys, keep = _truncated_laplace_knots(centres, epsilon, C, rho, n)
+    knots = keep.sum(axis=1)
+    out = np.empty(len(laws))
+    for k in sorted(set(knots.tolist())):
+        group = knots == k
+        mask = keep & group[:, None]
+        gx, gy = xs[mask].reshape(-1, k), ys[mask].reshape(-1, k)
+        _, h0, beta, cum = _piece_tables(gx, gy)
+        draws = np.flatnonzero(group[laws])
+        if len(gx) == 1:  # one law: its [K] tables serve every draw
+            out[draws] = _piece_quantiles(gx[0], h0[0], beta[0], cum[0], u[draws])
+        else:
+            rows = np.searchsorted(np.flatnonzero(group), laws[draws])
+            out[draws] = _piece_quantiles(gx, h0, beta, cum, u[draws], rows)
+    return out
 
 
 def unit_laplace_density(center: float, scale: float) -> PiecewiseExpDensity:
