@@ -53,14 +53,16 @@ class AuditReport:
     # per-pair worst rows (pair id, grid point or candidate index, log ratio,
     # bound, violation) over rewiring pairs, populated on request
     rows: tuple = ()
+    # what the third entry of a row is: grid_q (grid audits) or candidate
+    column: str = "grid_q"
 
     def passed(self) -> bool:
         return self.max_violation <= AUDIT_TOLERANCE
 
     def to_csv(self) -> str:
-        lines = ["pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"]
+        lines = [f"pair_i,pair_j,{self.column},log_ratio,bound,violation"]
         for i, j, q, ratio, bound, violation in self.rows:
-            lines.append(f"{i},{j},1,{q:.17g},{ratio:.17g},{bound:.17g},{violation:.17g}")
+            lines.append(f"{i},{j},{q:.17g},{ratio:.17g},{bound:.17g},{violation:.17g}")
         return "\n".join(lines) + "\n"
 
 
@@ -71,7 +73,8 @@ def _report(name: str, n: int, epsilon: float, v, grid=None) -> AuditReport:
     at = int if grid is None else (lambda t: float(grid[t]))
     witness = None if v.witness is None else (v.witness[0], v.witness[1], at(v.witness[2]))
     rows = tuple((i, j, at(t), r, b, gap) for i, j, t, r, b, gap in v.rows)
-    return AuditReport(name, n, epsilon, v.worst, v.pairs, witness, rows)
+    column = "candidate" if grid is None else "grid_q"
+    return AuditReport(name, n, epsilon, v.worst, v.pairs, witness, rows, column)
 
 
 def audit_density_mechanism(

@@ -232,8 +232,8 @@ _OPTIONAL_CONFIG_KEYS = {
 
 
 def _coerce_config(raw) -> ExperimentConfig:
-    """The ExperimentConfig of a parsed config file.  A missing required key
-    and an unknown key are refused by name."""
+    """The ExperimentConfig of a parsed config file.  A missing required key,
+    an unknown key and a key with an empty value are refused by name."""
     if not isinstance(raw, dict):
         raise ValueError("config must be key=value lines or one JSON object")
     missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in raw]
@@ -242,6 +242,9 @@ def _coerce_config(raw) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(_REQUIRED_CONFIG_KEYS) - set(_OPTIONAL_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"config has unknown key(s): {', '.join(unknown)}")
+    empty = [key for key, value in raw.items() if value == ""]
+    if empty:
+        raise ValueError(f"config has empty value(s) for key(s): {', '.join(empty)}")
 
     def as_list(v, cast):
         if isinstance(v, (list, tuple)):
@@ -257,7 +260,7 @@ def _coerce_config(raw) -> ExperimentConfig:
         "seed": 0,
     }
     for key, cast in _OPTIONAL_CONFIG_KEYS.items():
-        if key in raw and raw[key] != "":
+        if key in raw:
             kwargs[key] = cast(raw[key])
     return ExperimentConfig(**kwargs)
 

@@ -166,8 +166,10 @@ def _edge_count_cell(
     """Squared errors of a baseline or promise cell, all from one stream.
     The baseline adds Lap(4/(n eps)) and clamps to [0, 1], as
     laplace_density_estimator does; the promise cell samples the law that
-    restricted_density_mechanism builds, once per distinct centre, each
-    group by one inverse-CDF call in sorted-centre order."""
+    restricted_density_mechanism builds at each trial's centre.  Its
+    uniforms are drawn at once and taken in sorted-centre order, the stream
+    of one law.sample(rng, size=k) per distinct centre, and inverted in one
+    batched pass over the distinct laws (truncated_laplace_quantiles)."""
     hcfg = HomogeneityConfig(rho=cfg.rho, C=cfg.C, n=n)  # rejects rho, C, n out of range
     rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
     centres = _edge_densities(cfg, n, p, m, rng)

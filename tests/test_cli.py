@@ -13,7 +13,7 @@ import pytest
 import nodedp
 from nodedp.audits import audit_block_mechanism
 from nodedp.block_estimator import EstimatorConfig
-from nodedp.cli import build_parser, main, run
+from nodedp.cli import LAPLACE_GRID, build_parser, main, run
 from nodedp.errors import ResourceLimitError
 from nodedp.mechanisms import AUDIT_TABLE_BYTES
 from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
@@ -193,8 +193,12 @@ def test_experiment_mse_json_config(tmp_path):
         ("estimator=baseline\nmodel=gnp\nn_grid=8\nepsilon_grid=1.0\np=0.5\nrh0=0.4\n",
          "config lacks required key(s): trials"),
         ('[{"estimator": "baseline"}]', "config must be key=value lines or one JSON object"),
+        ("estimator=baseline\nmodel=gnp\nn_grid=8\nepsilon_grid=1.0\ntrials=3\np=0.5\n"
+         "rho=\nseed=\n", "config has empty value(s) for key(s): rho, seed"),
+        ('{"estimator": "baseline", "model": "gnp", "n_grid": [8], "epsilon_grid": [1.0], '
+         '"trials": "", "p": 0.5}', "config has empty value(s) for key(s): trials"),
     ],
-    ids=["unknown-key", "missing-key", "json-list"],
+    ids=["unknown-key", "missing-key", "json-list", "empty-values", "empty-json-value"],
 )
 def test_experiment_mse_config_keys_are_checked_by_name(config, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
@@ -259,7 +263,7 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "pair_i,pair_j,d_v,grid_q,log_ratio,bound,violation"
+    assert lines[0] == "pair_i,pair_j,grid_q,log_ratio,bound,violation"
     rows = [line.split(",") for line in lines[1:]]
     # the ordered pairs one rewiring apart over the 8 graphs on n=3
     want = [
@@ -268,7 +272,8 @@ def test_audit_dp_emits_per_pair_csv(tmp_path, capsys):
     ]
     assert [(int(r[0]), int(r[1])) for r in rows] == want
     assert len(want) == 48
-    assert {r[2] for r in rows} == {"1"}
+    grid = np.linspace(*LAPLACE_GRID, 101)
+    assert all(float(r[2]) in grid for r in rows)
 
 
 def test_audit_dp_blocks_emits_per_pair_csv(tmp_path, capsys):
@@ -280,13 +285,15 @@ def test_audit_dp_blocks_emits_per_pair_csv(tmp_path, capsys):
     assert code == 0
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
     report = audit_block_mechanism(3, 0.5, cfg, 1.0)
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    lines = out.read_text().splitlines()
+    assert lines[0] == "pair_i,pair_j,candidate,log_ratio,bound,violation"
+    rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == report.pairs_checked == 48
     # the first row of largest violation is the witness: (i, j, candidate index)
-    violations = [float(r[6]) for r in rows]
+    violations = [float(r[5]) for r in rows]
     worst = rows[violations.index(max(violations))]
-    assert (int(worst[0]), int(worst[1]), int(worst[3])) == report.witness
-    assert float(worst[6]) == report.max_violation
+    assert (int(worst[0]), int(worst[1]), int(worst[2])) == report.witness
+    assert float(worst[5]) == report.max_violation
 
 
 @pytest.mark.parametrize(

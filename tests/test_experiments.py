@@ -321,6 +321,41 @@ def test_small_gnp_promise_cells_are_pinned():
     assert _sha256(csv) == "8ca4d379f19fea84f0943bdf319baec3d8b5dcc704edcec75f2483673c49107f"
 
 
+def _per_centre_promise_errors(cfg, n, eps, p, m):
+    """The promise cell by its definition: one law per distinct centre, each
+    sampled in sorted-centre order from the cell's stream."""
+    rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
+    centres = _edge_densities(cfg, n, p, m, rng)
+    values = np.empty(cfg.trials)
+    for centre in np.unique(centres).tolist():
+        idx = np.flatnonzero(centres == centre)
+        law = truncated_laplace_density(centre, eps, cfg.C, cfg.rho, n)
+        values[idx] = law.sample(rng, size=idx.size)
+    return (values - p) ** 2
+
+
+@pytest.mark.parametrize("model", ["gnp", "gnm"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_promise_cell_matches_the_per_centre_loop(model, seed):
+    fractions = (0.0, 0.01, 0.5, 0.99, 1.0) if model == "gnp" else (0.0, 0.5, 1.0)
+    for n in (3, 4, 5, 8, 64, 512, 2**19):
+        slots = math.comb(n, 2)
+        for eps in (0.1, 1.0, 1e3):
+            for fraction in fractions:
+                rho = (0.1, 1.0)[seed]
+                if model == "gnp":
+                    cfg = _config(estimator="promise", p=fraction, trials=100, seed=seed, rho=rho)
+                    p, m = fraction, 0
+                else:
+                    cfg = _config(estimator="promise", model="gnm", p=None, m_fraction=fraction,
+                                  trials=100, seed=seed, rho=rho)
+                    m = math.floor(fraction * slots)
+                    p = m / slots
+                got = experiments._edge_count_cell(cfg, n, eps, p, m)
+                want = _per_centre_promise_errors(cfg, n, eps, p, m)
+                assert got.tobytes() == want.tobytes(), (n, eps, fraction)
+
+
 @pytest.mark.parametrize("estimator", ["baseline", "promise"])
 def test_gnp_edge_count_cell_runs_one_trial(estimator):
     (rec,) = run_mse_experiment(_config(estimator=estimator, n_grid=(16,), trials=1))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -184,6 +185,33 @@ def test_density_steep_rising_piece_does_not_collapse():
         draws = trunc.sample(substream(25, "steep-rise"), size=20000)
     assert not (draws == 0.5).any()
     assert (draws < 0.5).mean() == pytest.approx(0.5, abs=0.02)
+
+INVERSE_CDF_SHA256 = "d8f8e0c1e7f3a1cc6f68ab8df77bf9cdecb7f09bddec6f9d2e815c88c15bc144"
+
+
+def test_inverse_cdf_bytes_are_pinned():
+    laws = [
+        _random_density(substream(22, "pexp-cdf")),
+        _random_density(substream(23, "pexp-sample")),
+        unit_laplace_density(0.3, 1e-4),
+        truncated_laplace_density(0.5, 100.0, 49.0, 0.5, 8192),
+        truncated_laplace_density(0.5, 1.0, 49.0, 0.5, 64),
+        truncated_laplace_density(0.0, 1.3, 50.0, 0.25, 40),
+        truncated_laplace_density(0.17, 1.3, 50.0, 0.25, 40),
+        truncated_laplace_density(1.0, 1.3, 50.0, 0.25, 40),
+        truncated_laplace_density(0.1, 2.0, 49.0, 0.3, 50),
+    ]
+    # two laws have a piece that climbs more than 709 log-units, where
+    # beta tau exp(-h0) overflows and the draw is solved in log space
+    assert sum(np.abs(np.diff(law.shape.ys)).max() > 709 for law in laws) == 2
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 1e-17, 1 - 2**-53]])
+    digest = hashlib.sha256()
+    for law in laws:
+        x = law.inverse_cdf(u)
+        assert [law.inverse_cdf(float(v)) for v in u[::50]] == x[::50].tolist()
+        digest.update(x.tobytes())
+    assert digest.hexdigest() == INVERSE_CDF_SHA256
+
 
 # -- truncated Laplace density ---------------------------------------------------------------
 
@@ -383,6 +411,35 @@ def test_logsumexp_is_bit_identical_to_scipy():
     for edge in ([-np.inf, -np.inf], [np.inf, 1.0], [0.0], [5.0, -np.inf]):
         assert logsumexp(edge) == float(scipy_logsumexp(np.array(edge)))
     assert math.isnan(logsumexp([np.nan, 1.0]))
+
+
+def test_logsumexp_along_the_last_axis_is_bit_identical_to_scipy():
+    rng = substream(20261019, "logsumexp-rows")
+    for trial in range(3000):
+        rows, size = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        kind = trial % 4
+        if kind == 0:
+            a = rng.normal(size=(rows, size)) * rng.choice([1e-3, 1.0, 1e3])
+        elif kind == 1:  # ties at the maximum and elsewhere
+            a = rng.integers(-3, 3, size=(rows, size)).astype(float)
+        elif kind == 2:  # spans above 700, with -inf entries
+            a = rng.uniform(-1500.0, 10.0, size=(rows, size))
+            a[rng.random(a.shape) < 0.2] = -np.inf
+        else:
+            a = np.concatenate([rng.uniform(-800.0, 0.0, size=(rows, size)),
+                                np.zeros((rows, 2))], axis=1)
+        want = scipy_logsumexp(a, axis=-1)
+        assert logsumexp(a).tobytes() == want.tobytes()
+        assert [logsumexp(row) for row in a] == want.tolist()
+    edges = np.array([[-np.inf, -np.inf, -np.inf], [np.nan, 1.0, 0.0], [2.0, 2.0, -np.inf],
+                      [np.inf, 1.0, 0.0], [0.0, -np.inf, 0.0]])
+    with np.errstate(invalid="ignore"):
+        want = scipy_logsumexp(edges, axis=-1)
+    got = logsumexp(edges)
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == -np.inf and math.isnan(got[1])
+    stack = rng.normal(size=(2, 3, 5))
+    assert logsumexp(stack).tobytes() == scipy_logsumexp(stack, axis=-1).tobytes()
 
 
 # -- the pair kernel ------------------------------------------------------------------
