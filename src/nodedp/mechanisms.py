@@ -332,7 +332,9 @@ def _truncated_laplace_knots(centres: np.ndarray, epsilon: float, C: float, rho:
     radius = n / rate
     coef = eps / (16.0 * C)  # (eps/2) * 1/(8C)
     c = centres[:, None]
-    # each candidate after the one before it; the leading NaN differs from 0
+    # xs = row[:, 1:] are the sorted candidates and row[:, :-1] the one before
+    # each, so an exact duplicate equals its predecessor; the leading NaN
+    # equals nothing, which keeps the knot 0
     row = np.minimum(
         np.maximum(c + np.array([np.nan, -np.inf, -radius, 0.0, radius, np.inf]), 0.0), 1.0
     )
@@ -364,7 +366,9 @@ def truncated_laplace_quantiles(
 ) -> np.ndarray:
     """truncated_laplace_density(centres[laws[j]], ...).inverse_cdf(u[j]) for
     every draw j, bit for bit when u lies in [0, 1): one table build over
-    the laws of each knot count and one inverse-CDF pass over their draws."""
+    the laws of each knot count and one inverse-CDF pass over their draws.
+    centres are the distinct centres, and laws and u are arrays with one
+    entry per draw."""
     centres = np.asarray(centres, dtype=float)
     if not ((centres >= 0.0) & (centres <= 1.0)).all():
         raise ValueError("centres must lie in [0, 1]")
@@ -377,7 +381,7 @@ def truncated_laplace_quantiles(
         gx, gy = xs[mask].reshape(-1, k), ys[mask].reshape(-1, k)
         _, h0, beta, cum = _piece_tables(gx, gy)
         draws = np.flatnonzero(group[laws])
-        if len(gx) == 1:  # one law: its [K] tables serve every draw
+        if len(gx) == 1:  # one law: the one-law lookup is the cheaper one
             out[draws] = _piece_quantiles(gx[0], h0[0], beta[0], cum[0], u[draws])
         else:
             rows = np.searchsorted(np.flatnonzero(group), laws[draws])
