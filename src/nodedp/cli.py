@@ -63,7 +63,8 @@ LAPLACE_GRID = (-1.0, 2.0)
 
 
 def _read_graph(path: str) -> LabeledGraph:
-    with open(path) as fh:
+    # a non-ASCII byte becomes U+FFFD, which the parser refuses by its line
+    with open(path, encoding="ascii", errors="replace") as fh:
         return LabeledGraph.from_edge_list_text(fh.read())
 
 

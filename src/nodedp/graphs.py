@@ -95,16 +95,13 @@ class LabeledGraph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
-        loops = pairs[:, 0] == pairs[:, 1]
-        if loops.any():
-            u, v = pairs[loops.argmax()].tolist()
-            raise ValueError(f"self-loop ({u},{v})")
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-            u, v = pairs[outside.argmax()].tolist()
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        # one max finds both faults: a negative vertex wraps high as uint64
+        if pairs.size and pairs.view(np.uint64).max() >= n:
+            raise _edge_fault(n, pairs)
         adj = np.zeros((n, n), dtype=bool)
         adj[pairs[:, 0], pairs[:, 1]] = True
+        if adj.diagonal().any():
+            raise _edge_fault(n, pairs)
         adj[pairs[:, 1], pairs[:, 0]] = True
         return cls._wrap(adj)
 
@@ -142,7 +139,7 @@ class LabeledGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self._adj.sum()) // 2
+        return int(np.count_nonzero(self._adj)) // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -253,6 +250,17 @@ class LabeledGraph:
         return cls.from_slots(n, bits[:nbits])
 
 
+def _edge_fault(n: int, pairs: np.ndarray) -> ValueError:
+    """The first self-loop, else the first edge out of range for n."""
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        u, v = pairs[loops.argmax()].tolist()
+        return ValueError(f"self-loop ({u},{v})")
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    u, v = pairs[outside.argmax()].tolist()
+    return ValueError(f"edge ({u},{v}) out of range for n={n}")
+
+
 def _line_number(text: str, offset: int) -> int:
     """Line of ``text[offset]`` when LF, CR and CRLF each end one line."""
     head = text[:offset]
@@ -260,56 +268,100 @@ def _line_number(text: str, offset: int) -> int:
 
 
 def _edge_list_rows(text: str) -> np.ndarray:
-    """The two numbers of every nonblank line, as an [L, 2] int64 array, in
-    one numpy pass over the bytes.
+    """The two numbers of every nonblank line, as an [L, 2] int64 array.
 
     A number is a maximal run of ASCII digits; a line ends at LF or CR, so
-    CRLF leaves a blank line, which is ignored.  Each number is accumulated
-    by Horner's rule from its last digit, one vectorised step per digit
-    position, and placed on its line by a running count of line breaks.
+    CRLF leaves a blank line, which is ignored.  ``_number_bounds`` finds
+    and checks the numbers; the header's two are then read by ``int``, and
+    the edge numbers are summed right to left, one vectorised step per digit
+    position of the widest edge number.
     """
     # errors="replace" keeps one byte per character, so offsets match the text
     raw = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
-    digits = raw - np.uint8(ord("0"))  # wraps to >= 10 below "0"
+    # digit values behind zeros, so that reading a number's digit positions
+    # right to left never runs off the front
+    places = np.zeros(_EDGE_LIST_DIGITS + raw.size, dtype=np.uint8)
+    digits = places[_EDGE_LIST_DIGITS:]
+    np.subtract(raw, np.uint8(ord("0")), out=digits)  # wraps to >= 10 below "0"
     padded = np.zeros(raw.size + 2, dtype=bool)  # digit mask, False at both ends
     digit = padded[1:-1]
     np.less(digits, 10, out=digit)
-    breaks = (raw == ord("\n")) | (raw == ord("\r"))
-    bad = np.flatnonzero(~(digit | breaks | (raw == ord(" ")) | (raw == ord("\t"))))
-    if bad.size:
-        at = int(bad[0])
+    starts, ends = _number_bounds(text, raw, padded)
+    lengths = ends - starts
+    if int(lengths.max()) > _EDGE_LIST_DIGITS:
+        first = int(starts[np.argmax(lengths > _EDGE_LIST_DIGITS)])
+        raise ValueError(
+            f"line {_line_number(text, first)}: a number with more than"
+            f" {_EDGE_LIST_DIGITS} digits"
+        )
+    rows = np.empty((starts.size // 2, 2), dtype=np.int64)
+    # the header apart, so that m does not widen the edges' digit loop
+    rows[0] = [int(text[a:b]) for a, b in zip(starts[:2].tolist(), ends[:2].tolist())]
+    if rows.shape[0] == 1:
+        return rows
+    last, width = ends[2:], lengths[2:]
+    widest = int(width.max())
+    # the sum stays below 10**widest: uint16 holds 4 digits, uint32 9
+    dtype = np.uint16 if widest <= 4 else np.uint32 if widest <= 9 else np.int64
+    digits *= digit  # zero outside numbers
+    values = places[_EDGE_LIST_DIGITS - 1 :][last].astype(dtype)
+    for k in range(2, widest + 1):
+        place = places[_EDGE_LIST_DIGITS - k :][last]  # k-th digit from the right
+        if k > 2:  # past the blank before a number of fewer than k - 1 digits
+            place *= width >= k
+        # multiply in dtype: under numpy 1.x value-based casting a uint8
+        # digit times a small scalar stays uint8 and wraps
+        values += np.multiply(place, 10 ** (k - 1), dtype=dtype)
+    rows[1:] = values.reshape(-1, 2)
+    return rows
+
+
+def _number_bounds(text: str, raw: np.ndarray, padded: np.ndarray):
+    """First and one-past-last offsets of every number, after checking the
+    characters, that there is a number, and that every line holds 0 or 2.
+
+    ``padded`` is the digit mask of ``raw`` with False at both ends.  Two
+    position passes do it: the rises and falls of the digit mask bound the
+    numbers, and the events, number starts and line breaks in text order,
+    give the lines.  Every run of numbers between two breaks must be two
+    long, so no three numbers are in a row and no one stands alone.  The
+    byte masks and event arrays are freed on return, before decoding.
+    """
+    digit = padded[1:-1]
+    breaks = raw == ord("\n")
+    breaks |= raw == ord("\r")
+    allowed = raw == ord(" ")
+    allowed |= raw == ord("\t")
+    allowed |= breaks
+    allowed |= digit
+    if not allowed.all():
+        at = int(allowed.argmin())
         raise ValueError(
             f"line {_line_number(text, at)}: unexpected character {text[at]!r};"
             " edge lists hold ASCII digits, spaces, tabs, CR and LF only"
         )
     # a number starts where the digit mask rises and ends where it falls
     bounds = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size == 0:
+    if bounds.size == 0:
         raise ValueError("empty graph text")
-    line = np.cumsum(breaks, dtype=np.int64)[starts]
-    counts = np.bincount(line)
-    wrong = np.flatnonzero((counts != 0) & (counts != 2))
-    if wrong.size:
-        first = int(starts[np.searchsorted(line, wrong[0])])
+    events = np.greater(digit, padded[:-2], out=allowed)  # number starts
+    events |= breaks
+    at = np.flatnonzero(events)
+    number = np.zeros(at.size + 2, dtype=bool)  # False beyond both ends
+    np.take(digit, at, out=number[1:-1])
+    before, this, after = number[:-2], number[1:-1], number[2:]
+    if (before & this & after).any() or (this > (before | after)).any():
+        # a number's line is the count of breaks before it: its event index
+        # less its index among the numbers
+        index = np.flatnonzero(this)
+        line = index - np.arange(index.size)
+        counts = np.bincount(line)
+        wrong = int(np.flatnonzero((counts != 0) & (counts != 2))[0])
+        first = int(at[index[np.searchsorted(line, wrong)]])
         raise ValueError(
-            f"line {_line_number(text, first)}: {counts[wrong[0]]} numbers, expected 2"
+            f"line {_line_number(text, first)}: {counts[wrong]} numbers, expected 2"
         )
-    lengths = ends - starts
-    longest = int(lengths.max())
-    if longest > _EDGE_LIST_DIGITS:
-        at = int(starts[np.argmax(lengths > _EDGE_LIST_DIGITS)])
-        raise ValueError(
-            f"line {_line_number(text, at)}: a number with more than"
-            f" {_EDGE_LIST_DIGITS} digits"
-        )
-    # multiply in int64: under numpy 1.x value-based casting a uint8 digit
-    # times a small int64 scalar stays uint8 and wraps
-    values = digits[ends - 1].astype(np.int64)
-    for k in range(2, longest + 1):
-        scaled = np.multiply(digits[ends - k], 10 ** (k - 1), dtype=np.int64)
-        np.add(values, scaled, out=values, where=lengths >= k)
-    return values.reshape(-1, 2)
+    return bounds[0::2], bounds[1::2]
 
 
 # -- edge statistics ---------------------------------------------------------

@@ -329,9 +329,10 @@ def _run_cli(*argv):
     env = dict(os.environ)
     src = str(Path(nodedp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONIOENCODING"] = "utf-8"  # messages may quote any character
     return subprocess.run(
         [sys.executable, "-m", "nodedp.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, encoding="utf-8", timeout=60,
     )
 
 
@@ -370,15 +371,20 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
         (["estimate", "density", "--epsilon", "1.0", "--mode", "baseline", "--input", "{path}"],
          "3 1\n0 x\n", "nodedp: error: line 2: unexpected character 'x'; edge lists hold "
          "ASCII digits, spaces, tabs, CR and LF only"),
+        (["estimate", "density", "--epsilon", "1.0", "--mode", "baseline", "--input", "{path}"],
+         b"4 1\n0 \xe9\n", "nodedp: error: line 2: unexpected character '\ufffd'; edge lists"
+         " hold ASCII digits, spaces, tabs, CR and LF only"),
         (["estimate", "blocks", "--epsilon", "1.0", "--lambda", "2", "--k", "2", "--input",
           "{path}"],
          None, "nodedp: error: [Errno 2] No such file or directory: '{path}'"),
     ],
-    ids=["no-trials", "no-grid-points", "malformed-edge-list", "missing-input"],
+    ids=["no-trials", "no-grid-points", "malformed-edge-list", "non-ascii-byte", "missing-input"],
 )
 def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, message, tmp_path):
     path = tmp_path / "graph.txt"
-    if edge_list is not None:
+    if isinstance(edge_list, bytes):
+        path.write_bytes(edge_list)
+    elif edge_list is not None:
         path.write_text(edge_list)
     done = _run_cli(*(arg.format(path=path) for arg in argv))
     assert done.returncode == 2
