@@ -316,7 +316,9 @@ def _edge_list_rows(text: str) -> np.ndarray:
     return rows
 
 
-def _number_bounds(text: str, raw: np.ndarray, padded: np.ndarray):
+def _number_bounds(
+    text: str, raw: np.ndarray, padded: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """First and one-past-last offsets of every number, after checking the
     characters, that there is a number, and that every line holds 0 or 2.
 

@@ -363,7 +363,7 @@ def test_building_from_an_edge_list_peaks_at_one_adjacency():
     assert peak < 1.1 * n * n, peak
 
 
-def test_parsing_a_release_shaped_edge_list_peaks_below_20_bytes_a_text_byte():
+def test_parsing_a_release_shaped_edge_list_peaks_below_16_bytes_a_text_byte():
     # the first numpy parser peaked at 11.44 MiB here, 24.2 bytes a text byte
     text = release_shaped_text()
     assert len(text) == 495_043
@@ -374,7 +374,7 @@ def test_parsing_a_release_shaped_edge_list_peaks_below_20_bytes_a_text_byte():
     finally:
         tracemalloc.stop()
     assert g.edge_count == 65_408
-    assert peak < 20 * len(text), peak
+    assert peak < 16 * len(text), peak
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 101])
