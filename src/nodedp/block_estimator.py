@@ -124,22 +124,20 @@ def _first_occurrences(rows: np.ndarray, radix: tuple[int, ...]) -> np.ndarray:
 
 
 def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The distinct count rows w E(pi) among the equipartitions, [U, T], in
-    the order of their first occurrence in the lex enumeration, on the
-    upper-triangle coordinates of _level_layout: E_ab = sum of A over
-    ordered pairs with classes (a, b), and w = 2 off the diagonal.
+    """The distinct count rows w E(pi) among the equipartitions, [U, T]
+    float64, in the order of their first occurrence in the lex enumeration,
+    on the upper-triangle coordinates of _level_layout: E_ab = number of
+    ordered edges with classes (a, b), and w = 2 off the diagonal.
 
-    a must have zero diagonal and entries 0 or one positive value c, c = 1
-    for an adjacency; anything else raises ValueError.
+    a must be 0/1 with zero diagonal; anything else raises ValueError.
     Partitions are taken in chunks under _SCORE_CHUNK_BYTES.  The chunk's
     class indicators [k, P, n] times A (one BLAS product), dotted row-wise
     with each class's indicators, give E_ab; the fold matrix of
     _level_layout takes them to w E on the upper triangle.  Every count is
-    c times an integer below its radix.  The integer rows are deduplicated
-    in each chunk, and once more across the chunks' distinct rows."""
-    c = float(a.max(initial=0.0)) or 1.0
-    if ((a != 0) & (a != c)).any() or a.diagonal().any():
-        raise ValueError("adjacency must have zero diagonal and entries 0 or one value c > 0")
+    an exact integer below its radix.  The integer rows are deduplicated in
+    each chunk, and once more across the chunks' distinct rows."""
+    if ((a != 0) & (a != 1)).any() or a.diagonal().any():
+        raise ValueError("adjacency must be 0/1 with zero diagonal")
     assignments = _partition_tensors(n, k)
     _, _, fold, _, radix = _level_layout(n, k)
     dtype = np.min_scalar_type(max(radix) - 1)
@@ -152,12 +150,12 @@ def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
         chunk = assignments[lo : lo + step]
         members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
         counts = np.einsum("apv,bpv->pab", members @ a, members)  # E_ab per partition
-        rows = np.rint(counts.reshape(-1, k * k) @ fold / c).astype(dtype)
+        rows = (counts.reshape(-1, k * k) @ fold).astype(dtype)
         parts.append(rows[_first_occurrences(rows, radix)])
     rows = np.concatenate(parts)
     if len(parts) > 1:  # one chunk's rows are distinct already
         rows = rows[_first_occurrences(rows, radix)]
-    return rows * c
+    return rows.astype(float)
 
 
 class BulkScores(NamedTuple):
@@ -165,15 +163,13 @@ class BulkScores(NamedTuple):
     distinct_rows: int  # distinct count matrices among the partitions
 
 
-def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
+def _best_scores_bulk(levels: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
     """Exact max-over-equipartitions score for every candidate at once.
 
-    Score = (2 <E(pi), B> - ||B_pi||^2) / n^2.  Candidates must be symmetric
-    and on the 1/n grid, B = L / n with integer levels L; anything else
-    raises ValueError.  In levels the score is
-    (2n <w E(pi), L> - <w cc, L^2>) / n^4 over the T = k(k+1)/2
-    upper-triangle coordinates, with w = 2 off the diagonal and cc the
-    products of the canonical class sizes, so the second term is
+    Candidates are the integer levels L = n B of candidate_matrices, [C, T].
+    Score = (2 <E(pi), B> - ||B_pi||^2) / n^2; in levels it is
+    (2n <w E(pi), L> - <w cc, L^2>) / n^4, with w = 2 off the diagonal and
+    cc the products of the canonical class sizes, so the second term is
     partition-independent and a partition enters only through E(pi).
     Each distinct row w E(pi) (_distinct_count_rows) is scored once, by one
     matrix product per chunk of candidates under _SCORE_CHUNK_BYTES.
@@ -186,33 +182,29 @@ def _best_scores_bulk(cands: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkS
     not which equipartition attains them.
     """
     rows = _distinct_count_rows(a, n, k)
-    rows_ix, cols_ix, _, penalty, _ = _level_layout(n, k)
-    total = cands.shape[0]
+    penalty = _level_layout(n, k)[3]
+    total = levels.shape[0]
     values = np.empty(total)
-    # per candidate: a table row, three [T] temporaries and six scalars; the
+    # per candidate: a table row, its float levels and a few scalars; the
     # table is allocated once and every chunk's product is written into it
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + 3 * rows_ix.size + 6)))
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + penalty.size + 4)))
     table = np.empty((min(step, total), rows.shape[0]))
     for lo in range(0, total, step):
-        chunk = cands[lo : lo + step]
-        upper = chunk[:, rows_ix, cols_ix]
-        levels = upper * n
-        np.rint(levels, out=levels)
-        if not ((chunk[:, cols_ix, rows_ix] == upper).all() and (levels / n == upper).all()):
-            raise ValueError("candidates must be symmetric with entries on the 1/n grid")
-        products = np.matmul(levels, rows.T, out=table[: chunk.shape[0]])
+        chunk = levels[lo : lo + step].astype(float)
+        products = np.matmul(chunk, rows.T, out=table[: chunk.shape[0]])
         out = values[lo : lo + step]
         np.multiply(products.max(axis=1), 2 * n, out=out)
-        np.square(levels, out=levels)
-        out -= levels @ penalty
+        np.square(chunk, out=chunk)
+        out -= chunk @ penalty
         out /= n**4
     return BulkScores(values, rows.shape[0])
 
 
 # -- candidate grid -----------------------------------------------------------------
 
-# Largest candidate grid any caller builds: 10^6 k x k float64 matrices are
-# 72 MB at k = 3.
+# Largest candidate grid any caller builds.  10^6 k = 3 candidates are 6 MB
+# of uint8 levels, so the budget bounds the scoring time and the selection
+# pmf's [C] float64 arrays rather than the grid.
 CANDIDATE_BUDGET = 10**6
 
 
@@ -222,22 +214,26 @@ def candidate_count(n: int, k: int, mu: float) -> int:
 
 
 def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
-    """All symmetric k x k matrices with entries in {0, 1/n, ..., floor(n mu)/n}.
-
-    Ordered lexicographically over the upper-triangle entries.
+    """All symmetric k x k matrices B with entries in {0, 1/n, ..., floor(n mu)/n},
+    as integer levels L = n B [C, T] in the smallest unsigned dtype, on the
+    T = k(k+1)/2 upper-triangle coordinates of _level_layout.  Ordered
+    lexicographically over the coordinates; only the released candidate
+    becomes a matrix (_level_matrix).
     """
     total = candidate_count(n, k, mu)
     if total > CANDIDATE_BUDGET:
         raise ResourceLimitError(
             f"candidate set has {total} matrices, over the budget of {CANDIDATE_BUDGET}"
         )
-    count = int(math.floor(n * mu + 1e-9)) + 1
-    levels = np.arange(count) / n
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    out = np.empty((total, k, k))
-    grid = out.reshape((count,) * len(pairs) + (k, k))
-    for (i, j), index in zip(pairs, np.indices((count,) * len(pairs), sparse=True)):
-        grid[..., i, j] = grid[..., j, i] = levels[index]
+    count, t = candidate_count(n, 1, mu), k * (k + 1) // 2  # levels, coordinates
+    return np.indices((count,) * t, dtype=np.min_scalar_type(count - 1)).reshape(t, -1).T
+
+
+def _level_matrix(levels: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The symmetric k x k matrix L / n of one candidate's levels [T]."""
+    rows, cols = _level_layout(n, k)[:2]
+    out = np.empty((k, k))
+    out[rows, cols] = out[cols, rows] = levels / n
     return out
 
 
@@ -314,11 +310,11 @@ def block_mechanism(
     """Selection stage given the released density: the exponential mechanism
     over the candidate grid, spending the remaining eps/2.
 
-    The candidates are candidate_matrices(n, k, lambda rho_hat), symmetric
-    and on the 1/n grid, so _best_scores_bulk scores them exactly: each
+    The candidates are candidate_matrices(n, k, lambda rho_hat), integer
+    levels on the 1/n grid, so _best_scores_bulk scores them exactly: each
     score is the exact max over equipartitions, correctly rounded.
 
-    Returns (mechanism, candidate array, delta, diagnostics)."""
+    Returns (mechanism, candidate levels [C, T], delta, diagnostics)."""
     n = g.n
     equipartitions = equipartition_count(n, cfg.k)
     if equipartitions > EQUIPARTITION_BUDGET:
@@ -382,13 +378,12 @@ def estimate_blocks(
     rho_hat = min(max(raw, 1.0 / g.n**2), 1.0)
     mech, cands, delta, diagnostics = block_mechanism(g, rho_hat, cfg)
     idx = mech.sample(rng)
-    chosen = cands[idx]
     diag = {key: value for key, value in diagnostics.items() if key != "scores"}
     diag["chosen_score"] = float(diagnostics["scores"][idx])
     return BlockEstimate(
         rho_hat=rho_hat,
         raw_rho=raw,
-        b_hat=BlockMatrix(chosen),
+        b_hat=BlockMatrix(_level_matrix(cands[idx], g.n, cfg.k)),
         mu=cfg.lam * rho_hat,
         delta=delta,
         dp_domain=_dp_domain(g.n, cfg.sensitivity_mode),

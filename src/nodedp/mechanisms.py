@@ -247,7 +247,7 @@ def _piece_quantiles(xs, h0, beta, cum, u, rows=None) -> np.ndarray:
 
 
 class PiecewiseExpDensity:
-    """Probability density on [lo, hi] proportional to exp(shape(q)).
+    """Probability density on [shape.lo, shape.hi] proportional to exp(shape(q)).
 
     The normalizer, CDF and inverse CDF come from the closed-form integral
     of exp over each linear piece; no quadrature or rejection anywhere.  The
@@ -260,14 +260,6 @@ class PiecewiseExpDensity:
         self.shape = shape
         log_normalizer, self._h0, self._beta, self._cum = _piece_tables(shape.xs, shape.ys)
         self.log_normalizer = float(log_normalizer)
-
-    @property
-    def lo(self) -> float:
-        return self.shape.lo
-
-    @property
-    def hi(self) -> float:
-        return self.shape.hi
 
     def log_pdf(self, q):
         return self.shape(q) - self.log_normalizer

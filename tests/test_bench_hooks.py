@@ -13,6 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from nodedp import block_estimator
+from nodedp.block_estimator import EstimatorConfig, candidate_count
+from nodedp.graphs import LabeledGraph
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -77,3 +81,17 @@ def test_workloads_clear_the_package_caches():
     workloads.clear_caches()
     for cache in workloads._CACHES:
         assert cache.cache_info().currsize == 0
+
+
+def test_traced_block_mechanism_counts_the_candidates_it_scores():
+    # the tracer counts candidates by wrapping candidate_matrices by name, so
+    # that name must stay the function the selection stage calls
+    g = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    tracer = _load("tracing").Tracer()
+    try:
+        tracer.install()
+        block_estimator.block_mechanism(g, 0.5, EstimatorConfig(1.0, 2.0, 2))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["block_estimator.candidate_matrices"] == 1
+    assert tracer.counts["block_estimator.candidates"] == candidate_count(6, 2, 1.0) == 343

@@ -16,6 +16,7 @@ from nodedp.block_estimator import (
     _distinct_count_rows,
     _first_occurrences,
     _level_layout,
+    _level_matrix,
     block_mechanism,
     candidate_count,
     candidate_matrices,
@@ -80,13 +81,20 @@ def _score_by_definition(b_vals, assignment, a):
     return (np.sum(a**2) - np.sum((a - expanded) ** 2)) / n**2
 
 
+def _levels(b, n):
+    """Integer levels rint(n B) on the upper-triangle coordinates, [..., T],
+    of grid matrices b [..., k, k]: the scorer's candidate format."""
+    rows, cols = np.triu_indices(np.shape(b)[-1])
+    return np.rint(n * np.asarray(b))[..., rows, cols].astype(np.int64)
+
+
 def _best(b, a):
-    """Exact best score of block matrix b on adjacency a over equipartitions,
+    """Exact best score of grid matrix b on adjacency a over equipartitions,
     from the bulk scorer, and a maximizing assignment by brute force over
     the scores by definition."""
     b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)
     n, k = a.shape[0], b.shape[0]
-    value = float(_best_scores_bulk(b[None], a, n, k).values[0])
+    value = float(_best_scores_bulk(_levels(b[None], n), a, n, k).values[0])
     assignments = equipartition_array(n, k).astype(int)
     scores = [_score_by_definition(b, p, a) for p in assignments]
     return value, assignments[int(np.argmax(scores))]
@@ -132,16 +140,18 @@ def test_score_matches_direct_formula_on_random_inputs():
 
 
 def test_score_scaling_identity():
-    # ||cA||^2 - ||cA - B_pi||^2 computed by the bulk scorer obeys the
-    # algebraic expansion at its maximizer; guards the norm normalization
+    # ||A||^2 - ||A - B_pi||^2 computed by the bulk scorer obeys the
+    # algebraic expansion at its maximizer; guards the norm normalization.
+    # The scorer takes 0/1 adjacencies only, so a scaled cA is refused.
     n = 4
     a = LabeledGraph.from_edges(n, [(0, 1), (1, 2), (2, 3)]).adjacency.astype(float)
     b = np.array([[0.5, 0.0], [0.0, 0.5]])
+    value, assignment = _best(b, a)
+    expanded = b[np.ix_(assignment, assignment)]
+    assert value == pytest.approx((np.sum(a**2) - np.sum((a - expanded) ** 2)) / n**2)
     for c in (0.5, 2.0, 3.7):
-        value, assignment = _best(b, c * a)
-        expanded = b[np.ix_(assignment, assignment)]
-        rhs = (c**2 * np.sum(a**2) - np.sum((c * a - expanded) ** 2)) / n**2
-        assert value == pytest.approx(rhs)
+        with pytest.raises(ValueError, match="0/1"):
+            _best(b, c * a)
 
 
 # -- best score ------------------------------------------------------------------------
@@ -197,15 +207,17 @@ def _recursive_equipartitions(n, k):
 
 def _one_hot_table_scores(cands, a, n, k):
     """Independent oracle: the full partitions x candidates table of
-    n^4 x score, 2n <E, L> - <cc, L^2> in integer levels L = n B, over an
-    int64 one-hot tensor [P, n, k].  Exact for a 0/1 adjacency.  Its size is
-    P x C, so small inputs only."""
+    n^4 x score, 2n <E, L> - <cc, L^2> in the k x k integer levels L of the
+    candidate levels cands [C, T], over an int64 one-hot tensor [P, n, k].
+    Exact for a 0/1 adjacency.  Its size is P x C, so small inputs only."""
     assignments = np.stack(list(_recursive_equipartitions(n, k)))
     onehot = np.zeros((len(assignments), n, k), dtype=np.int64)
     onehot[np.arange(len(assignments))[:, None], np.arange(n), assignments] = 1
     a = np.asarray(a).astype(np.int64)
     counts = np.einsum("pnk,pnl->pkl", onehot, np.einsum("nm,pmk->pnk", a, onehot))
-    levels = np.rint(n * cands).astype(np.int64)
+    levels = np.zeros((len(cands), k, k), dtype=np.int64)
+    rows, cols = np.triu_indices(k)
+    levels[:, rows, cols] = levels[:, cols, rows] = cands
     sizes = np.array(canonical_sizes(n, k), dtype=np.int64)
     cross = np.einsum("pkl,ckl->pc", counts, levels)
     penalty = np.einsum("kl,ckl->c", np.outer(sizes, sizes), levels**2)
@@ -246,7 +258,7 @@ def test_best_score_assignment_matches_one_hot_table():
         for _ in range(4):
             g = degree_cap(_random_graph(n, rng), int(rng.integers(1, n)))
             b = _random_grid_matrices(rng, n, k)
-            want = _one_hot_table_scores(b[None], g.adjacency.astype(float), n, k)
+            want = _one_hot_table_scores(_levels(b[None], n), g.adjacency.astype(float), n, k)
             value, assignment = _best(b, g.adjacency)
             assert value == pytest.approx(want[0], abs=1e-12)
             assert _score_by_definition(b, assignment, g.adjacency) == pytest.approx(value)
@@ -264,7 +276,7 @@ def test_bulk_values_are_exact_rationals_at_the_first_maximizer():
             counts = onehot.transpose(0, 2, 1) @ a @ onehot
             sizes = canonical_sizes(n, k)
             cands = _random_grid_matrices(rng, n, k, size=30)
-            got = _best_scores_bulk(cands, a.astype(float), n, k)
+            got = _best_scores_bulk(_levels(cands, n), a.astype(float), n, k)
             for b, value in zip(cands, got.values):
                 levels = [[round(n * x) for x in row] for row in b]
                 penalty = sum(
@@ -276,18 +288,6 @@ def test_bulk_values_are_exact_rationals_at_the_first_maximizer():
                     for e in counts
                 ]
                 assert value == float(Fraction(max(numerators), n**4))
-
-
-@pytest.mark.parametrize(
-    "b",
-    [np.array([[0.5, 0.1], [0.1, 0.25]]), np.array([[0.5, 0.25], [0.0, 0.5]])],
-    ids=["off-grid", "asymmetric"],
-)
-def test_bulk_scores_refuse_candidates_off_the_symmetric_grid(b):
-    a = LabeledGraph.from_edges(4, [(0, 1), (2, 3)]).adjacency.astype(float)
-    on_grid = candidate_matrices(4, 2, 0.5)
-    with pytest.raises(ValueError, match="1/n grid"):
-        _best_scores_bulk(np.concatenate([on_grid, b[None]]), a, 4, 2)
 
 
 # -- distinct count rows and their integer keys -------------------------------------------
@@ -391,8 +391,13 @@ def test_complete_graph_count_rows_reach_radix_minus_one(n, k):
 
 @pytest.mark.parametrize(
     "a",
-    [np.eye(3), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), -(np.ones((3, 3)) - np.eye(3))],
-    ids=["self-loops", "two-weights", "negative"],
+    [
+        np.eye(3),
+        np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+        -(np.ones((3, 3)) - np.eye(3)),
+        2 * (np.ones((3, 3)) - np.eye(3)),
+    ],
+    ids=["self-loops", "two-weights", "negative", "scaled"],
 )
 def test_count_rows_refuse_other_matrices(a):
     with pytest.raises(ValueError, match="zero diagonal"):
@@ -432,13 +437,14 @@ def test_candidate_matrices_follow_product_order(n, k, mu):
         for (i, j), v in zip(pairs, combo):
             m[i, j] = m[j, i] = v
         want.append(m)
-    assert np.array_equal(candidate_matrices(n, k, mu), np.stack(want))
+    assert np.array_equal(candidate_matrices(n, k, mu), _levels(np.stack(want), n))
 
 
 def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
     # n=9, k=3, rho_hat=0.5, lambda=2: mu=1 gives 10 levels on 6 entries,
     # 10^6 candidates; a partitions x candidates table would be
-    # 1680 x 10^6 float64 entries, 13.4 GB.
+    # 1680 x 10^6 float64 entries, 13.4 GB.  The grid is 6 MB of uint8
+    # levels; as 10^6 float64 3 x 3 matrices it was 72 MB, a 114 MiB peak.
     g = LabeledGraph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=3)
     tracemalloc.start()
@@ -449,7 +455,7 @@ def test_block_mechanism_scores_a_million_candidates_in_bounded_memory():
         tracemalloc.stop()
     assert diag["candidate_count"] == mech.log_probs.size == 10**6
     assert diag["equipartitions"] == 1680
-    assert peak < 256 * 2**20
+    assert peak < 64 * 2**20
 
 
 # -- Lipschitz-extended score: the best score of the degree-capped graph -------------------
@@ -507,8 +513,10 @@ def test_lipschitz_score_star_composes_with_degree_cap():
 def test_candidate_matrices_count_and_symmetry():
     cands = candidate_matrices(4, 2, 0.5)
     assert cands.shape[0] == candidate_count(4, 2, 0.5) == 27
-    assert np.allclose(cands, np.swapaxes(cands, 1, 2))
-    flat = {tuple(c.ravel()) for c in cands}
+    matrices = np.stack([_level_matrix(c, 4, 2) for c in cands])
+    assert np.allclose(matrices, np.swapaxes(matrices, 1, 2))
+    assert set(matrices.ravel().tolist()) == {0.0, 0.25, 0.5}
+    flat = {tuple(c.ravel()) for c in matrices}
     assert len(flat) == 27
 
 
