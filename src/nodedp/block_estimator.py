@@ -9,6 +9,7 @@ The noisy-density step and the selection step each spend half the budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -24,7 +25,7 @@ from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipar
 from .mechanisms import (
     FiniteMechanism,
     exponential_mechanism_distribution,
-    fill_table,
+    check_table_size,
     max_violation,
     _check_epsilon,
 )
@@ -59,13 +60,50 @@ EQUIPARTITION_BUDGET = 10**7
 # the candidate and partition counts are.
 _SCORE_CHUNK_BYTES = 16 * 2**20
 
+# Most classes whose relabellings scoring folds into orbits.  Any group of
+# relabellings of equal-size classes gives the exact maximum (see
+# _grid_scores); bounding the classes bounds the group at 5! = 120
+# permutations whatever k is, where all k! would be 3.6 M at k = 10.
+_RELABEL_MAX_CLASSES = 5
+
 
 @lru_cache(maxsize=32)
-def _partition_tensors(n: int, k: int) -> np.ndarray:
-    """Stacked assignments [P, n], lex order, read-only."""
-    assignments = equipartition_array(n, k)
+def _partition_tensors(
+    n: int, k: int
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray | None]:
+    """Scoring's relabelling group at (n, k) and one partition per orbit.
+    The group is the S size-preserving permutations of the first
+    _RELABEL_MAX_CLASSES classes, the identity first, or the identity alone
+    where one count row's mixed-radix key would pass 2^63.  Returns the
+    assignments [P / S, n] of equipartition_array for the group, in lex
+    order; for each permutation, the axes that permute an array
+    [count] * T + [G] of values over the candidate grid as it permutes the
+    upper-triangle coordinates of _level_layout, S tuples; and the int64
+    weights [T, S] whose product with a count row gives the keys of its S
+    images (None with the identity alone).  The arrays are read-only."""
+    rows, cols, _, _, radix = _level_layout(n, k)
+    fits = math.prod(radix) <= 2**63
+    relabelled = min(k, _RELABEL_MAX_CLASSES) if fits else 0
+    sizes = canonical_sizes(n, k)
+    perms = np.array(
+        [
+            p + tuple(range(relabelled, k))
+            for p in itertools.permutations(range(relabelled))
+            if all(sizes[c] == sizes[p[c]] for c in range(relabelled))
+        ]
+    )
+    coordinate = np.empty((k, k), dtype=np.intp)
+    coordinate[rows, cols] = coordinate[cols, rows] = np.arange(rows.size)
+    images = coordinate[perms[:, rows], perms[:, cols]]
+    assignments = equipartition_array(n, k, relabelled)
     assignments.flags.writeable = False
-    return assignments
+    weights = None
+    if len(perms) > 1:
+        place = [math.prod(radix[t + 1 :]) for t in range(rows.size)]
+        weights = np.array(place, dtype=np.int64)[images.T]
+        weights.flags.writeable = False
+    axes = tuple(tuple(image) + (rows.size,) for image in images.tolist())
+    return assignments, axes, weights
 
 
 @lru_cache(maxsize=32)
@@ -123,39 +161,72 @@ def _first_occurrences(rows: np.ndarray, radix: tuple[int, ...]) -> np.ndarray:
     return np.sort(index[new])
 
 
-def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The distinct count rows w E(pi) among the equipartitions, [U, T]
-    float64, in the order of their first occurrence in the lex enumeration,
-    on the upper-triangle coordinates of _level_layout: E_ab = number of
-    ordered edges with classes (a, b), and w = 2 off the diagonal.
+def _one_of_each(key: np.ndarray) -> np.ndarray:
+    """Indices of one occurrence of each distinct value of the 1-d array
+    key, in increasing order of the values."""
+    order = key.argsort()
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order[new]
+
+
+def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> tuple[np.ndarray, int]:
+    """One count row w E(pi) per orbit of the relabelling group of
+    _partition_tensors, [U, T] float64, on the upper-triangle coordinates of
+    _level_layout (E_ab = number of ordered edges with classes (a, b), and
+    w = 2 off the diagonal); and the number of distinct rows among all the
+    equipartitions, the sum of the orbits' sizes.
 
     a must be 0/1 with zero diagonal; anything else raises ValueError.
-    Partitions are taken in chunks under _SCORE_CHUNK_BYTES.  The chunk's
-    class indicators [k, P, n] times A (one BLAS product), dotted row-wise
-    with each class's indicators, give E_ab; the fold matrix of
+    A relabelling takes the row of pi to the row of the relabelled pi, so
+    the rows of the orbit representatives of equipartition_array reach
+    every orbit.  They are taken in chunks under _SCORE_CHUNK_BYTES.  The
+    chunk's class indicators [k, P, n] times A (one BLAS product), dotted
+    row-wise with each class's indicators, give E_ab; the fold matrix of
     _level_layout takes them to w E on the upper triangle.  Every count is
-    an exact integer below its radix.  The integer rows are deduplicated in
-    each chunk, and once more across the chunks' distinct rows."""
-    if ((a != 0) & (a != 1)).any() or a.diagonal().any():
+    an exact integer below its radix.  One int64 product with the weights
+    of _partition_tensors gives the mixed-radix keys of every row's images:
+    a row's least key names its orbit, on which the rows are deduplicated
+    in each chunk and once more across the chunks, and the number of
+    distinct keys of a row's images is its orbit's size.  With the
+    identity alone, _first_occurrences deduplicates the rows themselves."""
+    if a.diagonal().any() or (a * (a - 1)).any():
         raise ValueError("adjacency must be 0/1 with zero diagonal")
-    assignments = _partition_tensors(n, k)
+    assignments, axes, weights = _partition_tensors(n, k)
     _, _, fold, _, radix = _level_layout(n, k)
     dtype = np.min_scalar_type(max(radix) - 1)
     # per partition: k indicator rows and their products with A, the k x k
-    # counts, the folded row as float and integer, and the dedup's keys
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * (2 * k * n + k * k + 2 * fold.shape[1] + 4)))
+    # counts, the folded row as float and integer, its S image keys, and
+    # its least key and the dedup's
+    width = 2 * k * n + k * k + 2 * fold.shape[1] + len(axes) + 4
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * width))
     classes = np.arange(k)[:, None, None]
-    parts = []
+    parts, keys = [], []
     for lo in range(0, assignments.shape[0], step):
         chunk = assignments[lo : lo + step]
         members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
         counts = np.einsum("apv,bpv->pab", members @ a, members)  # E_ab per partition
         rows = (counts.reshape(-1, k * k) @ fold).astype(dtype)
-        parts.append(rows[_first_occurrences(rows, radix)])
+        if weights is None:
+            parts.append(rows[_first_occurrences(rows, radix)])
+        else:
+            image_keys = rows @ weights
+            first = _one_of_each(image_keys.min(axis=1))
+            parts.append(rows[first])
+            keys.append(image_keys[first])
     rows = np.concatenate(parts)
-    if len(parts) > 1:  # one chunk's rows are distinct already
-        rows = rows[_first_occurrences(rows, radix)]
-    return rows.astype(float)
+    if weights is None:
+        if len(parts) > 1:  # one chunk's rows are distinct already
+            rows = rows[_first_occurrences(rows, radix)]
+        return rows.astype(float), rows.shape[0]
+    keys = np.concatenate(keys)
+    if len(parts) > 1:  # one chunk's orbits are distinct already
+        first = _one_of_each(keys.min(axis=1))
+        rows, keys = rows[first], keys[first]
+    keys.sort(axis=1)  # an orbit's size is its row's number of distinct image keys
+    return rows.astype(float), keys.shape[0] + int(np.count_nonzero(keys[:, 1:] != keys[:, :-1]))
 
 
 class BulkScores(NamedTuple):
@@ -164,15 +235,40 @@ class BulkScores(NamedTuple):
 
 
 def _best_scores_bulk(levels: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
-    """Exact max-over-equipartitions score for every candidate at once.
+    """Exact max-over-equipartitions score for every candidate at once, from
+    the orbit rows of a (_distinct_count_rows) by _grid_scores."""
+    rows, distinct = _distinct_count_rows(a, n, k)
+    return BulkScores(_grid_scores(levels, [rows], n, k)[0], distinct)
 
-    Candidates are the integer levels L = n B of candidate_matrices, [C, T].
+
+def _grid_scores(levels: np.ndarray, rows: list[np.ndarray], n: int, k: int) -> np.ndarray:
+    """The scores [G, C] of G graphs, given as their orbit rows
+    (_distinct_count_rows), at every candidate.
+
+    Candidates are the full grid of integer levels L = n B of
+    candidate_matrices, [C, T]; any other array raises ValueError.
     Score = (2 <E(pi), B> - ||B_pi||^2) / n^2; in levels it is
     (2n <w E(pi), L> - <w cc, L^2>) / n^4, with w = 2 off the diagonal and
     cc the products of the canonical class sizes, so the second term is
     partition-independent and a partition enters only through E(pi).
-    Each distinct row w E(pi) (_distinct_count_rows) is scored once, by one
-    matrix product per chunk of candidates under _SCORE_CHUNK_BYTES.
+    Every graph's orbit rows are scored by one matrix product per chunk of
+    candidates under _SCORE_CHUNK_BYTES, and each graph's maximum is taken
+    over its own columns.  Each chunk's row indices, its levels'
+    mixed-radix values, must count up from the chunk's first: with
+    C = count^T and every level below count, that holds only on the full
+    grid.
+
+    That is the maximum over the orbit representatives.  The score is
+    invariant when equal-size classes are relabelled in both the partition
+    and the candidate, s(sigma pi, sigma B) = s(pi, B): sigma preserves the
+    class sizes, so the penalty <w cc, L^2> is unchanged.  So a candidate's
+    score is the largest value at its images sigma B.  On the grid, the
+    values as an array [count] * T + [G], sigma B sits where the axes are
+    permuted as sigma permutes the coordinates: one in-place maximum with
+    that transposed view per sigma, in chunks of the first axis under
+    _SCORE_CHUNK_BYTES, takes each value to that largest one.  Values only
+    rise, and never past their orbit's maximum, so reading a value already
+    raised is exact too.
 
     For a 0/1 adjacency every term is an integer of at most
     n^2 max(L) max(2n, max(L)), below 2^53 for every k >= 2 that
@@ -181,23 +277,41 @@ def _best_scores_bulk(levels: np.ndarray, a: np.ndarray, n: int, k: int) -> Bulk
     correctly rounded.  The exponential mechanism reads only these values,
     not which equipartition attains them.
     """
-    rows = _distinct_count_rows(a, n, k)
+    axes = _partition_tensors(n, k)[1]
     penalty = _level_layout(n, k)[3]
+    t = penalty.size
+    count = int(levels.max(initial=0)) + 1
+    if levels.dtype.kind != "u" or levels.shape != (count**t, t):
+        raise ValueError("levels must be the full grid of candidate_matrices")
+    place = float(count) ** np.arange(t - 1, -1, -1)
+    starts = list(itertools.accumulate(map(len, rows[:-1]), initial=0))
+    rows = np.concatenate(rows) * (2 * n)
     total = levels.shape[0]
-    values = np.empty(total)
-    # per candidate: a table row, its float levels and a few scalars; the
-    # table is allocated once and every chunk's product is written into it
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + penalty.size + 4)))
+    values = np.empty((total, len(starts)))
+    # per candidate: a table row, its float levels and the previous chunk's,
+    # and a few scalars; the table is allocated once and every chunk's
+    # product is written into it
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + 2 * t + 4)))
     table = np.empty((min(step, total), rows.shape[0]))
     for lo in range(0, total, step):
         chunk = levels[lo : lo + step].astype(float)
+        if (chunk @ place != np.arange(lo, lo + chunk.shape[0])).any():
+            raise ValueError("levels must be the full grid of candidate_matrices")
         products = np.matmul(chunk, rows.T, out=table[: chunk.shape[0]])
-        out = values[lo : lo + step]
-        np.multiply(products.max(axis=1), 2 * n, out=out)
+        out = np.maximum.reduceat(products, starts, axis=1, out=values[lo : lo + step])
         np.square(chunk, out=chunk)
-        out -= chunk @ penalty
+        out -= (chunk @ penalty)[:, None]
         out /= n**4
-    return BulkScores(values, rows.shape[0])
+    del table, products, chunk
+    grid = values.reshape((count,) * t + (len(starts),))
+    # per value of a chunk of the grid's first axis: the value, and the copy
+    # of its image's that the overlapping in-place maximum makes
+    step = max(1, _SCORE_CHUNK_BYTES // (16 * values.size // count))
+    for perm in axes[1:]:
+        image = grid.transpose(perm)
+        for lo in range(0, count, step):
+            np.maximum(grid[lo : lo + step], image[lo : lo + step], out=grid[lo : lo + step])
+    return values.T
 
 
 # -- candidate grid -----------------------------------------------------------------
@@ -261,14 +375,13 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
         )
     cands = candidate_matrices(n, k, mu)
     capped = [degree_cap(g, d) for g in all_graphs(n)]
-    # one row of best scores per distinct capped graph
+    # one row of best scores per distinct capped graph, all on one grid
     _, reps, capped_row = np.unique(
         [graph_index(h) for h in capped], return_index=True, return_inverse=True
     )
-    scores = fill_table(
-        (_best_scores_bulk(cands, capped[i].adjacency.astype(float), n, k).values for i in reps),
-        len(reps),
-        "candidates",
+    check_table_size(len(reps), cands.shape[0], "candidates")
+    scores = _grid_scores(
+        cands, [_distinct_count_rows(capped[i].adjacency.astype(float), n, k)[0] for i in reps], n, k
     )
     # Each unordered pair of adjacent graphs is kept once (|difference| is
     # symmetric), as a pair of distinct score rows.

@@ -117,8 +117,16 @@ def _cmd_estimate_density(args) -> int:
     return 0
 
 
+def _check_k(k: int, n: int) -> None:
+    """Refuse a block count the graph's order cannot hold, before any
+    candidate grid or equipartition is built."""
+    if not 1 <= k <= n:
+        raise ValueError(f"--k must be between 1 and the graph's order n = {n}, got {k}")
+
+
 def _cmd_estimate_blocks(args) -> int:
     g = _read_graph(args.input)
+    _check_k(args.k, g.n)
     cfg = EstimatorConfig(
         epsilon=args.epsilon,
         lam=args.lam,
@@ -178,6 +186,7 @@ def _cmd_audit_dp(args) -> int:
             collect_rows=collect,
         )
     else:  # blocks
+        _check_k(args.k, args.n)
         cfg = EstimatorConfig(
             epsilon=args.epsilon, lam=args.lam, k=args.k, sensitivity_mode="audited"
         )
@@ -194,6 +203,7 @@ def _cmd_audit_dp(args) -> int:
 
 
 def _cmd_audit_sensitivity(args) -> int:
+    _check_k(args.k, args.n)
     report = audit_score_sensitivity(args.n, args.k, args.d, args.mu)
     print(
         f"n={report.n} k={report.k} d={report.d} mu={report.mu} "

@@ -149,20 +149,35 @@ def equipartition_count(n: int, k: int) -> int:
     return count
 
 
-def equipartition_array(n: int, k: int) -> np.ndarray:
-    """Every canonical-profile assignment as one [P, n] array, in
-    lexicographic order of the rows.
+def equipartition_array(n: int, k: int, relabelled: int | None = None) -> np.ndarray:
+    """One canonical-profile assignment per orbit of the relabellings of
+    equal-size classes among the first `relabelled` classes (all k by
+    default), as one [P', n] array in lexicographic order of the rows.
 
+    The representative is the assignment in which those classes of equal
+    size first appear in increasing order.  No class is empty, so no
+    relabelling but the identity fixes an assignment: at the default every
+    orbit has r!(k - r)! members, with r = n mod k, and
+    P' = P / (r!(k - r)!); relabelled <= 1 gives all P assignments.
     Built one column at a time: each prefix is extended by every class with
-    room left, and np.nonzero walks (prefix, class) in row-major order, so
-    the prefixes stay lexicographically sorted.  The dtype is the smallest
-    unsigned integer type that holds k - 1.
+    room left that may open, a class opening only after the one before it
+    when the two are relabelled and of equal size, and np.nonzero walks
+    (prefix, class) in row-major order, so the prefixes stay
+    lexicographically sorted.  The dtype is the smallest unsigned integer
+    type that holds k - 1.
     """
     dtype = np.min_scalar_type(k - 1)
     prefix = np.zeros((1, 0), dtype=dtype)
-    remaining = np.array([canonical_sizes(n, k)])
+    sizes = np.array(canonical_sizes(n, k))
+    relabelled = k if relabelled is None else min(relabelled, k)
+    # the classes that open only after the class before them
+    follow = 1 + np.flatnonzero(sizes[1:relabelled] == sizes[: max(relabelled - 1, 0)])
+    remaining = sizes[None]
     for _ in range(n):
-        rows, classes = np.nonzero(remaining > 0)
+        room = remaining > 0
+        if follow.size:
+            room[:, follow] &= remaining[:, follow - 1] < sizes[follow - 1]
+        rows, classes = np.nonzero(room)
         prefix = np.column_stack((prefix[rows], classes.astype(dtype)))
         remaining = remaining[rows]
         remaining[np.arange(rows.size), classes] -= 1

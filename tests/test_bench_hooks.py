@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from nodedp import block_estimator
+from nodedp import block_estimator, graphons
 from nodedp.block_estimator import EstimatorConfig, candidate_count
 from nodedp.graphs import LabeledGraph
 
@@ -81,6 +81,29 @@ def test_workloads_clear_the_package_caches():
     workloads.clear_caches()
     for cache in workloads._CACHES:
         assert cache.cache_info().currsize == 0
+
+
+# lru_caches of the scoring modules that the workloads keep warm, each with
+# the reason a command-line user does not pay for it in every process
+UNCLEARED_CACHES = {
+    "nodedp.block_estimator._level_layout": "O(k^2) constants, microseconds to build",
+}
+
+
+def test_every_scoring_cache_is_cleared_or_allowed():
+    # a cache that the benchmark keeps warm across releases would time work
+    # that each one-shot CLI process does cold
+    workloads = _load("workloads")
+    cleared = {id(cache) for cache in workloads._CACHES}
+    found = set()
+    for module in (block_estimator, graphons):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                found.add(f"{module.__name__}.{name}")
+                if id(value) not in cleared:
+                    assert f"{module.__name__}.{name}" in UNCLEARED_CACHES, name
+    assert "nodedp.block_estimator._partition_tensors" in found
+    assert set(UNCLEARED_CACHES) <= found
 
 
 def test_traced_block_mechanism_counts_the_candidates_it_scores():

@@ -17,6 +17,7 @@ from nodedp.block_estimator import (
     _first_occurrences,
     _level_layout,
     _level_matrix,
+    _partition_tensors,
     block_mechanism,
     candidate_count,
     candidate_matrices,
@@ -90,12 +91,17 @@ def _levels(b, n):
 
 def _best(b, a):
     """Exact best score of grid matrix b on adjacency a over equipartitions,
-    from the bulk scorer, and a maximizing assignment by brute force over
-    the scores by definition."""
+    from the bulk scorer over the smallest candidate grid that holds b, and a
+    maximizing assignment by brute force over the scores by definition of
+    every equipartition."""
     b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)
     n, k = a.shape[0], b.shape[0]
-    value = float(_best_scores_bulk(_levels(b[None], n), a, n, k).values[0])
-    assignments = equipartition_array(n, k).astype(int)
+    levels = _levels(b, n)
+    count = int(levels.max()) + 1
+    index = np.ravel_multi_index(tuple(levels), (count,) * levels.size)
+    grid = candidate_matrices(n, k, (count - 1) / n)
+    value = float(_best_scores_bulk(grid, a, n, k).values[index])
+    assignments = _all_equipartitions(n, k)
     scores = [_score_by_definition(b, p, a) for p in assignments]
     return value, assignments[int(np.argmax(scores))]
 
@@ -175,7 +181,7 @@ def test_best_score_two_triangles_groups_them():
     a = g.adjacency.astype(float)
     b = np.array([[1.0, 0.0], [0.0, 1.0]])
     value, assignment = _best(b, a)
-    brute = max(_score_by_definition(b, p, a) for p in equipartition_array(6, 2))
+    brute = max(_score_by_definition(b, p, a) for p in _all_equipartitions(6, 2))
     assert value == pytest.approx(brute)
     assert _score_by_definition(b, assignment, a) == pytest.approx(value)
     classes = [frozenset(np.flatnonzero(assignment == c).tolist()) for c in (0, 1)]
@@ -203,6 +209,12 @@ def _recursive_equipartitions(n, k):
                 remaining[c] += 1
 
     yield from rec()
+
+
+def _all_equipartitions(n, k):
+    """Every canonical-profile assignment [P, n], lex order: the oracles'
+    enumeration, where equipartition_array keeps one per relabelling orbit."""
+    return np.stack(list(_recursive_equipartitions(n, k)))
 
 
 def _one_hot_table_scores(cands, a, n, k):
@@ -271,14 +283,15 @@ def test_bulk_values_are_exact_rationals_at_the_first_maximizer():
     for n in range(4, 11):
         for k in (2, 3):
             a = _random_graph(n, rng).adjacency.astype(np.int64)
-            assignments = equipartition_array(n, k).astype(np.intp)
+            assignments = _all_equipartitions(n, k).astype(np.intp)
             onehot = (assignments[:, :, None] == np.arange(k)).astype(np.int64)
             counts = onehot.transpose(0, 2, 1) @ a @ onehot
             sizes = canonical_sizes(n, k)
-            cands = _random_grid_matrices(rng, n, k, size=30)
-            got = _best_scores_bulk(_levels(cands, n), a.astype(float), n, k)
-            for b, value in zip(cands, got.values):
-                levels = [[round(n * x) for x in row] for row in b]
+            grid = candidate_matrices(n, k, min(1.0, 9 / n))  # at most 10^6 candidates
+            picks = rng.integers(0, len(grid), 30)
+            got = _best_scores_bulk(grid, a.astype(float), n, k).values[picks]
+            for cand, value in zip(grid[picks], got):
+                levels = np.round(n * _level_matrix(cand, n, k)).astype(int).tolist()
                 penalty = sum(
                     sizes[i] * sizes[j] * levels[i][j] ** 2 for i in range(k) for j in range(k)
                 )
@@ -305,40 +318,71 @@ def _one_hot_count_rows(a, n, k):
 
 
 def _count_row_cases(rng):
-    """Random 0/1 graphs for k = 1..4, each with at most 30,000 partitions."""
+    """Random 0/1 graphs for k = 1..4, each with at most 30,000 partitions;
+    at k <= 4 scoring relabels every class, so its group is all of
+    _relabellings."""
     for k in range(1, 5):
         for n in range(max(k, 2), 11):
             if equipartition_count(n, k) <= 30_000:
                 yield n, k, _random_graph(n, rng).adjacency
 
 
+def _relabellings(n, k):
+    """Every size-preserving permutation of the k classes, as index arrays."""
+    sizes = canonical_sizes(n, k)
+    return [
+        np.array(p) for p in itertools.permutations(range(k))
+        if all(sizes[c] == sizes[p[c]] for c in range(k))
+    ]
+
+
+def _relabelled_rows(rows, perm, k):
+    """The count rows [m, T] of the partitions whose class c is renamed
+    perm[c]: coordinate (a, b) moves to the sorted (perm[a], perm[b])."""
+    rows_, cols_ = np.triu_indices(k)
+    coordinate = np.empty((k, k), dtype=int)
+    coordinate[rows_, cols_] = coordinate[cols_, rows_] = np.arange(rows_.size)
+    out = np.empty_like(rows)
+    out[:, coordinate[perm[rows_], perm[cols_]]] = rows
+    return out
+
+
 # 4096 bytes hold at most a few dozen partitions here, so most cases run
-# several partition chunks and the merge of their distinct rows
+# several partition chunks and the merge of their orbit keys
 @pytest.mark.parametrize("chunk_bytes", [None, 4096])
 def test_count_rows_match_int64_one_hot_product(chunk_bytes, monkeypatch):
+    # one row per orbit, and the orbits' rows are exactly every partition's
     if chunk_bytes is not None:
         monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
     rng = substream(16, "count-rows", chunk_bytes or 0)
     for n, k, a in _count_row_cases(rng):
-        want = _one_hot_count_rows(a, n, k)
-        rows = _distinct_count_rows(a.astype(float), n, k)
+        want = {tuple(r) for r in _one_hot_count_rows(a, n, k).tolist()}
+        rows, distinct = _distinct_count_rows(a.astype(float), n, k)
         assert rows.dtype == np.float64
-        # the rows are distinct, and every partition's row is one of them
-        assert len({tuple(r) for r in rows.tolist()}) == len(rows)
-        assert {tuple(r) for r in want.tolist()} == {tuple(r) for r in rows.tolist()}
+        closure = {
+            tuple(r) for p in _relabellings(n, k) for r in _relabelled_rows(rows, p, k).tolist()
+        }
+        assert closure == want
+        assert distinct == len(want)
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096])
-def test_distinct_rows_keep_first_occurrence_order(chunk_bytes, monkeypatch):
+def test_orbit_rows_are_pairwise_inequivalent(chunk_bytes, monkeypatch):
     if chunk_bytes is not None:
         monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
     rng = substream(17, "count-row-order", chunk_bytes or 0)
     for n, k, a in _count_row_cases(rng):
+        rows = _distinct_count_rows(a.astype(float), n, k)[0]
+        group = _relabellings(n, k)
+        orbits = [
+            {tuple(r) for p in group for r in _relabelled_rows(row[None], p, k).tolist()}
+            for row in rows
+        ]
+        assert sum(len(o) for o in orbits) == len(set().union(*orbits))
         every = _one_hot_count_rows(a, n, k)
-        want = np.sort(np.unique(every, axis=0, return_index=True)[1])
-        assert np.array_equal(_distinct_count_rows(a.astype(float), n, k), every[want])
         cands = candidate_matrices(n, k, 1.0 / n)
-        assert _best_scores_bulk(cands, a.astype(float), n, k).distinct_rows == want.size
+        want = len(np.unique(every, axis=0))
+        assert _best_scores_bulk(cands, a.astype(float), n, k).distinct_rows == want
 
 
 @pytest.mark.parametrize("n,k", [(10, 9), (10, 10), (11, 8)])
@@ -385,8 +429,9 @@ def test_integer_keys_stay_below_2_63_wherever_the_budget_admits():
 @pytest.mark.parametrize("n,k", [(5, 1), (7, 2), (8, 3), (9, 4)])
 def test_complete_graph_count_rows_reach_radix_minus_one(n, k):
     a = np.ones((n, n)) - np.eye(n)
-    rows = _distinct_count_rows(a, n, k)
+    rows, distinct = _distinct_count_rows(a, n, k)
     assert rows.tolist() == [[r - 1 for r in _level_layout(n, k)[-1]]]
+    assert distinct == 1
 
 
 @pytest.mark.parametrize(
@@ -421,10 +466,125 @@ def test_bulk_scoring_peak_memory_at_n20_k2():
     assert peak <= 22.2 * 2**20
 
 
+def test_bulk_scoring_peak_memory_at_n9_k3():
+    # 10^6 candidates against 1,680 equipartitions.  Scoring every distinct
+    # count row, before orbit scoring, peaked at 24.22 MiB on this input; the
+    # orbit gather must not add to the score table's chunk.
+    a = _random_graph(9, substream(19, "bulk-memory-k3")).adjacency.astype(float)
+    cands = candidate_matrices(9, 3, 1.0)
+    block_estimator._partition_tensors.cache_clear()
+    tracemalloc.start()
+    try:
+        bulk = _best_scores_bulk(cands, a, 9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bulk.values.size == 10**6 and bulk.distinct_rows == 46
+    assert peak <= 24.22 * 2**20
+
+
+def _canonical(assignment, sizes):
+    """The member of the assignment's relabelling orbit whose classes of
+    equal size first appear in increasing order."""
+    rename, opened = {}, {}
+    for c in assignment.tolist():
+        if c not in rename:
+            same = [d for d in range(len(sizes)) if sizes[d] == sizes[c]]
+            rename[c] = same[opened.setdefault(sizes[c], 0)]
+            opened[sizes[c]] += 1
+    return tuple(rename[c] for c in assignment.tolist())
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (9, 3), (10, 4), (16, 2)])
 def test_equipartition_array_matches_recursive_enumeration(n, k):
-    want = np.stack(list(_recursive_equipartitions(n, k)))
-    assert np.array_equal(equipartition_array(n, k), want)
+    # one member per orbit of relabelling equal-size classes: the
+    # recursive enumeration's partitions that are their orbit's canonical
+    # member, in the same lex order
+    every = _all_equipartitions(n, k)
+    sizes = canonical_sizes(n, k)
+    canonical = [_canonical(p, sizes) for p in every]
+    got = equipartition_array(n, k)
+    want = every[[c == tuple(p.tolist()) for c, p in zip(canonical, every)]]
+    assert np.array_equal(got, want)
+    r = n % k
+    assert len(got) * math.factorial(r) * math.factorial(k - r) == equipartition_count(n, k)
+    assert {tuple(p) for p in got.tolist()} == set(canonical)
+
+
+def test_equipartition_array_relabels_only_the_first_classes_asked():
+    every = _all_equipartitions(7, 5)  # sizes 2, 2, 1, 1, 1
+    assert np.array_equal(equipartition_array(7, 5, 0), every)
+    assert np.array_equal(equipartition_array(7, 5, 1), every)
+    # classes 0 and 1 ordered, the three classes of size 1 free
+    got = equipartition_array(7, 5, 2)
+    first = [p.tolist().index(0) < p.tolist().index(1) for p in every]
+    assert np.array_equal(got, every[first])
+    assert len(equipartition_array(7, 5)) * 2 * 6 == len(every)
+
+
+# (n, k) with mixed size profiles, k = 1..5, and one-element groups: S = 1
+# at (5, 1), (5, 2) and (7, 2)
+ORBIT_CASES = [
+    (5, 1), (5, 2), (7, 2), (8, 2), (12, 2), (6, 3), (7, 3), (9, 3), (11, 3), (8, 4),
+    (10, 4), (7, 5),
+]
+
+
+@pytest.mark.parametrize("n,k", ORBIT_CASES)
+def test_orbit_scores_match_brute_force_over_every_equipartition(n, k):
+    # the maximum over every equipartition, over its distinct int64
+    # one-hot count rows: 2n <row, L> - <w cc, L^2>, divided by n^4 once
+    rng = substream(20, "orbit-oracle", n, k)
+    rows_, cols_ = np.triu_indices(k)
+    sizes = np.array(canonical_sizes(n, k))
+    penalty = np.where(rows_ == cols_, 1, 2) * sizes[rows_] * sizes[cols_]
+    mu = 1.0
+    while candidate_count(n, k, mu) > 5000:
+        mu /= 2
+    cands = candidate_matrices(n, k, mu)
+    levels = cands.astype(np.int64)
+    for _ in range(3):
+        a = _random_graph(n, rng).adjacency
+        distinct = np.unique(_one_hot_count_rows(a, n, k), axis=0)
+        numerators = 2 * n * distinct @ levels.T - levels**2 @ penalty
+        want = numerators.max(axis=0) / n**4
+        got = _best_scores_bulk(cands, a.astype(float), n, k)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.distinct_rows == len(distinct)
+
+
+def test_relabelling_group_is_bounded_and_exact_past_the_bound():
+    # at most _RELABEL_MAX_CLASSES classes are relabelled, so S stays at
+    # 5! = 120 as k grows; the scores over that subgroup stay exact
+    assert block_estimator._RELABEL_MAX_CLASSES == 5
+    for n, k, s in ((8, 4, 24), (10, 5, 120), (12, 6, 120), (7, 6, 24), (11, 5, 24)):
+        assert len(_partition_tensors(n, k)[1]) == s
+    n, k = 7, 6  # sizes 2, 1, 1, 1, 1, 1: classes 1-4 relabelled, 5 fixed
+    assert len(_partition_tensors(n, k)[0]) * 24 == equipartition_count(n, k)
+    a = _random_graph(n, substream(21, "bounded-group")).adjacency
+    cands = candidate_matrices(n, k, 0.0)
+    distinct = np.unique(_one_hot_count_rows(a, n, k), axis=0)
+    got = _best_scores_bulk(cands, a.astype(float), n, k)
+    assert got.values.tolist() == [0.0]
+    assert got.distinct_rows == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        candidate_matrices(4, 2, 0.5)[::-1],  # the grid, reordered
+        candidate_matrices(4, 2, 0.5)[:26],  # part of it
+        candidate_matrices(4, 2, 0.5).astype(np.int64),  # signed
+        candidate_matrices(4, 3, 0.5),  # another k's grid
+        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0],
+                  [1, 1, 0]], dtype=np.uint8),  # 2^3 rows, one twice
+    ],
+    ids=["reordered", "partial", "signed", "other-k", "repeated-row"],
+)
+def test_bulk_scores_refuse_anything_but_the_full_grid(levels):
+    a = LabeledGraph.from_edges(4, [(0, 1), (1, 2)]).adjacency.astype(float)
+    with pytest.raises(ValueError, match="full grid"):
+        _best_scores_bulk(levels, a, 4, 2)
 
 
 @pytest.mark.parametrize("n,k,mu", [(4, 2, 0.5), (5, 3, 0.4), (6, 1, 1.0), (3, 4, 0.34)])
@@ -485,7 +645,7 @@ def test_lipschitz_score_zero_cap_scores_empty_graph():
     want = _best(b, LabeledGraph.empty(5).adjacency)[0]
     assert got == pytest.approx(want)
     assert want == pytest.approx(
-        max(-score_by_def_norm(b, a, 5) for a in equipartition_array(5, 2))
+        max(-score_by_def_norm(b, a, 5) for a in _all_equipartitions(5, 2))
     )
 
 
@@ -502,7 +662,7 @@ def test_lipschitz_score_star_composes_with_degree_cap():
     a = capped.adjacency.astype(float)
     value, assignment = _best(b, a)
     assert value == pytest.approx(
-        max(_score_by_definition(b, p, a) for p in equipartition_array(6, 2))
+        max(_score_by_definition(b, p, a) for p in _all_equipartitions(6, 2))
     )
     assert _score_by_definition(b, assignment, a) == pytest.approx(value)
 

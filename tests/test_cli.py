@@ -377,8 +377,17 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
         (["estimate", "blocks", "--epsilon", "1.0", "--lambda", "2", "--k", "2", "--input",
           "{path}"],
          None, "nodedp: error: [Errno 2] No such file or directory: '{path}'"),
+        (["estimate", "blocks", "--epsilon", "1.0", "--lambda", "2", "--k", "5", "--input",
+          "{path}"],
+         "4 1\n0 1\n", "nodedp: error: --k must be between 1 and the graph's order n = 4, got 5"),
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--k", "4"],
+         None, "nodedp: error: --k must be between 1 and the graph's order n = 3, got 4"),
+        # formerly refused with exit code 3 for its 14,348,907 candidates
+        (["audit", "sensitivity", "--n", "4", "--k", "5", "--d", "2", "--mu", "0.5"],
+         None, "nodedp: error: --k must be between 1 and the graph's order n = 4, got 5"),
     ],
-    ids=["no-trials", "no-grid-points", "malformed-edge-list", "non-ascii-byte", "missing-input"],
+    ids=["no-trials", "no-grid-points", "malformed-edge-list", "non-ascii-byte", "missing-input",
+         "blocks-k-above-n", "audit-blocks-k-above-n", "sensitivity-k-above-n"],
 )
 def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, message, tmp_path):
     path = tmp_path / "graph.txt"

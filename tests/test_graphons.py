@@ -53,8 +53,9 @@ def test_serialization_round_trips():
 
 
 def test_equipartition_enumeration_count():
+    # one assignment per orbit of swapping the two classes of size 2
     parts = equipartition_array(4, 2)
-    assert len(parts) == equipartition_count(4, 2) == 6
+    assert 2 * len(parts) == equipartition_count(4, 2) == 6
     assert canonical_sizes(5, 2) == [3, 2]
     assert equipartition_count(5, 2) == 10
 
