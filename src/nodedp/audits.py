@@ -16,7 +16,7 @@ import numpy as np
 
 from .block_estimator import (
     EstimatorConfig,
-    block_mechanism,
+    block_laws,
     measured_score_sensitivity,
     theoretical_sensitivity,
 )
@@ -24,7 +24,8 @@ from .errors import ResourceLimitError
 from .graphs import LabeledGraph, all_graphs, graph_space_size, rewiring_pairs
 from .mechanisms import fill_table, max_violation
 
-from .density import graph_space_oracle  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .block_estimator import block_mechanism  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .density import graph_space_oracle  # noqa: F401  (likewise)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 
 # The density audit builds one mechanism and one log-density row per graph
@@ -33,7 +34,8 @@ from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 # 5 s and 290 MiB peak RSS on a 200-point grid, and the rows alone take
 # 250 MiB on the CLI's 1,000-point grid.
 PAIR_AUDIT_MAX_N = 5
-# The finite audit builds one mechanism per graph: 64 at n = 4.
+# The finite audit builds one mechanism per graph, and the block audit one
+# law per graph: 64 at n = 4.
 FINITE_AUDIT_MAX_N = 4
 # The bit-string audit builds one mechanism per string: 64 at 6 bits.
 BITSTRING_AUDIT_MAX_BITS = 6
@@ -126,15 +128,14 @@ def audit_block_mechanism(
 ) -> AuditReport:
     """Exact pmf audit of the selection stage, conditional on the released
     density (composition with the density step is additive and is audited
-    separately on its own output law)."""
-
-    def mech(g: LabeledGraph):
-        m, _, _, _ = block_mechanism(g, rho_hat, cfg)
-        return m
-
-    return audit_finite_mechanism(
-        mech, n, epsilon_claimed, f"block-mechanism(rho_hat={rho_hat})", collect_rows
-    )
+    separately on its own output law).  Every graph's law comes from one
+    block_laws call, as a row of its log-pmf table, with the bytes
+    block_mechanism's mechanism gives that graph."""
+    if n > FINITE_AUDIT_MAX_N:
+        raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
+    logs = block_laws(list(all_graphs(n)), rho_hat, cfg).log_probs()
+    v = max_violation(logs, *rewiring_pairs(n), epsilon_claimed, collect_rows)
+    return _report(f"block-mechanism(rho_hat={rho_hat})", n, epsilon_claimed, v)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tr
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .mechanisms import (
     FiniteMechanism,
+    exponential_log_weights,
     exponential_mechanism_distribution,
     check_table_size,
     max_violation,
+    normalized_log_weights,
     _check_epsilon,
 )
 
@@ -55,54 +57,43 @@ class EstimatorConfig:
 # (n, k) are refused rather than searched heuristically.
 EQUIPARTITION_BUDGET = 10**7
 
-# Bytes one candidate chunk of the score table may take.  Scoring walks the
-# candidate axis in chunks of this size, so memory stays bounded whatever
-# the candidate and partition counts are.
+# Bytes one chunk of the scoring arrays may take.  Scoring walks the
+# partitions, the graphs and the candidates in chunks of this size, so
+# memory stays bounded whatever their counts are, beside the [G, C] score
+# table itself.
 _SCORE_CHUNK_BYTES = 16 * 2**20
-
-# Most classes whose relabellings scoring folds into orbits.  Any group of
-# relabellings of equal-size classes gives the exact maximum (see
-# _grid_scores); bounding the classes bounds the group at 5! = 120
-# permutations whatever k is, where all k! would be 3.6 M at k = 10.
-_RELABEL_MAX_CLASSES = 5
 
 
 @lru_cache(maxsize=32)
 def _partition_tensors(
     n: int, k: int
-) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray]:
     """Scoring's relabelling group at (n, k) and one partition per orbit.
-    The group is the S size-preserving permutations of the first
-    _RELABEL_MAX_CLASSES classes, the identity first, or the identity alone
-    where one count row's mixed-radix key would pass 2^63.  Returns the
-    assignments [P / S, n] of equipartition_array for the group, in lex
-    order; for each permutation, the axes that permute an array
-    [count] * T + [G] of values over the candidate grid as it permutes the
-    upper-triangle coordinates of _level_layout, S tuples; and the int64
-    weights [T, S] whose product with a count row gives the keys of its S
-    images (None with the identity alone).  The arrays are read-only."""
+    The group is the S size-preserving permutations of the k classes, the
+    identity first.  Returns the assignments [P / S, n] of
+    equipartition_array, in lex order; for each permutation, the axes that
+    permute an array [G] + [count] * T of values over the candidate grid as
+    it permutes the upper-triangle coordinates of _level_layout, S tuples;
+    and the int64 weights [T, S] whose product with a count row gives the
+    mixed-radix keys of its S images.  The arrays are read-only."""
     rows, cols, _, _, radix = _level_layout(n, k)
-    fits = math.prod(radix) <= 2**63
-    relabelled = min(k, _RELABEL_MAX_CLASSES) if fits else 0
-    sizes = canonical_sizes(n, k)
+    r = n % k  # the classes of size ceil(n / k) come first
     perms = np.array(
         [
-            p + tuple(range(relabelled, k))
-            for p in itertools.permutations(range(relabelled))
-            if all(sizes[c] == sizes[p[c]] for c in range(relabelled))
+            first + rest
+            for first in itertools.permutations(range(r))
+            for rest in itertools.permutations(range(r, k))
         ]
     )
     coordinate = np.empty((k, k), dtype=np.intp)
     coordinate[rows, cols] = coordinate[cols, rows] = np.arange(rows.size)
     images = coordinate[perms[:, rows], perms[:, cols]]
-    assignments = equipartition_array(n, k, relabelled)
+    assignments = equipartition_array(n, k)
     assignments.flags.writeable = False
-    weights = None
-    if len(perms) > 1:
-        place = [math.prod(radix[t + 1 :]) for t in range(rows.size)]
-        weights = np.array(place, dtype=np.int64)[images.T]
-        weights.flags.writeable = False
-    axes = tuple(tuple(image) + (rows.size,) for image in images.tolist())
+    place = [math.prod(radix[t + 1 :]) for t in range(rows.size)]
+    weights = np.array(place, dtype=np.int64)[images.T]
+    weights.flags.writeable = False
+    axes = tuple((0,) + tuple(1 + i for i in image) for image in images.tolist())
     return assignments, axes, weights
 
 
@@ -130,37 +121,6 @@ def _level_layout(
     return layout + (radix,)
 
 
-def _first_occurrences(rows: np.ndarray, radix: tuple[int, ...]) -> np.ndarray:
-    """Sorted indices of the first occurrence of each distinct row of the
-    nonnegative integer array rows [m, T], whose column t is below radix[t].
-
-    Each row gets one exact int64 key below bound, mixed-radix over the
-    columns, and the first occurrences come from one sort of
-    key * m + index < bound * m.  Where the next column would take that
-    bound past 2^63, the keys are first replaced by their ranks, below m;
-    so nothing wraps as long as m^2 max(radix) <= 2^63, which holds for
-    m <= P at every (n, k) that EQUIPARTITION_BUDGET admits."""
-    m = rows.shape[0]
-    key = np.zeros(m, dtype=np.int64)
-    bound = 1
-    for column, base in zip(rows.T, radix):
-        if bound * base * m > 2**63:
-            key = np.unique(key, return_inverse=True)[1]
-            bound = m
-        key *= base
-        key += column
-        bound *= base
-    key *= m
-    key += np.arange(m)
-    key.sort()
-    index = key % m
-    key -= index  # now the sorted row keys, times m
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    return np.sort(index[new])
-
-
 def _one_of_each(key: np.ndarray) -> np.ndarray:
     """Indices of one occurrence of each distinct value of the 1-d array
     key, in increasing order of the values."""
@@ -172,77 +132,107 @@ def _one_of_each(key: np.ndarray) -> np.ndarray:
     return order[new]
 
 
-def _distinct_count_rows(a: np.ndarray, n: int, k: int) -> tuple[np.ndarray, int]:
+def _distinct_count_rows(
+    a: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One count row w E(pi) per orbit of the relabelling group of
-    _partition_tensors, [U, T] float64, on the upper-triangle coordinates of
+    _partition_tensors, for each of the G adjacencies a [G, n, n].
+
+    Returns the rows [U, T] float64, on the upper-triangle coordinates of
     _level_layout (E_ab = number of ordered edges with classes (a, b), and
-    w = 2 off the diagonal); and the number of distinct rows among all the
-    equipartitions, the sum of the orbits' sizes.
+    w = 2 off the diagonal), graph by graph; the index of each graph's
+    first row [G], its rows running to the next graph's first; and each
+    graph's number of distinct rows among all the equipartitions [G], the
+    sum of its orbits' sizes.
 
     a must be 0/1 with zero diagonal; anything else raises ValueError.
     A relabelling takes the row of pi to the row of the relabelled pi, so
     the rows of the orbit representatives of equipartition_array reach
-    every orbit.  They are taken in chunks under _SCORE_CHUNK_BYTES.  The
-    chunk's class indicators [k, P, n] times A (one BLAS product), dotted
+    every orbit.  The graphs and the partitions are taken in chunks under
+    _SCORE_CHUNK_BYTES.  The chunk's class indicators [k, P, n] times the
+    graphs' adjacencies side by side, [n, G * n] (one BLAS product), dotted
     row-wise with each class's indicators, give E_ab; the fold matrix of
     _level_layout takes them to w E on the upper triangle.  Every count is
     an exact integer below its radix.  One int64 product with the weights
-    of _partition_tensors gives the mixed-radix keys of every row's images:
-    a row's least key names its orbit, on which the rows are deduplicated
-    in each chunk and once more across the chunks, and the number of
-    distinct keys of a row's images is its orbit's size.  With the
-    identity alone, _first_occurrences deduplicates the rows themselves."""
-    if a.diagonal().any() or (a * (a - 1)).any():
+    of _partition_tensors gives the mixed-radix keys of every row's images,
+    each below the product K of the radices.  A row's least key names its
+    orbit, and the key g K + least names it in graph g: on these the rows
+    are deduplicated in each chunk and once more across the chunks, which
+    leaves them in graph order.  The number of distinct keys of a row's
+    images is its orbit's size.
+
+    Every key is exact while G K <= 2^63.  With one graph that fails only at
+    (10, 9), (10, 10), (11, 8) and (11, 9), whose grids hold one candidate
+    and are never scored (block_laws), and several graphs are scored only
+    at n <= SENSITIVITY_AUDIT_MAX_N, where K < 2^24; elsewhere it raises
+    ValueError."""
+    if a.diagonal(axis1=1, axis2=2).any() or (a * (a - 1)).any():
         raise ValueError("adjacency must be 0/1 with zero diagonal")
-    assignments, axes, weights = _partition_tensors(n, k)
     _, _, fold, _, radix = _level_layout(n, k)
+    bound = math.prod(radix)
+    if a.shape[0] * bound > 2**63:
+        raise ValueError(f"count-row keys of {a.shape[0]} graphs at n={n}, k={k} pass 2^63")
+    assignments, axes, weights = _partition_tensors(n, k)
     dtype = np.min_scalar_type(max(radix) - 1)
-    # per partition: k indicator rows and their products with A, the k x k
-    # counts, the folded row as float and integer, its S image keys, and
-    # its least key and the dedup's
-    width = 2 * k * n + k * k + 2 * fold.shape[1] + len(axes) + 4
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * width))
+    # per (partition, graph): the products with A, the k x k counts, the
+    # folded row as float and integer, its S image keys, and its graph's
+    # offset, its key and the dedup's; per partition, its k indicator rows
+    pair = k * n + k * k + 2 * fold.shape[1] + len(axes) + 5
+    graph_step = max(1, _SCORE_CHUNK_BYTES // (8 * pair))
     classes = np.arange(k)[:, None, None]
-    parts, keys = [], []
-    for lo in range(0, assignments.shape[0], step):
-        chunk = assignments[lo : lo + step]
-        members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
-        counts = np.einsum("apv,bpv->pab", members @ a, members)  # E_ab per partition
-        rows = (counts.reshape(-1, k * k) @ fold).astype(dtype)
-        if weights is None:
-            parts.append(rows[_first_occurrences(rows, radix)])
-        else:
-            image_keys = rows @ weights
-            first = _one_of_each(image_keys.min(axis=1))
-            parts.append(rows[first])
-            keys.append(image_keys[first])
-    rows = np.concatenate(parts)
-    if weights is None:
-        if len(parts) > 1:  # one chunk's rows are distinct already
-            rows = rows[_first_occurrences(rows, radix)]
-        return rows.astype(float), rows.shape[0]
-    keys = np.concatenate(keys)
-    if len(parts) > 1:  # one chunk's orbits are distinct already
-        first = _one_of_each(keys.min(axis=1))
-        rows, keys = rows[first], keys[first]
-    keys.sort(axis=1)  # an orbit's size is its row's number of distinct image keys
-    return rows.astype(float), keys.shape[0] + int(np.count_nonzero(keys[:, 1:] != keys[:, :-1]))
+    parts = []
+    for glo in range(0, a.shape[0], graph_step):
+        block = a[glo : glo + graph_step]
+        g = block.shape[0]
+        side_by_side = block.transpose(1, 0, 2).reshape(n, g * n)
+        step = max(1, _SCORE_CHUNK_BYTES // (8 * (k * n + g * pair)))
+        for lo in range(0, assignments.shape[0], step):
+            chunk = assignments[lo : lo + step]
+            p = chunk.shape[0]
+            members = np.equal(chunk, classes, out=np.empty((k,) + chunk.shape))
+            products = members @ side_by_side
+            # E_ab per graph and partition
+            counts = np.einsum("apgv,bpv->gpab", products.reshape(k, p, g, n), members)
+            del products  # before the next chunk's indicators
+            rows = (counts.reshape(-1, k * k) @ fold).astype(dtype)
+            image_keys = weights.T @ rows.T  # [S, rows]: min and sort work across whole rows
+            key = image_keys.min(axis=0)
+            key.reshape(g, p)[:] += np.arange(glo, glo + g)[:, None] * bound
+            first = _one_of_each(key)
+            parts.append((key[first], rows[first], image_keys[:, first]))
+    if len(parts) == 1:  # one chunk's orbits are distinct already
+        key, rows, image_keys = parts[0]
+    else:
+        key, rows, image_keys = zip(*parts)
+        key, rows, image_keys = (
+            np.concatenate(key), np.concatenate(rows), np.concatenate(image_keys, axis=1)
+        )
+        first = _one_of_each(key)
+        key, rows, image_keys = key[first], rows[first], image_keys[:, first]
+    image_keys.sort(axis=0)  # an orbit's size is its row's number of distinct image keys
+    sizes = 1 + np.count_nonzero(image_keys[1:] != image_keys[:-1], axis=0)
+    starts = np.searchsorted(key, np.arange(a.shape[0]) * bound)
+    return rows.astype(float), starts, np.add.reduceat(sizes, starts)
 
 
 class BulkScores(NamedTuple):
-    values: np.ndarray  # [C] best score per candidate
-    distinct_rows: int  # distinct count matrices among the partitions
+    values: np.ndarray  # [G, C] best score per graph and candidate, C-contiguous
+    distinct_rows: np.ndarray  # [G] distinct count matrices among each graph's partitions
 
 
 def _best_scores_bulk(levels: np.ndarray, a: np.ndarray, n: int, k: int) -> BulkScores:
-    """Exact max-over-equipartitions score for every candidate at once, from
-    the orbit rows of a (_distinct_count_rows) by _grid_scores."""
-    rows, distinct = _distinct_count_rows(a, n, k)
-    return BulkScores(_grid_scores(levels, [rows], n, k)[0], distinct)
+    """Exact max-over-equipartitions score of each of the G adjacencies
+    a [G, n, n] at every candidate, from their orbit rows
+    (_distinct_count_rows) by one _grid_scores call."""
+    rows, starts, distinct = _distinct_count_rows(a, n, k)
+    return BulkScores(_grid_scores(levels, rows, starts, n, k), distinct)
 
 
-def _grid_scores(levels: np.ndarray, rows: list[np.ndarray], n: int, k: int) -> np.ndarray:
-    """The scores [G, C] of G graphs, given as their orbit rows
+def _grid_scores(
+    levels: np.ndarray, rows: np.ndarray, starts: np.ndarray, n: int, k: int
+) -> np.ndarray:
+    """The scores [G, C], C-contiguous, of G graphs given as their orbit
+    rows [U, T] and the index of each graph's first row [G]
     (_distinct_count_rows), at every candidate.
 
     Candidates are the full grid of integer levels L = n B of
@@ -253,29 +243,30 @@ def _grid_scores(levels: np.ndarray, rows: list[np.ndarray], n: int, k: int) -> 
     partition-independent and a partition enters only through E(pi).
     Every graph's orbit rows are scored by one matrix product per chunk of
     candidates under _SCORE_CHUNK_BYTES, and each graph's maximum is taken
-    over its own columns.  Each chunk's row indices, its levels'
-    mixed-radix values, must count up from the chunk's first: with
-    C = count^T and every level below count, that holds only on the full
-    grid.
+    over its own columns and copied into its row of the table.  Each
+    chunk's row indices, its levels' mixed-radix values, must count up from
+    the chunk's first: with C = count^T and every level below count, that
+    holds only on the full grid.
 
     That is the maximum over the orbit representatives.  The score is
     invariant when equal-size classes are relabelled in both the partition
     and the candidate, s(sigma pi, sigma B) = s(pi, B): sigma preserves the
     class sizes, so the penalty <w cc, L^2> is unchanged.  So a candidate's
     score is the largest value at its images sigma B.  On the grid, the
-    values as an array [count] * T + [G], sigma B sits where the axes are
-    permuted as sigma permutes the coordinates: one in-place maximum with
-    that transposed view per sigma, in chunks of the first axis under
-    _SCORE_CHUNK_BYTES, takes each value to that largest one.  Values only
-    rise, and never past their orbit's maximum, so reading a value already
-    raised is exact too.
+    values as an array [G] + [count] * T, sigma B sits where the candidate
+    axes are permuted as sigma permutes the coordinates: one in-place
+    maximum with that transposed view per sigma, in chunks of the first
+    candidate axis under _SCORE_CHUNK_BYTES, takes each value to that
+    largest one.  Values only rise, and never past their orbit's maximum,
+    so reading a value already raised is exact too.
 
     For a 0/1 adjacency every term is an integer of at most
     n^2 max(L) max(2n, max(L)), below 2^53 for every k >= 2 that
     EQUIPARTITION_BUDGET and CANDIDATE_BUDGET admit (n <= 25, L <= 99).
-    There the arithmetic is exact, and each value is the exact rational
-    correctly rounded.  The exponential mechanism reads only these values,
-    not which equipartition attains them.
+    There the arithmetic is exact, whatever the order of a sum, and each
+    value is the exact rational correctly rounded.  The exponential
+    mechanism reads only these values, not which equipartition attains
+    them.
     """
     axes = _partition_tensors(n, k)[1]
     penalty = _level_layout(n, k)[3]
@@ -284,34 +275,37 @@ def _grid_scores(levels: np.ndarray, rows: list[np.ndarray], n: int, k: int) -> 
     if levels.dtype.kind != "u" or levels.shape != (count**t, t):
         raise ValueError("levels must be the full grid of candidate_matrices")
     place = float(count) ** np.arange(t - 1, -1, -1)
-    starts = list(itertools.accumulate(map(len, rows[:-1]), initial=0))
-    rows = np.concatenate(rows) * (2 * n)
+    rows = rows * (2 * n)
     total = levels.shape[0]
-    values = np.empty((total, len(starts)))
-    # per candidate: a table row, its float levels and the previous chunk's,
-    # and a few scalars; the table is allocated once and every chunk's
-    # product is written into it
-    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + 2 * t + 4)))
+    values = np.empty((starts.size, total))
+    # per candidate: a row of the products and of the graphs' maxima, its
+    # float levels and the previous chunk's, and a few scalars; every
+    # chunk's products and maxima are written into the same buffers
+    step = max(1, _SCORE_CHUNK_BYTES // (8 * (rows.shape[0] + starts.size + 2 * t + 4)))
     table = np.empty((min(step, total), rows.shape[0]))
+    best = np.empty((min(step, total), starts.size))
     for lo in range(0, total, step):
         chunk = levels[lo : lo + step].astype(float)
-        if (chunk @ place != np.arange(lo, lo + chunk.shape[0])).any():
+        width = chunk.shape[0]
+        if (chunk @ place != np.arange(lo, lo + width)).any():
             raise ValueError("levels must be the full grid of candidate_matrices")
-        products = np.matmul(chunk, rows.T, out=table[: chunk.shape[0]])
-        out = np.maximum.reduceat(products, starts, axis=1, out=values[lo : lo + step])
+        products = np.matmul(chunk, rows.T, out=table[:width])
+        out = np.maximum.reduceat(products, starts, axis=1, out=best[:width])
         np.square(chunk, out=chunk)
         out -= (chunk @ penalty)[:, None]
         out /= n**4
-    del table, products, chunk
-    grid = values.reshape((count,) * t + (len(starts),))
-    # per value of a chunk of the grid's first axis: the value, and the copy
-    # of its image's that the overlapping in-place maximum makes
+        values[:, lo : lo + width] = out.T
+    del table, best, products, out, chunk
+    grid = values.reshape((starts.size,) + (count,) * t)
+    # per value of a chunk of the first candidate axis: the value, and the
+    # copy of its image's that the overlapping in-place maximum makes
     step = max(1, _SCORE_CHUNK_BYTES // (16 * values.size // count))
     for perm in axes[1:]:
         image = grid.transpose(perm)
         for lo in range(0, count, step):
-            np.maximum(grid[lo : lo + step], image[lo : lo + step], out=grid[lo : lo + step])
-    return values.T
+            part = grid[:, lo : lo + step]
+            np.maximum(part, image[:, lo : lo + step], out=part)
+    return values
 
 
 # -- candidate grid -----------------------------------------------------------------
@@ -344,8 +338,9 @@ def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
 
 
 def _level_matrix(levels: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The symmetric k x k matrix L / n of one candidate's levels [T]."""
-    rows, cols = _level_layout(n, k)[:2]
+    """The symmetric k x k matrix L / n of one candidate's levels [T], on
+    the upper-triangle coordinates of _level_layout."""
+    rows, cols = np.triu_indices(k)
     out = np.empty((k, k))
     out[rows, cols] = out[cols, rows] = levels / n
     return out
@@ -380,9 +375,8 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
         [graph_index(h) for h in capped], return_index=True, return_inverse=True
     )
     check_table_size(len(reps), cands.shape[0], "candidates")
-    scores = _grid_scores(
-        cands, [_distinct_count_rows(capped[i].adjacency.astype(float), n, k)[0] for i in reps], n, k
-    )
+    adjacencies = np.stack([capped[i].adjacency for i in reps]).astype(float)
+    scores = _best_scores_bulk(cands, adjacencies, n, k).values
     # Each unordered pair of adjacent graphs is kept once (|difference| is
     # symmetric), as a pair of distinct score rows.
     i, j = rewiring_pairs(n)
@@ -417,54 +411,103 @@ class BlockEstimate:
         return BlockMatrix(self.b_hat.values / self.rho_hat)
 
 
+class BlockLaws(NamedTuple):
+    """The selection stage's laws of G graphs of one order, given one
+    released density: they share the candidate grid, the degree cap and
+    Delta, and differ in their scores."""
+
+    levels: np.ndarray  # [C, T] candidate levels
+    scores: np.ndarray  # [G, C] best score per graph and candidate, C-contiguous
+    distinct_rows: np.ndarray  # [G] distinct count matrices among each graph's partitions
+    degree_cap: int
+    equipartitions: int
+    delta: float
+    coefficient: float  # eps / (4 Delta); inf at Delta = 0
+
+    def log_probs(self) -> np.ndarray:
+        """The [G, C] log pmfs, C-contiguous: each row normalized by
+        normalized_log_weights from exponential_log_weights, as
+        exponential_mechanism_distribution normalizes one graph's scores,
+        in row chunks under _SCORE_CHUNK_BYTES."""
+        out = np.empty(self.scores.shape)
+        # per score: about eight float temporaries of the normalization
+        step = max(1, _SCORE_CHUNK_BYTES // (64 * self.scores.shape[1]))
+        for lo in range(0, out.shape[0], step):
+            weights = exponential_log_weights(self.scores[lo : lo + step], self.coefficient)
+            out[lo : lo + step] = normalized_log_weights(weights)[0]
+        return out
+
+
+def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorConfig) -> BlockLaws:
+    """Selection stage given the released density, for every graph at once:
+    the exponential mechanism over the candidate grid, spending the
+    remaining eps/2.
+
+    The candidates are candidate_matrices(n, k, lambda rho_hat), integer
+    levels on the 1/n grid, and every graph is capped at degree
+    d = floor(lambda rho_hat n) and scored on them by one
+    _best_scores_bulk call: each score is the exact max over
+    equipartitions, correctly rounded.  Delta is the measured sensitivity
+    in audited mode and 4 d mu / n^2 in theoretical mode.
+
+    Where the grid is the zero matrix alone, d = 0 as well, and every score
+    is 0 whatever the graph: that law is returned before any partition is
+    enumerated or graph capped, so EQUIPARTITION_BUDGET binds only grids
+    with more than one candidate.  Each graph reports the one count row of
+    the empty capped graph, and audited mode the exact Delta, 0."""
+    n = graphs[0].n
+    mu = cfg.lam * rho_hat
+    d_real = mu * n
+    d_int = int(math.floor(d_real + 1e-9))
+    equipartitions = equipartition_count(n, cfg.k)
+    theoretical = cfg.sensitivity_mode == "theoretical"
+    if candidate_count(n, cfg.k, mu) == 1:
+        # candidate_matrices' one-candidate grid, without its np.indices
+        # call, which fails from k = 11 (an array of T + 1 > 64 axes)
+        levels = np.zeros((1, cfg.k * (cfg.k + 1) // 2), dtype=np.uint8)
+        bulk = BulkScores(np.zeros((len(graphs), 1)), np.ones(len(graphs), dtype=int))
+        delta = theoretical_sensitivity(n, d_real, mu) if theoretical else 0.0
+    else:
+        if equipartitions > EQUIPARTITION_BUDGET:
+            raise ResourceLimitError(
+                f"exact scoring over {equipartitions} equipartitions exceeds the budget "
+                f"of {EQUIPARTITION_BUDGET}"
+            )
+        levels = candidate_matrices(n, cfg.k, mu)
+        check_table_size(len(graphs), levels.shape[0], "candidates")
+        capped = np.stack([degree_cap(g, d_int).adjacency for g in graphs]).astype(float)
+        bulk = _best_scores_bulk(levels, capped, n, cfg.k)
+        if theoretical:
+            delta = theoretical_sensitivity(n, d_real, mu)
+        else:
+            delta = measured_score_sensitivity(n, cfg.k, mu, d_int)
+    # Delta = 0: the scores cannot depend on the input, and exp(eps/(4*0) *
+    # score) degenerates to uniform over the argmax set
+    coefficient = math.inf if delta <= 0.0 else cfg.epsilon / (4.0 * delta)
+    return BlockLaws(
+        levels, bulk.values, bulk.distinct_rows, d_int, equipartitions, delta, coefficient
+    )
+
+
 def block_mechanism(
     g: LabeledGraph, rho_hat: float, cfg: EstimatorConfig
 ) -> tuple[FiniteMechanism, np.ndarray, float, dict]:
-    """Selection stage given the released density: the exponential mechanism
-    over the candidate grid, spending the remaining eps/2.
-
-    The candidates are candidate_matrices(n, k, lambda rho_hat), integer
-    levels on the 1/n grid, so _best_scores_bulk scores them exactly: each
-    score is the exact max over equipartitions, correctly rounded.
+    """Selection stage of one graph: the one-graph case of block_laws.
 
     Returns (mechanism, candidate levels [C, T], delta, diagnostics)."""
-    n = g.n
-    equipartitions = equipartition_count(n, cfg.k)
-    if equipartitions > EQUIPARTITION_BUDGET:
-        raise ResourceLimitError(
-            f"exact scoring over {equipartitions} equipartitions exceeds the budget "
-            f"of {EQUIPARTITION_BUDGET}"
-        )
-    mu = cfg.lam * rho_hat
-    d_real = cfg.lam * rho_hat * n
-    d_int = int(math.floor(d_real + 1e-9))
-    cands = candidate_matrices(n, cfg.k, mu)
-    capped = degree_cap(g, d_int)
-    bulk = _best_scores_bulk(cands, capped.adjacency.astype(float), n, cfg.k)
-    scores = bulk.values
-    if cfg.sensitivity_mode == "audited":
-        delta = measured_score_sensitivity(n, cfg.k, mu, d_int)
-    else:
-        delta = theoretical_sensitivity(n, d_real, mu)
+    laws = block_laws([g], rho_hat, cfg)
+    scores = laws.scores[0]
     diagnostics = {
-        "candidate_count": cands.shape[0],
-        "degree_cap": d_int,
-        "equipartitions": equipartitions,
-        "distinct_count_rows": bulk.distinct_rows,
+        "candidate_count": laws.levels.shape[0],
+        "degree_cap": laws.degree_cap,
+        "equipartitions": laws.equipartitions,
+        "distinct_count_rows": int(laws.distinct_rows[0]),
         "sensitivity_mode": cfg.sensitivity_mode,
+        "coefficient": laws.coefficient,
+        "scores": scores,
     }
-    if delta <= 0.0:
-        # Scores cannot depend on the input (measured zero sensitivity);
-        # exp(eps/(4*0) * score) degenerates to uniform over the argmax set.
-        lw = np.where(scores >= scores.max() - 1e-12, 0.0, -1e9)
-        mech = FiniteMechanism(lw)
-        diagnostics["coefficient"] = math.inf
-    else:
-        coef = cfg.epsilon / (4.0 * delta)
-        mech = exponential_mechanism_distribution(scores, coef)
-        diagnostics["coefficient"] = coef
-    diagnostics["scores"] = scores
-    return mech, cands, delta, diagnostics
+    mech = exponential_mechanism_distribution(scores, laws.coefficient)
+    return mech, laws.levels, laws.delta, diagnostics
 
 
 def _dp_domain(n: int, sensitivity_mode: str) -> str:
@@ -472,8 +515,10 @@ def _dp_domain(n: int, sensitivity_mode: str) -> str:
     if sensitivity_mode == "audited":
         return f"all graphs on {n} vertices"
     return (
-        "all graphs if degree_cap is stable under one rewiring; Delta = 4 d mu / n^2"
-        " assumes it and it is unproven"
+        "the stated epsilon does not hold in general: Delta = 4 d mu / n^2 assumes"
+        " degree_cap is stable under one rewiring and that is disproved (one rewiring"
+        " moves the capped score by 1.71 Delta on a pinned n=9 pair and by 2 Delta on"
+        " pairs found by search)"
     )
 
 

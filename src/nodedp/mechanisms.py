@@ -79,23 +79,38 @@ class LaplaceDensity:
 # -- finite-output mechanisms ----------------------------------------------------
 
 
+def normalized_log_weights(log_weights) -> tuple[np.ndarray, np.ndarray]:
+    """The log pmfs and pmfs of the laws proportional to exp(log_weights)
+    along the last axis of a [..., C] array, each row normalized on its own.
+
+    A row's log pmf is its log weights less their logsumexp; the pmf exp()
+    gives sums to 1 within a few ulps per candidate, so both are divided
+    once more by that residue, whose log is math.log's, and a row still
+    more than 1e-12 off 1 raises AssertionError.  Log weights that are not
+    all finite raise ValueError."""
+    lw = np.asarray(log_weights, dtype=float)
+    if not np.isfinite(lw).all():
+        raise ValueError("log weights must be finite")
+    log_probs = lw - np.expand_dims(logsumexp(lw), -1)
+    probs = np.exp(log_probs)
+    residue = probs.sum(axis=-1, keepdims=True)
+    log_probs -= np.fromiter(map(math.log, residue.ravel().tolist()), float).reshape(residue.shape)
+    probs /= residue
+    total = probs.sum(axis=-1)
+    if (abs(total - 1.0) > 1e-12).any():
+        raise AssertionError(f"normalization drift: sum(probs) = {total!r}")
+    return log_probs, probs
+
+
 class FiniteMechanism:
-    """Distribution over candidate indices 0..C-1, normalized in log space."""
+    """Distribution over candidate indices 0..C-1, normalized in log space
+    by normalized_log_weights."""
 
     def __init__(self, log_weights) -> None:
         lw = np.asarray(log_weights, dtype=float)
         if lw.ndim != 1 or lw.size == 0:
             raise ValueError("need a nonempty 1-d array of log weights, one per candidate")
-        if not np.isfinite(lw).all():
-            raise ValueError("log weights must be finite")
-        log_probs = lw - logsumexp(lw)
-        probs = np.exp(log_probs)
-        residue = probs.sum()  # 1 +- a few ulps per candidate after exp()
-        self.log_probs = log_probs - math.log(residue)
-        probs = probs / residue
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise AssertionError(f"normalization drift: sum(probs) = {total!r}")
+        self.log_probs, probs = normalized_log_weights(lw)
         self._cum = np.cumsum(probs)
         self._cum[-1] = 1.0
 
@@ -107,14 +122,25 @@ class FiniteMechanism:
         return int(np.searchsorted(self._cum, rng.random(), side="right"))
 
 
-def exponential_mechanism_distribution(scores, coefficient: float) -> FiniteMechanism:
-    """P(c) proportional to exp(coefficient * scores[c])."""
+def exponential_log_weights(scores, coefficient: float) -> np.ndarray:
+    """Log weights coefficient * scores of the exponential mechanism along
+    the last axis of [..., C] scores.  An infinite coefficient gives the
+    limit law, uniform over each row's maximum set: log weight 0 within
+    1e-12 of the row's maximum and -1e9 elsewhere."""
     s = np.asarray(scores, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    if not (math.isfinite(coefficient) and coefficient >= 0):
-        raise ValueError("coefficient must be a finite nonnegative real")
-    return FiniteMechanism(coefficient * s)
+    if not coefficient >= 0:
+        raise ValueError("coefficient must be a nonnegative real")
+    if math.isinf(coefficient):
+        return np.where(s >= s.max(axis=-1, keepdims=True) - 1e-12, 0.0, -1e9)
+    return coefficient * s
+
+
+def exponential_mechanism_distribution(scores, coefficient: float) -> FiniteMechanism:
+    """P(c) proportional to exp(coefficient * scores[c]); see
+    exponential_log_weights."""
+    return FiniteMechanism(exponential_log_weights(scores, coefficient))
 
 
 # -- piecewise-linear log shapes -------------------------------------------------

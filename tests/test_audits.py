@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nodedp.block_estimator as block_estimator
 from nodedp.audits import (
     AUDIT_TOLERANCE,
     audit_bitstring_reduction,
@@ -18,6 +19,7 @@ from nodedp.audits import (
 from nodedp.block_estimator import (
     EstimatorConfig,
     _best_scores_bulk,
+    block_laws,
     block_mechanism,
     candidate_matrices,
     measured_score_sensitivity,
@@ -323,7 +325,7 @@ def test_measured_sensitivity_matches_pair_loop(n, k, d, mu):
         h = degree_cap(g, d)
         capped.append(h.key)
         if h.key not in rows:
-            rows[h.key] = _best_scores_bulk(cands, h.adjacency.astype(float), n, k).values
+            rows[h.key] = _best_scores_bulk(cands, h.adjacency[None].astype(float), n, k).values
     worst = 0.0
     flips = _star_flips(n)
     for i in range(len(graphs)):
@@ -334,6 +336,120 @@ def test_measured_sensitivity_matches_pair_loop(n, k, d, mu):
                 worst = max(worst, gap)
     measured_score_sensitivity.cache_clear()
     assert measured_score_sensitivity(n, k, mu, d) == worst
+
+
+# rho_hat values whose k = 2 grids hold 1, 8, 27, 64 and 125 candidates
+# at n = 4 (1, 8, 27, 27 and 64 at n = 3) with lambda = 2
+BATCH_RHO_HATS = (0.1, 0.2, 0.34, 0.4, 0.5)
+
+
+@pytest.mark.parametrize("mode", ["audited", "theoretical"])
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_batched_block_laws_match_the_per_graph_mechanisms(n, k, mode):
+    # the batched log-pmf table is the per-graph mechanisms' log pmfs byte
+    # for byte, on every piece tried, the one-candidate grid among them
+    graphs = list(all_graphs(n))
+    for rho_hat in BATCH_RHO_HATS:
+        cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode=mode)
+        laws = block_laws(graphs, rho_hat, cfg)
+        logs = laws.log_probs()
+        want = np.stack([block_mechanism(g, rho_hat, cfg)[0].log_probs for g in graphs])
+        assert logs.tobytes() == want.tobytes()
+        assert logs.flags.c_contiguous and laws.scores.flags.c_contiguous
+        assert laws.scores.shape == logs.shape == (len(graphs), laws.levels.shape[0])
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_block_audit_reports_what_the_per_graph_audit_reports(n, k):
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode="audited")
+    for rho_hat in BATCH_RHO_HATS:
+        for epsilon in (0.5, 0.01):
+            got = audit_block_mechanism(n, rho_hat, cfg, epsilon, collect_rows=True)
+            want = audit_finite_mechanism(
+                lambda g: block_mechanism(g, rho_hat, cfg)[0], n, epsilon, collect_rows=True
+            )
+            assert got.mechanism == f"block-mechanism(rho_hat={rho_hat})"
+            assert (got.max_violation, got.pairs_checked, got.witness, got.column) == (
+                want.max_violation, want.pairs_checked, want.witness, want.column
+            )
+            assert got.rows == want.rows
+
+
+# 1 byte: one graph, one partition and one candidate per chunk
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
+@pytest.mark.parametrize("k,mu", [(2, 1.0), (3, 0.5)])
+def test_batched_scores_are_c_contiguous_graph_rows(k, mu, chunk_bytes, monkeypatch):
+    graphs = np.stack([g.adjacency for g in all_graphs(4)]).astype(float)
+    cands = candidate_matrices(4, k, mu)
+    want = [_best_scores_bulk(cands, a[None], 4, k) for a in graphs]
+    if chunk_bytes is not None:
+        monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
+    got = _best_scores_bulk(cands, graphs, 4, k)
+    assert got.values.flags.c_contiguous and got.values.shape == (64, cands.shape[0])
+    assert got.values.tobytes() == np.concatenate([w.values for w in want]).tobytes()
+    assert got.distinct_rows.tolist() == [w.distinct_rows[0] for w in want]
+
+
+@pytest.mark.parametrize(
+    "n,k,mu,d,want",
+    [
+        (3, 2, 1.0, 2, 0.8888888888888888),
+        (4, 2, 0.4, 4, 0.1875),
+        (4, 2, 1.0, 4, 0.75),
+        (4, 3, 0.5, 3, 0.375),
+        (5, 2, 0.4, 4, 0.256),
+        (5, 3, 0.4, 2, 0.128),
+        (5, 1, 1.0, 3, 0.48000000000000004),
+    ],
+)
+def test_measured_sensitivity_values_are_pinned(n, k, mu, d, want):
+    measured_score_sensitivity.cache_clear()
+    assert measured_score_sensitivity(n, k, mu, d) == want
+
+
+def _piece(n, lam, rho_hat):
+    """floor(n lam rho_hat + 1e-9), as block_laws computes it: the selection
+    law depends on rho_hat only through it."""
+    return int(math.floor(lam * rho_hat * n + 1e-9))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_block_selection_is_certified_at_every_density_piece(n):
+    # stage 1 releases rho_hat anywhere in [1/n^2, 1]; each piece of that
+    # range fixes the grid, the cap and the measured Delta, so auditing
+    # both sides of every breakpoint certifies stage 2 at every density
+    eps, lam = 1.0, 2.0
+    cfg = EstimatorConfig(epsilon=eps, lam=lam, k=2, sensitivity_mode="audited")
+    lo, hi = 1.0 / n**2, 1.0
+    ends = [lo]
+    for j in range(_piece(n, lam, lo) + 1, _piece(n, lam, hi) + 1):
+        x = (j - 1e-9) / (lam * n)
+        while _piece(n, lam, x) >= j:
+            x = math.nextafter(x, 0.0)
+        while _piece(n, lam, x) < j:
+            x = math.nextafter(x, 1.0)
+        ends += [math.nextafter(x, 0.0), x]  # the last of piece j - 1, the first of j
+    ends.append(hi)
+    probe = LabeledGraph.empty(n)
+    pieces = []
+    for rho_hat in ends:
+        report = audit_block_mechanism(n, rho_hat, cfg, eps / 2.0)
+        assert report.passed(), (rho_hat, report.max_violation)
+        pieces.append(block_mechanism(probe, rho_hat, cfg)[3]["degree_cap"])
+    count = int(lam * n) + 1  # 7 pieces at n = 3, 9 at n = 4
+    assert pieces == [j for j in range(count) for _ in range(2)]
+
+
+def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):
+    # 64 graphs x 9^6 = 531,441 candidates at n = 4, k = 3, mu = 2: 272 MB
+    def unreachable(*args):
+        raise AssertionError("scored a table the audit cap refuses")
+
+    monkeypatch.setattr(block_estimator, "_best_scores_bulk", unreachable)
+    monkeypatch.setattr(block_estimator, "measured_score_sensitivity", unreachable)
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=3, sensitivity_mode="audited")
+    with pytest.raises(ResourceLimitError, match="64 inputs x 531441 candidates"):
+        audit_block_mechanism(4, 1.0, cfg, 0.5)
 
 
 def test_pairwise_audits_refuse_n6():

@@ -14,7 +14,6 @@ from nodedp.block_estimator import (
     EstimatorConfig,
     _best_scores_bulk,
     _distinct_count_rows,
-    _first_occurrences,
     _level_layout,
     _level_matrix,
     _partition_tensors,
@@ -100,7 +99,7 @@ def _best(b, a):
     count = int(levels.max()) + 1
     index = np.ravel_multi_index(tuple(levels), (count,) * levels.size)
     grid = candidate_matrices(n, k, (count - 1) / n)
-    value = float(_best_scores_bulk(grid, a, n, k).values[index])
+    value = float(_best_scores_bulk(grid, a[None], n, k).values[0, index])
     assignments = _all_equipartitions(n, k)
     scores = [_score_by_definition(b, p, a) for p in assignments]
     return value, assignments[int(np.argmax(scores))]
@@ -259,9 +258,9 @@ def test_bulk_scores_match_one_hot_table_on_random_capped_graphs(chunk_bytes, mo
                     mu /= 2
                 cands = candidate_matrices(n, k, mu)
                 want = _one_hot_table_scores(cands, a, n, k)
-                got = _best_scores_bulk(cands, a, n, k)
+                got = _best_scores_bulk(cands, a[None], n, k)
                 assert got.values.tobytes() == want.tobytes()
-                assert 1 <= got.distinct_rows <= equipartition_count(n, k)
+                assert 1 <= got.distinct_rows[0] <= equipartition_count(n, k)
 
 
 def test_best_score_assignment_matches_one_hot_table():
@@ -289,7 +288,7 @@ def test_bulk_values_are_exact_rationals_at_the_first_maximizer():
             sizes = canonical_sizes(n, k)
             grid = candidate_matrices(n, k, min(1.0, 9 / n))  # at most 10^6 candidates
             picks = rng.integers(0, len(grid), 30)
-            got = _best_scores_bulk(grid, a.astype(float), n, k).values[picks]
+            got = _best_scores_bulk(grid, a[None].astype(float), n, k).values[0, picks]
             for cand, value in zip(grid[picks], got):
                 levels = np.round(n * _level_matrix(cand, n, k)).astype(int).tolist()
                 penalty = sum(
@@ -357,8 +356,8 @@ def test_count_rows_match_int64_one_hot_product(chunk_bytes, monkeypatch):
     rng = substream(16, "count-rows", chunk_bytes or 0)
     for n, k, a in _count_row_cases(rng):
         want = {tuple(r) for r in _one_hot_count_rows(a, n, k).tolist()}
-        rows, distinct = _distinct_count_rows(a.astype(float), n, k)
-        assert rows.dtype == np.float64
+        rows, starts, (distinct,) = _distinct_count_rows(a[None].astype(float), n, k)
+        assert rows.dtype == np.float64 and starts.tolist() == [0]
         closure = {
             tuple(r) for p in _relabellings(n, k) for r in _relabelled_rows(rows, p, k).tolist()
         }
@@ -372,7 +371,7 @@ def test_orbit_rows_are_pairwise_inequivalent(chunk_bytes, monkeypatch):
         monkeypatch.setattr(block_estimator, "_SCORE_CHUNK_BYTES", chunk_bytes)
     rng = substream(17, "count-row-order", chunk_bytes or 0)
     for n, k, a in _count_row_cases(rng):
-        rows = _distinct_count_rows(a.astype(float), n, k)[0]
+        rows = _distinct_count_rows(a[None].astype(float), n, k)[0]
         group = _relabellings(n, k)
         orbits = [
             {tuple(r) for p in group for r in _relabelled_rows(row[None], p, k).tolist()}
@@ -382,27 +381,14 @@ def test_orbit_rows_are_pairwise_inequivalent(chunk_bytes, monkeypatch):
         every = _one_hot_count_rows(a, n, k)
         cands = candidate_matrices(n, k, 1.0 / n)
         want = len(np.unique(every, axis=0))
-        assert _best_scores_bulk(cands, a.astype(float), n, k).distinct_rows == want
-
-
-@pytest.mark.parametrize("n,k", [(10, 9), (10, 10), (11, 8)])
-def test_first_occurrences_rerank_where_one_key_would_wrap(n, k):
-    # the product of these radices passes 2^63, so the keys are re-ranked
-    # part way; rows are drawn from a pool that holds each column's maximum
-    radix = np.array(_level_layout(n, k)[-1])
-    assert math.prod(radix.tolist()) > 2**63
-    rng = substream(18, "rerank", n, k)
-    pool = np.vstack([radix - 1, np.zeros_like(radix), rng.integers(0, radix, (40, radix.size))])
-    for m in (1, 7, 3000):
-        rows = pool[rng.integers(0, len(pool), m)].astype(np.uint8)
-        want = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-        assert np.array_equal(_first_occurrences(rows, tuple(radix.tolist())), want)
+        assert _best_scores_bulk(cands, a[None].astype(float), n, k).distinct_rows[0] == want
 
 
 def test_integer_keys_stay_below_2_63_wherever_the_budget_admits():
-    # _first_occurrences keeps key < bound and bound * m <= 2^63 for
-    # m <= P rows; a re-rank sets bound = m * radix, so it needs
-    # P^2 * max(radix) <= 2^63 at every admitted (n, k), k up to n
+    # a count row's key is below the product of its radices; that product
+    # passes 2^63 at four admitted (n, k), all with k >= 6, whose grids
+    # hold one candidate and are released unscored, and there count rows
+    # are refused rather than keyed with wrapped keys
     admitted, wrapping = 0, set()
     for n in range(2, 40):
         for k in range(2, n + 1):
@@ -418,18 +404,20 @@ def test_integer_keys_stay_below_2_63_wherever_the_budget_admits():
             )
             radix = _level_layout(n, k)[-1]
             assert radix == want
-            assert p * p * max(radix) <= 2**63
             if math.prod(radix) > 2**63:
                 wrapping.add((n, k))
     assert admitted == 79
-    # one unranked key would wrap only in the one-candidate corner k ~ n
     assert wrapping == {(10, 9), (10, 10), (11, 8), (11, 9)}
+    for n, k in wrapping:
+        assert candidate_count(n, k, 1.0 / n) > block_estimator.CANDIDATE_BUDGET
+        with pytest.raises(ValueError, match="2\\^63"):
+            _distinct_count_rows(np.zeros((1, n, n)), n, k)
 
 
 @pytest.mark.parametrize("n,k", [(5, 1), (7, 2), (8, 3), (9, 4)])
 def test_complete_graph_count_rows_reach_radix_minus_one(n, k):
     a = np.ones((n, n)) - np.eye(n)
-    rows, distinct = _distinct_count_rows(a, n, k)
+    rows, _, (distinct,) = _distinct_count_rows(a[None], n, k)
     assert rows.tolist() == [[r - 1 for r in _level_layout(n, k)[-1]]]
     assert distinct == 1
 
@@ -446,7 +434,7 @@ def test_complete_graph_count_rows_reach_radix_minus_one(n, k):
 )
 def test_count_rows_refuse_other_matrices(a):
     with pytest.raises(ValueError, match="zero diagonal"):
-        _distinct_count_rows(np.asarray(a, dtype=float), 3, 2)
+        _distinct_count_rows(np.asarray(a, dtype=float)[None], 3, 2)
 
 
 def test_bulk_scoring_peak_memory_at_n20_k2():
@@ -458,11 +446,11 @@ def test_bulk_scoring_peak_memory_at_n20_k2():
     block_estimator._partition_tensors.cache_clear()
     tracemalloc.start()
     try:
-        bulk = _best_scores_bulk(cands, a, 20, 2)
+        bulk = _best_scores_bulk(cands, a[None], 20, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bulk.distinct_rows == 211
+    assert bulk.distinct_rows.tolist() == [211]
     assert peak <= 22.2 * 2**20
 
 
@@ -475,11 +463,11 @@ def test_bulk_scoring_peak_memory_at_n9_k3():
     block_estimator._partition_tensors.cache_clear()
     tracemalloc.start()
     try:
-        bulk = _best_scores_bulk(cands, a, 9, 3)
+        bulk = _best_scores_bulk(cands, a[None], 9, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bulk.values.size == 10**6 and bulk.distinct_rows == 46
+    assert bulk.values.size == 10**6 and bulk.distinct_rows.tolist() == [46]
     assert peak <= 24.22 * 2**20
 
 
@@ -548,25 +536,26 @@ def test_orbit_scores_match_brute_force_over_every_equipartition(n, k):
         distinct = np.unique(_one_hot_count_rows(a, n, k), axis=0)
         numerators = 2 * n * distinct @ levels.T - levels**2 @ penalty
         want = numerators.max(axis=0) / n**4
-        got = _best_scores_bulk(cands, a.astype(float), n, k)
+        got = _best_scores_bulk(cands, a[None].astype(float), n, k)
         assert got.values.tobytes() == want.tobytes()
-        assert got.distinct_rows == len(distinct)
+        assert got.distinct_rows.tolist() == [len(distinct)]
 
 
 def test_relabelling_group_is_bounded_and_exact_past_the_bound():
-    # at most _RELABEL_MAX_CLASSES classes are relabelled, so S stays at
-    # 5! = 120 as k grows; the scores over that subgroup stay exact
-    assert block_estimator._RELABEL_MAX_CLASSES == 5
-    for n, k, s in ((8, 4, 24), (10, 5, 120), (12, 6, 120), (7, 6, 24), (11, 5, 24)):
+    # the group is every size-preserving relabelling, S = r! (k - r)! with
+    # r = n mod k; scoring reaches only k <= 5, where S <= 5! = 120, since
+    # a grid at k >= 6 holds one candidate.  Past that bound the group
+    # grows, and the scores over it stay exact
+    for n, k, s in ((8, 4, 24), (10, 5, 120), (12, 6, 720), (7, 6, 120), (11, 5, 24)):
         assert len(_partition_tensors(n, k)[1]) == s
-    n, k = 7, 6  # sizes 2, 1, 1, 1, 1, 1: classes 1-4 relabelled, 5 fixed
-    assert len(_partition_tensors(n, k)[0]) * 24 == equipartition_count(n, k)
+    n, k = 7, 6  # sizes 2, 1, 1, 1, 1, 1
+    assert len(_partition_tensors(n, k)[0]) * 120 == equipartition_count(n, k)
     a = _random_graph(n, substream(21, "bounded-group")).adjacency
     cands = candidate_matrices(n, k, 0.0)
     distinct = np.unique(_one_hot_count_rows(a, n, k), axis=0)
-    got = _best_scores_bulk(cands, a.astype(float), n, k)
-    assert got.values.tolist() == [0.0]
-    assert got.distinct_rows == len(distinct)
+    got = _best_scores_bulk(cands, a[None].astype(float), n, k)
+    assert got.values.tolist() == [[0.0]]
+    assert got.distinct_rows.tolist() == [len(distinct)]
 
 
 @pytest.mark.parametrize(
@@ -584,7 +573,7 @@ def test_relabelling_group_is_bounded_and_exact_past_the_bound():
 def test_bulk_scores_refuse_anything_but_the_full_grid(levels):
     a = LabeledGraph.from_edges(4, [(0, 1), (1, 2)]).adjacency.astype(float)
     with pytest.raises(ValueError, match="full grid"):
-        _best_scores_bulk(levels, a, 4, 2)
+        _best_scores_bulk(levels, a[None], 4, 2)
 
 
 @pytest.mark.parametrize("n,k,mu", [(4, 2, 0.5), (5, 3, 0.4), (6, 1, 1.0), (3, 4, 0.34)])
@@ -692,7 +681,7 @@ def test_best_score_monotone_in_mu():
     prev = -math.inf
     for mu in (0.2, 0.4, 0.8, 1.0):
         cands = candidate_matrices(6, 2, mu)
-        top = float(_best_scores_bulk(cands, a, 6, 2).values.max())
+        top = float(_best_scores_bulk(cands, a[None], 6, 2).values.max())
         assert top >= prev - 1e-12
         prev = top
 
@@ -819,6 +808,37 @@ def test_estimate_blocks_refuses_before_capping_or_building_candidates(monkeypat
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("mode", ["theoretical", "audited"])
+@pytest.mark.parametrize("n,k", [(40, 2), (12, 7), (30, 30), (4, 2)])
+def test_a_one_candidate_grid_is_released_unscored(n, k, mode, monkeypatch):
+    # floor(n mu) = 0: the zero matrix alone, whose score is 0 on every
+    # graph, so the law is constant; it is released past the equipartition
+    # budget (all but n = 4 here) and the audited order, without capping
+    # or scoring, and with the diagnostics a scored zero grid would give
+    def unreachable(*args):
+        raise AssertionError("capped or scored a one-candidate grid")
+
+    for name in ("degree_cap", "_best_scores_bulk", "measured_score_sensitivity"):
+        monkeypatch.setattr(block_estimator, name, unreachable)
+    rho_hat = 0.9 / (2.0 * n)  # n lam rho_hat = 0.9
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode=mode)
+    g = LabeledGraph.complete(n)
+    mech, cands, delta, diag = block_mechanism(g, rho_hat, cfg)
+    assert cands.tolist() == [[0] * (k * (k + 1) // 2)] and cands.dtype == np.uint8
+    assert mech.log_probs.tolist() == [0.0] and diag["scores"].tolist() == [0.0]
+    assert (diag["candidate_count"], diag["degree_cap"], diag["distinct_count_rows"]) == (1, 0, 1)
+    assert diag["equipartitions"] == equipartition_count(n, k)
+    if mode == "audited":
+        assert delta == 0.0 and diag["coefficient"] == math.inf
+    else:
+        mu = 2.0 * rho_hat
+        assert delta == theoretical_sensitivity(n, mu * n, mu) > 0.0
+    quiet = EstimatorConfig(epsilon=1e9, lam=2.0, k=k, sensitivity_mode=mode)
+    est = estimate_blocks(LabeledGraph.empty(n), quiet, substream(22, "one-candidate", n, k))
+    assert est.rho_hat == 1.0 / n**2  # the floor: n lam rho_hat = 2 / n < 1
+    assert (est.b_hat.values == 0.0).all() and est.diagnostics["chosen_score"] == 0.0
+
+
 # -- where the epsilon of a block release holds ---------------------------------------
 
 
@@ -838,7 +858,7 @@ def test_theoretical_delta_is_exceeded_on_a_capped_pair():
     assert float(np.abs(diag_g["scores"] - diag_h["scores"]).max()) > 1.7 * delta
     est = estimate_blocks(g, cfg, substream(3, "dp-domain"))
     assert "degree_cap is stable under one rewiring" in est.dp_domain
-    assert "unproven" in est.dp_domain
+    assert "disproved" in est.dp_domain and "1.71 Delta" in est.dp_domain
 
 
 def test_dp_domain_of_audited_releases():

@@ -123,9 +123,9 @@ def test_estimate_blocks_text_and_diagnostics(graph_file, tmp_path, capsys):
     # {23|01} share a count matrix, as do {02|13} and {13|02}
     assert "equipartitions,6" in rows
     assert "distinct_count_rows,4" in rows
-    # theoretical sensitivity: the domain names the unproven cap assumption
+    # theoretical sensitivity: the domain names the disproved cap assumption
     (domain,) = [r for r in rows if r.startswith("dp_domain,")]
-    assert "degree_cap is stable under one rewiring" in domain
+    assert "degree_cap is stable under one rewiring and that is disproved" in domain
 
 
 def test_audit_dp_laplace_passes(capsys):
@@ -414,8 +414,8 @@ def _planted_edge_list(n, k, seed):
 @pytest.mark.parametrize(
     "n, k, digest",
     [
-        (16, 2, "a2be73f7fc8db9d7f2c42ef073edabff9a755faf43ac5fac54473f34eda93884"),
-        (9, 3, "b90e6571bea23ba73741e6499c3e5b4e693b79972eaa40c077684398626d552c"),
+        (16, 2, "a2c06e3bff14b8395b5c34ac5d76b3b1bdf4b1adaa7377e69e66e58717d7cebc"),
+        (9, 3, "b9da8701e1e7a1a00e1d30d488bdce8de45c70c45620a8d0f89c19a0c4f88416"),
     ],
 )
 def test_block_release_bytes_are_pinned(n, k, digest, tmp_path):

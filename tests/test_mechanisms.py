@@ -26,6 +26,7 @@ from nodedp.mechanisms import (
     extend_mechanism,
     logsumexp,
     max_violation,
+    normalized_log_weights,
     piecewise_min,
     sample_laplace,
     truncated_laplace_density,
@@ -101,6 +102,28 @@ def test_exponential_mechanism_input_validation():
         exponential_mechanism_distribution([], 1.0)
     with pytest.raises(ValueError):
         exponential_mechanism_distribution([math.nan], 1.0)
+
+
+def test_exponential_mechanism_infinite_coefficient_is_uniform_over_the_maxima():
+    mech = exponential_mechanism_distribution([0.0, 1.0, 1.0 - 1e-13, 0.5], math.inf)
+    assert mech.probabilities().tolist() == pytest.approx([0.0, 0.5, 0.5, 0.0], abs=1e-300)
+    with pytest.raises(ValueError, match="coefficient"):
+        exponential_mechanism_distribution([0.0, 1.0], math.nan)
+
+
+def test_normalized_rows_are_the_one_law_normalizations_bit_for_bit():
+    # each row of a stack is normalized as FiniteMechanism normalizes it alone
+    rng = substream(20261020, "normalized-rows")
+    for shape in ((1, 1), (3, 7), (64, 125), (5, 4096)):
+        lw = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0, 700.0]), size=shape)
+        lw[0, 0] = lw[0].max()  # a tie at the top of one row
+        log_probs, probs = normalized_log_weights(lw)
+        for row, got_log, got in zip(lw, log_probs, probs):
+            one = FiniteMechanism(row)
+            assert got_log.tobytes() == one.log_probs.tobytes()
+            assert abs(got.sum() - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="finite"):
+        normalized_log_weights([[0.0, 1.0], [0.0, math.inf]])
 
 
 def test_finite_mechanism_probabilities_sum_to_one():
