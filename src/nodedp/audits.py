@@ -34,8 +34,8 @@ from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 # 5 s and 290 MiB peak RSS on a 200-point grid, and the rows alone take
 # 250 MiB on the CLI's 1,000-point grid.
 PAIR_AUDIT_MAX_N = 5
-# The finite audit builds one mechanism per graph, and the block audit one
-# law per graph: 64 at n = 4.
+# The finite audit builds one mechanism per graph, 64 at n = 4, and the
+# block audit one block_laws table with a row per graph.
 FINITE_AUDIT_MAX_N = 4
 # The bit-string audit builds one mechanism per string: 64 at 6 bits.
 BITSTRING_AUDIT_MAX_BITS = 6

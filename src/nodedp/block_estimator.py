@@ -9,7 +9,6 @@ The noisy-density step and the selection step each spend half the budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,6 +21,7 @@ from .errors import ResourceLimitError
 from .graphs import LabeledGraph, all_graphs, degree_cap, graph_index, rewiring_pairs
 from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
+from .graphons import relabellings
 from .mechanisms import (
     FiniteMechanism,
     exponential_log_weights,
@@ -69,24 +69,16 @@ def _partition_tensors(
     n: int, k: int
 ) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray]:
     """Scoring's relabelling group at (n, k) and one partition per orbit.
-    The group is the S size-preserving permutations of the k classes, the
-    identity first.  Returns the assignments [P / S, n] of
-    equipartition_array, in lex order; for each permutation, the axes that
+    The group is relabellings(n, k), the S size-preserving permutations of
+    the k classes, the identity first.  Returns the assignments [P / S, n]
+    of equipartition_array, in lex order; for each permutation, the axes that
     permute an array [G] + [count] * T of values over the candidate grid as
     it permutes the upper-triangle coordinates of _level_layout, S tuples;
     and the int64 weights [T, S] whose product with a count row gives the
     mixed-radix keys of its S images.  The arrays are read-only."""
-    rows, cols, _, _, radix = _level_layout(n, k)
-    r = n % k  # the classes of size ceil(n / k) come first
-    perms = np.array(
-        [
-            first + rest
-            for first in itertools.permutations(range(r))
-            for rest in itertools.permutations(range(r, k))
-        ]
-    )
-    coordinate = np.empty((k, k), dtype=np.intp)
-    coordinate[rows, cols] = coordinate[cols, rows] = np.arange(rows.size)
+    rows, cols, fold, _, radix = _level_layout(n, k)
+    perms = relabellings(n, k)
+    coordinate = fold.argmax(axis=1).reshape(k, k)  # the coordinate (a, b) folds into
     images = coordinate[perms[:, rows], perms[:, cols]]
     assignments = equipartition_array(n, k)
     assignments.flags.writeable = False
@@ -146,7 +138,7 @@ def _distinct_count_rows(
     sum of its orbits' sizes.
 
     a must be 0/1 with zero diagonal; anything else raises ValueError.
-    A relabelling takes the row of pi to the row of the relabelled pi, so
+    A relabelling sigma takes the row of pi to the row of sigma pi, so
     the rows of the orbit representatives of equipartition_array reach
     every orbit.  The graphs and the partitions are taken in chunks under
     _SCORE_CHUNK_BYTES.  The chunk's class indicators [k, P, n] times the
@@ -195,22 +187,16 @@ def _distinct_count_rows(
             counts = np.einsum("apgv,bpv->gpab", products.reshape(k, p, g, n), members)
             del products  # before the next chunk's indicators
             rows = (counts.reshape(-1, k * k) @ fold).astype(dtype)
-            image_keys = weights.T @ rows.T  # [S, rows]: min and sort work across whole rows
+            image_keys = weights.T @ rows.T  # [S, rows]: the min works across whole rows
             key = image_keys.min(axis=0)
             key.reshape(g, p)[:] += np.arange(glo, glo + g)[:, None] * bound
             first = _one_of_each(key)
-            parts.append((key[first], rows[first], image_keys[:, first]))
-    if len(parts) == 1:  # one chunk's orbits are distinct already
-        key, rows, image_keys = parts[0]
-    else:
-        key, rows, image_keys = zip(*parts)
-        key, rows, image_keys = (
-            np.concatenate(key), np.concatenate(rows), np.concatenate(image_keys, axis=1)
-        )
-        first = _one_of_each(key)
-        key, rows, image_keys = key[first], rows[first], image_keys[:, first]
-    image_keys.sort(axis=0)  # an orbit's size is its row's number of distinct image keys
-    sizes = 1 + np.count_nonzero(image_keys[1:] != image_keys[:-1], axis=0)
+            parts.append((key[first], rows[first], image_keys[:, first].T))
+    key, rows, image_keys = (np.concatenate(part) for part in zip(*parts))
+    first = _one_of_each(key)
+    key, rows, image_keys = key[first], rows[first], image_keys[first]
+    image_keys.sort()  # an orbit's size is its row's number of distinct image keys
+    sizes = 1 + np.count_nonzero(image_keys[:, 1:] != image_keys[:, :-1], axis=1)
     starts = np.searchsorted(key, np.arange(a.shape[0]) * bound)
     return rows.astype(float), starts, np.add.reduceat(sizes, starts)
 
@@ -249,8 +235,8 @@ def _grid_scores(
     holds only on the full grid.
 
     That is the maximum over the orbit representatives.  The score is
-    invariant when equal-size classes are relabelled in both the partition
-    and the candidate, s(sigma pi, sigma B) = s(pi, B): sigma preserves the
+    invariant when one relabelling of equal-size classes acts on both the
+    partition and the candidate, s(sigma pi, sigma B) = s(pi, B): sigma keeps the
     class sizes, so the penalty <w cc, L^2> is unchanged.  So a candidate's
     score is the largest value at its images sigma B.  On the grid, the
     values as an array [G] + [count] * T, sigma B sits where the candidate
@@ -316,9 +302,13 @@ def _grid_scores(
 CANDIDATE_BUDGET = 10**6
 
 
+def _top_level(n: int, mu: float) -> int:
+    """floor(n mu), with slack for round-off: the top candidate level and the degree cap."""
+    return int(math.floor(n * mu + 1e-9))
+
+
 def candidate_count(n: int, k: int, mu: float) -> int:
-    levels = int(math.floor(n * mu + 1e-9)) + 1
-    return levels ** (k * (k + 1) // 2)
+    return (_top_level(n, mu) + 1) ** (k * (k + 1) // 2)
 
 
 def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
@@ -333,17 +323,15 @@ def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
         raise ResourceLimitError(
             f"candidate set has {total} matrices, over the budget of {CANDIDATE_BUDGET}"
         )
-    count, t = candidate_count(n, 1, mu), k * (k + 1) // 2  # levels, coordinates
+    count, t = _top_level(n, mu) + 1, k * (k + 1) // 2  # levels, coordinates
     return np.indices((count,) * t, dtype=np.min_scalar_type(count - 1)).reshape(t, -1).T
 
 
 def _level_matrix(levels: np.ndarray, n: int, k: int) -> np.ndarray:
     """The symmetric k x k matrix L / n of one candidate's levels [T], on
-    the upper-triangle coordinates of _level_layout."""
-    rows, cols = np.triu_indices(k)
-    out = np.empty((k, k))
-    out[rows, cols] = out[cols, rows] = levels / n
-    return out
+    the upper-triangle coordinates of _level_layout: its fold matrix, read
+    the other way, copies each coordinate to entries (a, b) and (b, a)."""
+    return (_level_layout(n, k)[2] @ levels).reshape(k, k) / n
 
 
 # -- sensitivity ---------------------------------------------------------------------
@@ -457,16 +445,13 @@ def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorCon
     the empty capped graph, and audited mode the exact Delta, 0."""
     n = graphs[0].n
     mu = cfg.lam * rho_hat
-    d_real = mu * n
-    d_int = int(math.floor(d_real + 1e-9))
+    d_int = _top_level(n, mu)
     equipartitions = equipartition_count(n, cfg.k)
-    theoretical = cfg.sensitivity_mode == "theoretical"
-    if candidate_count(n, cfg.k, mu) == 1:
+    if d_int == 0:
         # candidate_matrices' one-candidate grid, without its np.indices
         # call, which fails from k = 11 (an array of T + 1 > 64 axes)
         levels = np.zeros((1, cfg.k * (cfg.k + 1) // 2), dtype=np.uint8)
         bulk = BulkScores(np.zeros((len(graphs), 1)), np.ones(len(graphs), dtype=int))
-        delta = theoretical_sensitivity(n, d_real, mu) if theoretical else 0.0
     else:
         if equipartitions > EQUIPARTITION_BUDGET:
             raise ResourceLimitError(
@@ -477,10 +462,10 @@ def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorCon
         check_table_size(len(graphs), levels.shape[0], "candidates")
         capped = np.stack([degree_cap(g, d_int).adjacency for g in graphs]).astype(float)
         bulk = _best_scores_bulk(levels, capped, n, cfg.k)
-        if theoretical:
-            delta = theoretical_sensitivity(n, d_real, mu)
-        else:
-            delta = measured_score_sensitivity(n, cfg.k, mu, d_int)
+    if cfg.sensitivity_mode == "theoretical":
+        delta = theoretical_sensitivity(n, mu * n, mu)
+    else:  # exact: 0 on the one-candidate grid
+        delta = measured_score_sensitivity(n, cfg.k, mu, d_int) if d_int else 0.0
     # Delta = 0: the scores cannot depend on the input, and exp(eps/(4*0) *
     # score) degenerates to uniform over the argmax set
     coefficient = math.inf if delta <= 0.0 else cfg.epsilon / (4.0 * delta)

@@ -185,12 +185,12 @@ def _cmd_audit_dp(args) -> int:
             name="extended-density",
             collect_rows=collect,
         )
-    else:  # blocks
+    else:  # blocks: the selection stage, audited at the eps/2 it spends
         _check_k(args.k, args.n)
         cfg = EstimatorConfig(
             epsilon=args.epsilon, lam=args.lam, k=args.k, sensitivity_mode="audited"
         )
-        report = audit_block_mechanism(args.n, args.rho_hat, cfg, args.epsilon, collect)
+        report = audit_block_mechanism(args.n, args.rho_hat, cfg, args.epsilon / 2.0, collect)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_csv())
@@ -282,9 +282,12 @@ def _cmd_experiment_mse(args) -> int:
     _emit(records_to_csv(records), args.out)
     total = sum(r.wall_time for r in records)
     print(f"cells={len(records)} wall_time={total:.2f}s", file=sys.stderr)
-    if args.slope and len(set(r.n for r in records)) >= 3:
-        slope, err = slope_fit(records)
-        print(f"slope={slope:.4f} stderr={err:.4f}", file=sys.stderr)
+    if args.slope:  # one fit per epsilon, in grid order
+        for eps in dict.fromkeys(r.epsilon for r in records):
+            cells = [r for r in records if r.epsilon == eps]
+            if len(set(r.n for r in cells)) >= 3:
+                slope, err = slope_fit(cells)
+                print(f"epsilon={eps} slope={slope:.4f} stderr={err:.4f}", file=sys.stderr)
     return 0
 
 

@@ -264,8 +264,11 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
 def slope_fit(records: Sequence[ExperimentRecord]) -> tuple[float, float]:
     """OLS slope and standard error of log MSE on log n.
 
-    Accepts records for a single estimator with at least three distinct n.
+    Accepts records of one estimator and one epsilon with at least three distinct n.
     """
+    epsilons = sorted(set(r.epsilon for r in records))
+    if len(epsilons) > 1:
+        raise ValueError(f"records of several epsilons {epsilons}; fit one epsilon at a time")
     ns = np.array([r.n for r in records], dtype=float)
     mses = np.array([r.mse for r in records], dtype=float)
     if len(set(ns.tolist())) < 3:

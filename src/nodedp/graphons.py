@@ -149,29 +149,35 @@ def equipartition_count(n: int, k: int) -> int:
     return count
 
 
-def equipartition_array(n: int, k: int, relabelled: int | None = None) -> np.ndarray:
-    """One canonical-profile assignment per orbit of the relabellings of
-    equal-size classes among the first `relabelled` classes (all k by
-    default), as one [P', n] array in lexicographic order of the rows.
+def relabellings(n: int, k: int) -> np.ndarray:
+    """The size-preserving relabellings of the canonical classes, [S, k] in
+    lexicographic order, the identity first: classes of equal size permute
+    among themselves, so S = r!(k - r)! with r = n mod k.
+    equipartition_array keeps one assignment per orbit of this group."""
+    sizes = canonical_sizes(n, k)
+    runs = [tuple(run) for _, run in itertools.groupby(range(k), key=sizes.__getitem__)]
+    choices = itertools.product(*map(itertools.permutations, runs))
+    return np.array([sum(choice, ()) for choice in choices])
 
-    The representative is the assignment in which those classes of equal
-    size first appear in increasing order.  No class is empty, so no
-    relabelling but the identity fixes an assignment: at the default every
-    orbit has r!(k - r)! members, with r = n mod k, and
-    P' = P / (r!(k - r)!); relabelled <= 1 gives all P assignments.
+
+def equipartition_array(n: int, k: int) -> np.ndarray:
+    """One canonical-profile assignment per orbit of relabellings(n, k), as
+    one [P / S, n] array in lexicographic order of the rows.
+
+    The representative is the assignment in which classes of equal size
+    first appear in increasing order.  No class is empty, so no relabelling
+    but the identity fixes an assignment, and every orbit has S members.
     Built one column at a time: each prefix is extended by every class with
     room left that may open, a class opening only after the one before it
-    when the two are relabelled and of equal size, and np.nonzero walks
-    (prefix, class) in row-major order, so the prefixes stay
-    lexicographically sorted.  The dtype is the smallest unsigned integer
-    type that holds k - 1.
+    when the two are of equal size, and np.nonzero walks (prefix, class) in
+    row-major order, so the prefixes stay lexicographically sorted.  The
+    dtype is the smallest unsigned integer type that holds k - 1.
     """
     dtype = np.min_scalar_type(k - 1)
     prefix = np.zeros((1, 0), dtype=dtype)
     sizes = np.array(canonical_sizes(n, k))
-    relabelled = k if relabelled is None else min(relabelled, k)
     # the classes that open only after the class before them
-    follow = 1 + np.flatnonzero(sizes[1:relabelled] == sizes[: max(relabelled - 1, 0)])
+    follow = 1 + np.flatnonzero(sizes[1:] == sizes[:-1])
     remaining = sizes[None]
     for _ in range(n):
         room = remaining > 0

@@ -19,6 +19,7 @@ from nodedp.audits import (
 from nodedp.block_estimator import (
     EstimatorConfig,
     _best_scores_bulk,
+    _top_level,
     block_laws,
     block_mechanism,
     candidate_matrices,
@@ -407,37 +408,42 @@ def test_measured_sensitivity_values_are_pinned(n, k, mu, d, want):
     assert measured_score_sensitivity(n, k, mu, d) == want
 
 
-def _piece(n, lam, rho_hat):
-    """floor(n lam rho_hat + 1e-9), as block_laws computes it: the selection
-    law depends on rho_hat only through it."""
-    return int(math.floor(lam * rho_hat * n + 1e-9))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_block_selection_is_certified_at_every_density_piece(n):
-    # stage 1 releases rho_hat anywhere in [1/n^2, 1]; each piece of that
-    # range fixes the grid, the cap and the measured Delta, so auditing
-    # both sides of every breakpoint certifies stage 2 at every density
+@pytest.mark.parametrize(
+    "n,k,pieces",
+    # every piece at k = 2; at n = 4, k = 3 the pieces up to 5^6 = 15,625
+    # candidates, L <= 4 (the L = 8 piece is refused, as tested below)
+    [(3, 2, 7), (4, 2, 9), (3, 3, 7), (4, 3, 5)],
+)
+def test_block_selection_is_certified_at_every_density_piece(n, k, pieces):
+    # stage 1 releases rho_hat anywhere in [1/n^2, 1]; the selection law
+    # depends on rho_hat only through the top level L = _top_level(n, lam
+    # rho_hat), and each piece of constant L fixes the grid, the cap and the
+    # measured Delta, so auditing both sides of every breakpoint certifies
+    # stage 2 at every density
     eps, lam = 1.0, 2.0
-    cfg = EstimatorConfig(epsilon=eps, lam=lam, k=2, sensitivity_mode="audited")
-    lo, hi = 1.0 / n**2, 1.0
-    ends = [lo]
-    for j in range(_piece(n, lam, lo) + 1, _piece(n, lam, hi) + 1):
+    cfg = EstimatorConfig(epsilon=eps, lam=lam, k=k, sensitivity_mode="audited")
+
+    def first(j):
+        """The least rho_hat whose top level is j."""
         x = (j - 1e-9) / (lam * n)
-        while _piece(n, lam, x) >= j:
+        while _top_level(n, lam * x) >= j:
             x = math.nextafter(x, 0.0)
-        while _piece(n, lam, x) < j:
+        while _top_level(n, lam * x) < j:
             x = math.nextafter(x, 1.0)
-        ends += [math.nextafter(x, 0.0), x]  # the last of piece j - 1, the first of j
-    ends.append(hi)
+        return x
+
+    assert _top_level(n, lam / n**2) == 0 and _top_level(n, lam) == int(lam * n)
+    ends = [1.0 / n**2]
+    for j in range(1, pieces):
+        ends += [math.nextafter(first(j), 0.0), first(j)]  # the last of piece j - 1, the first of j
+    ends.append(1.0 if pieces == int(lam * n) + 1 else math.nextafter(first(pieces), 0.0))
     probe = LabeledGraph.empty(n)
-    pieces = []
+    caps = []
     for rho_hat in ends:
         report = audit_block_mechanism(n, rho_hat, cfg, eps / 2.0)
         assert report.passed(), (rho_hat, report.max_violation)
-        pieces.append(block_mechanism(probe, rho_hat, cfg)[3]["degree_cap"])
-    count = int(lam * n) + 1  # 7 pieces at n = 3, 9 at n = 4
-    assert pieces == [j for j in range(count) for _ in range(2)]
+        caps.append(block_mechanism(probe, rho_hat, cfg)[3]["degree_cap"])
+    assert caps == [j for j in range(pieces) for _ in range(2)]
 
 
 def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):

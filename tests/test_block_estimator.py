@@ -33,6 +33,7 @@ from nodedp.graphons import (
     delta2_hat_blocks,
     equipartition_array,
     equipartition_count,
+    relabellings,
 )
 from nodedp.rng import substream
 
@@ -318,8 +319,7 @@ def _one_hot_count_rows(a, n, k):
 
 def _count_row_cases(rng):
     """Random 0/1 graphs for k = 1..4, each with at most 30,000 partitions;
-    at k <= 4 scoring relabels every class, so its group is all of
-    _relabellings."""
+    scoring's group is all of _relabellings."""
     for k in range(1, 5):
         for n in range(max(k, 2), 11):
             if equipartition_count(n, k) <= 30_000:
@@ -335,7 +335,7 @@ def _relabellings(n, k):
     ]
 
 
-def _relabelled_rows(rows, perm, k):
+def _relabel_rows(rows, perm, k):
     """The count rows [m, T] of the partitions whose class c is renamed
     perm[c]: coordinate (a, b) moves to the sorted (perm[a], perm[b])."""
     rows_, cols_ = np.triu_indices(k)
@@ -359,7 +359,7 @@ def test_count_rows_match_int64_one_hot_product(chunk_bytes, monkeypatch):
         rows, starts, (distinct,) = _distinct_count_rows(a[None].astype(float), n, k)
         assert rows.dtype == np.float64 and starts.tolist() == [0]
         closure = {
-            tuple(r) for p in _relabellings(n, k) for r in _relabelled_rows(rows, p, k).tolist()
+            tuple(r) for p in _relabellings(n, k) for r in _relabel_rows(rows, p, k).tolist()
         }
         assert closure == want
         assert distinct == len(want)
@@ -374,7 +374,7 @@ def test_orbit_rows_are_pairwise_inequivalent(chunk_bytes, monkeypatch):
         rows = _distinct_count_rows(a[None].astype(float), n, k)[0]
         group = _relabellings(n, k)
         orbits = [
-            {tuple(r) for p in group for r in _relabelled_rows(row[None], p, k).tolist()}
+            {tuple(r) for p in group for r in _relabel_rows(row[None], p, k).tolist()}
             for row in rows
         ]
         assert sum(len(o) for o in orbits) == len(set().union(*orbits))
@@ -499,15 +499,14 @@ def test_equipartition_array_matches_recursive_enumeration(n, k):
     assert {tuple(p) for p in got.tolist()} == set(canonical)
 
 
-def test_equipartition_array_relabels_only_the_first_classes_asked():
-    every = _all_equipartitions(7, 5)  # sizes 2, 2, 1, 1, 1
-    assert np.array_equal(equipartition_array(7, 5, 0), every)
-    assert np.array_equal(equipartition_array(7, 5, 1), every)
-    # classes 0 and 1 ordered, the three classes of size 1 free
-    got = equipartition_array(7, 5, 2)
-    first = [p.tolist().index(0) < p.tolist().index(1) for p in every]
-    assert np.array_equal(got, every[first])
-    assert len(equipartition_array(7, 5)) * 2 * 6 == len(every)
+@pytest.mark.parametrize("n,k", [(5, 1), (7, 2), (8, 2), (7, 3), (9, 3), (8, 4), (7, 5)])
+def test_equipartition_array_holds_one_assignment_per_relabelling_orbit(n, k):
+    # the group is every size-preserving permutation in lex order, so the
+    # identity first, and its images of the rows are every equipartition, once
+    group = relabellings(n, k)
+    assert group.tolist() == [p.tolist() for p in _relabellings(n, k)]
+    images = [tuple(p) for sigma in group for p in sigma[equipartition_array(n, k)].tolist()]
+    assert sorted(images) == [tuple(p) for p in _all_equipartitions(n, k).tolist()]
 
 
 # (n, k) with mixed size profiles, k = 1..5, and one-element groups: S = 1

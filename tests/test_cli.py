@@ -15,6 +15,7 @@ from nodedp.audits import audit_block_mechanism
 from nodedp.block_estimator import EstimatorConfig
 from nodedp.cli import LAPLACE_GRID, build_parser, main, run
 from nodedp.errors import ResourceLimitError
+from nodedp.experiments import ExperimentConfig, run_mse_experiment, slope_fit
 from nodedp.mechanisms import AUDIT_TABLE_BYTES
 from nodedp.graphs import LabeledGraph, graph_from_index, node_distance
 from nodedp.rng import substream
@@ -165,6 +166,26 @@ def test_experiment_mse_with_config_file(tmp_path, capsys):
     assert len(lines) == 4  # schema + header + 2 cells
 
 
+def test_experiment_mse_slope_is_fit_per_epsilon(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "estimator=baseline\nmodel=gnp\nn_grid=8,12,16\nepsilon_grid=2.0,0.5\n"
+        "trials=3\nseed=2\np=0.5\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "mse", "--config", str(cfg), "--out", str(out), "--slope"]) == 0
+    fits = capsys.readouterr().err.splitlines()[1:]
+    records = run_mse_experiment(
+        ExperimentConfig(estimator="baseline", model="gnp", n_grid=(8, 12, 16),
+                         epsilon_grid=(2.0, 0.5), trials=3, seed=2, p=0.5)
+    )
+    want = []
+    for eps in (2.0, 0.5):
+        slope, err = slope_fit([r for r in records if r.epsilon == eps])
+        want.append(f"epsilon={eps} slope={slope:.4f} stderr={err:.4f}")
+    assert fits == want
+
+
 def test_experiment_mse_json_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -283,8 +304,10 @@ def test_audit_dp_blocks_emits_per_pair_csv(tmp_path, capsys):
          "--k", "2", "--lambda", "2.0", "--rho-hat", "0.5", "--out", str(out)]
     )
     assert code == 0
+    # the selection stage spends eps/2, so that is the claim audited
+    assert "mechanism=block-mechanism(rho_hat=0.5) n=3 epsilon=0.5 " in capsys.readouterr().out
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
-    report = audit_block_mechanism(3, 0.5, cfg, 1.0)
+    report = audit_block_mechanism(3, 0.5, cfg, 0.5)
     lines = out.read_text().splitlines()
     assert lines[0] == "pair_i,pair_j,candidate,log_ratio,bound,violation"
     rows = [line.split(",") for line in lines[1:]]

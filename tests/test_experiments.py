@@ -34,12 +34,12 @@ from nodedp.mechanisms import LaplaceDensity, truncated_laplace_density
 from nodedp.rng import substream
 
 
-def _record(n, mse, estimator="baseline"):
+def _record(n, mse, estimator="baseline", epsilon=1.0):
     return ExperimentRecord(
         estimator=estimator,
         model="gnp",
         n=n,
-        epsilon=1.0,
+        epsilon=epsilon,
         rho=0.5,
         C=49.0,
         p=0.5,
@@ -91,6 +91,12 @@ def test_chi2_sf_matches_scipy():
 def test_slope_fit_needs_three_points():
     with pytest.raises(ValueError):
         slope_fit([_record(64, 1e-3), _record(128, 1e-4)])
+
+
+def test_slope_fit_refuses_records_of_several_epsilons():
+    records = [_record(n, 1.0 / n**2, epsilon=eps) for eps in (2.0, 0.5) for n in (64, 128, 256)]
+    with pytest.raises(ValueError, match=r"several epsilons \[0\.5, 2\.0\]"):
+        slope_fit(records)
 
 
 def test_mse_experiment_smoke_single_trial():

@@ -7,6 +7,12 @@ perfbench/tracing.py patches attributes by their names as strings, so in
 perfbench/ every word of a string constant counts too.  An __init__ import
 is not a reference: re-exporting a name does not use it.  Dunder methods
 are called implicitly and are exempt, and so is the short allowlist below.
+
+Likewise no parameter with a default, of a top-level function or of a
+method of a top-level class, is passed nowhere outside the tests: some call
+in src/nodedp or perfbench/ of a function or attribute of that name passes
+it, by keyword or by position, or passes a *args or **kwargs that may
+carry it, unless it is allowlisted below.
 """
 
 import ast
@@ -24,6 +30,16 @@ ALLOWED = {
     "rewire": "rewires one vertex, as the pinned capped-pair witness and graph tests do",
     "complete": "a fixture graph of the graph and block tests",
     "from_hex": "reads back the hex format that `nodedp sample --format hex` writes",
+}
+
+
+# Parameters with defaults that only tests pass, kept on purpose.
+ALLOWED_DEFAULTS = {
+    "audit_finite_mechanism.name": "the per-graph reference the batched block audit is tested"
+    " against",
+    "audit_finite_mechanism.collect_rows": "likewise",
+    "LaplaceDensity.sample.size": "acceptance 5b draws the density law in bulk",
+    "PiecewiseExpDensity.sample.size": "acceptance 5b draws the density law in bulk",
 }
 
 
@@ -58,6 +74,63 @@ def references(source: str, strings: bool = False) -> set[str]:
     return found
 
 
+def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, name its callers call, parameter, position among
+    the call's positional arguments or None if keyword-only) of every
+    parameter with a default of the top-level functions and the methods of
+    top-level classes.  A method's position skips self, unless it is a
+    staticmethod, and __init__ is called by its class's name."""
+    found = []
+
+    def add(fn, owner=None):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        skip = 1 if owner and not static else 0
+        qualname = f"{owner}.{fn.name}" if owner else fn.name
+        called = owner if fn.name == "__init__" else fn.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            found.append((qualname, called, arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((qualname, called, arg.arg, None))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            add(node)
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    add(m, node.name)
+    return found
+
+
+def passed_arguments(source: str) -> set[tuple[str, object]]:
+    """(called name, keyword or position) of every argument the source's
+    calls of a name or attribute pass; "*" for a *args and None for a
+    **kwargs."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        found |= {(name, kw.arg) for kw in node.keywords}
+        for i, arg in enumerate(node.args):
+            found.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            if isinstance(arg, ast.Starred):
+                break
+    return found
+
+
+def never_passed(defaults, passed) -> list[str]:
+    return [
+        f"{qualname}.{param}"
+        for qualname, called, param, position in defaults
+        if not {(called, param), (called, position), (called, "*"), (called, None)} & passed
+    ]
+
+
 def test_checker_counts_reads_and_bench_strings_only():
     source = (
         "LIMIT = 3\n"
@@ -90,6 +163,46 @@ def test_every_package_name_is_referenced_outside_the_tests():
     assert not unread, unread
 
 
+def test_default_checker_counts_keywords_positions_and_unpacking():
+    source = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=0): pass\n"
+        "    def put(self, x, y=0): pass\n"
+        "    @staticmethod\n"
+        "    def make(x=0): pass\n"
+    )
+    defaults = defaulted_parameters(source)
+    assert defaults == [
+        ("f", "f", "b", 1), ("f", "f", "c", None), ("Box.__init__", "Box", "size", 0),
+        ("Box.put", "put", "y", 1), ("Box.make", "make", "x", 0),
+    ]
+    assert never_passed(defaults, passed_arguments("f(0, 1); Box(size=2); box.put(1)")) == [
+        "f.c", "Box.put.y", "Box.make.x",
+    ]
+    calls = "f(0, c=3); Box(4); box.put(*xs); Box.make(**kw)"
+    assert never_passed(defaults, passed_arguments(calls)) == ["f.b"]
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    passed = set()
+    for path in PACKAGE + sorted((ROOT / "perfbench").rglob("*.py")):
+        passed |= passed_arguments(path.read_text())
+    unused = [
+        f"{path.name}: {name}"
+        for path in PACKAGE
+        for name in never_passed(defaulted_parameters(path.read_text()), passed)
+        if name not in ALLOWED_DEFAULTS
+    ]
+    assert not unused, unused
+
+
 def test_allowlisted_names_still_exist():
     defined = {name for path in PACKAGE for name in definitions(path.read_text())}
     assert set(ALLOWED) <= defined
+    defaults = {
+        f"{qualname}.{param}"
+        for path in PACKAGE
+        for qualname, _, param, _ in defaulted_parameters(path.read_text())
+    }
+    assert set(ALLOWED_DEFAULTS) <= defaults
