@@ -29,10 +29,12 @@ from .density import graph_space_oracle  # noqa: F401  (likewise)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 
 # The density audit builds one mechanism and one log-density row per graph
-# and compares every rewiring pair: 1,024 graphs and 66,560 pairs at n = 5
-# in about 0.1 s.  At n = 6 it is 32,768 graphs and 5,603,328 pairs, about
-# 5 s and 290 MiB peak RSS on a 200-point grid, and the rows alone take
-# 250 MiB on the CLI's 1,000-point grid.
+# and checks every rewiring pair, comparing each distinct pair of rows once:
+# 1,024 graphs and 66,560 pairs (77 distinct for the Laplace baseline) at
+# n = 5 in about 15 ms.  At n = 6 it is 32,768 graphs and 5,603,328 pairs,
+# about 0.5 s and 270 MiB peak RSS on a 200-point grid, so the table binds,
+# not the pair count: its rows alone take 250 MiB on the CLI's 1,000-point
+# grid.
 PAIR_AUDIT_MAX_N = 5
 # The finite audit builds one mechanism per graph, 64 at n = 4, and the
 # block audit one block_laws table with a row per graph.

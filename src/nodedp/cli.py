@@ -187,6 +187,12 @@ def _cmd_audit_dp(args) -> int:
         )
     else:  # blocks: the selection stage, audited at the eps/2 it spends
         _check_k(args.k, args.n)
+        # stage 1 releases densities clamped to [1/n^2, 1] only
+        if not 1.0 / args.n**2 <= args.rho_hat <= 1.0:
+            raise ValueError(
+                f"--rho-hat must lie in [1/n^2, 1] = [{1.0 / args.n**2:.6g}, 1] at n = "
+                f"{args.n}, got {args.rho_hat}"
+            )
         cfg = EstimatorConfig(
             epsilon=args.epsilon, lam=args.lam, k=args.k, sensitivity_mode="audited"
         )

@@ -258,8 +258,9 @@ def extended_density_mechanism(
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
     Enumerates the full graph space, so n <= 5.  At n = 5 (638 graphs in H,
-    6 base laws) it builds in about 5 ms and evaluates one input in about
-    0.45 ms on one core of a 2-core Xeon.
+    6 base laws) it builds in about 5 ms, and its 1,024 inputs share 22
+    laws, each built on first use in about 0.3 ms: evaluating every input
+    takes about 10 ms on one core of a 2-core Xeon.
     """
     eps = _check_epsilon(epsilon)
     in_h, _ = homogeneity_by_index(n, cfg)

@@ -180,16 +180,13 @@ def _min2(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
     if abs(f.lo - g.lo) > 1e-12 or abs(f.hi - g.hi) > 1e-12:
         raise ValueError("domains must agree")
     knots = np.unique(np.concatenate([f.xs, g.xs]))
-    fk, gk = f(knots), g(knots)
-    extra = []
-    for i in range(knots.size - 1):
-        d0 = fk[i] - gk[i]
-        d1 = fk[i + 1] - gk[i + 1]
-        if d0 * d1 < 0:  # strict sign change: one interior crossing
-            t = d0 / (d0 - d1)
-            extra.append(knots[i] + t * (knots[i + 1] - knots[i]))
-    if extra:
-        knots = np.unique(np.concatenate([knots, np.array(extra)]))
+    diff = f(knots) - g(knots)
+    cross = diff[:-1] * diff[1:] < 0  # strict sign change: one interior crossing
+    if cross.any():
+        d0, d1 = diff[:-1][cross], diff[1:][cross]
+        left = knots[:-1][cross]
+        extra = left + d0 / (d0 - d1) * (knots[1:][cross] - left)
+        knots = np.unique(np.concatenate([knots, extra]))
     return PiecewiseLinear(knots, np.minimum(f(knots), g(knots)))
 
 
@@ -435,10 +432,16 @@ def extend_mechanism(
     law of group j, and distances[x, j] (integers, [inputs, groups]) is the
     distance from input x to the nearest member of group j.  Since
     min_j (f + eps d_j) = f + eps min_j d_j, and floating-point addition is
-    monotone, each law enters the envelope once, shifted by that distance;
-    evaluating input x is one piecewise_min over the groups (about 0.45 ms
-    for the 6 laws of the n = 5 density extension, on one core of a 2-core
-    Xeon).
+    monotone, each law enters the envelope once, shifted by that distance,
+    so an input's law is one piecewise_min over the groups.
+
+    Inputs with equal distance rows have the same law.  The returned
+    function builds it on the first input that needs it and returns that
+    object, read-only, for every input with that row; the memo belongs to
+    this one extension.  The 1,024 inputs of the n = 5 density extension
+    share 22 laws over its 6 groups: a first evaluation takes about 0.3 ms
+    and a repeat about 1 us, and all 1,024 about 10 ms, on one core of a
+    2-core Xeon.
     """
     eps = _check_epsilon(epsilon)
     distances = np.asarray(distances)
@@ -446,13 +449,21 @@ def extend_mechanism(
         raise ValueError("distances must be [inputs, groups], one column per base law")
     if not len(bases):
         raise ValueError("hypothesis set H is empty")
-    shapes = [b.shape.shift(-b.log_normalizer) for b in bases]
+    # the shapes own their knots, so freezing a law never freezes a base's
+    shapes = [PiecewiseLinear(b.shape.xs.copy(), b.shape.ys - b.log_normalizer) for b in bases]
+    laws: dict[bytes, PiecewiseExpDensity] = {}
 
     def extended(x: int) -> PiecewiseExpDensity:
-        row = distances[x].tolist()
-        return PiecewiseExpDensity(
-            piecewise_min([s.shift(eps * d) for s, d in zip(shapes, row)])
-        )
+        row = distances[x]
+        key = row.tobytes()
+        law = laws.get(key)
+        if law is None:
+            # by module name: perfbench/tracing.py wraps piecewise_min
+            shape = piecewise_min([s.shift(eps * d) for s, d in zip(shapes, row.tolist())])
+            law = laws[key] = PiecewiseExpDensity(shape)
+            for a in (shape.xs, shape.ys, law._h0, law._beta, law._cum):
+                a.flags.writeable = False
+        return law
 
     return extended
 
@@ -491,8 +502,8 @@ def fill_table(rows: Iterable, inputs: int, what: str) -> np.ndarray:
 
 
 # Bytes one chunk of max_violation's [pairs, T] gap array may take.  The
-# kernel walks the pair list in chunks of this size, so memory stays bounded
-# whatever the pair and column counts are.
+# kernel walks its distinct law pairs in chunks of this size, so memory stays
+# bounded whatever the pair and column counts are.
 _AUDIT_CHUNK_BYTES = 16 * 2**20
 
 
@@ -505,6 +516,29 @@ class Violation(NamedTuple):
     rows: tuple = ()
 
 
+def _row_laws(logs: np.ndarray) -> np.ndarray:
+    """A law id per row of the [P, T] table logs: rows with the same bytes
+    share an id.  Each row is hashed once and compared byte for byte with
+    the first row of each earlier law of its hash, so the table is never
+    copied; rows equal as floats but not as bytes (a zero's sign, a NaN's
+    payload) are different laws."""
+    ids = np.empty(len(logs), dtype=np.intp)
+    firsts: list[int] = []  # the first row of each law
+    by_hash: dict[int, list[int]] = {}
+    for r, row in enumerate(logs):
+        key = row.tobytes()
+        candidates = by_hash.setdefault(hash(key), [])
+        for law in candidates:
+            if logs[firsts[law]].tobytes() == key:
+                break
+        else:
+            law = len(firsts)
+            candidates.append(law)
+            firsts.append(r)
+        ids[r] = law
+    return ids
+
+
 def max_violation(logs, first, second, epsilon: float, collect_rows: bool = False) -> Violation:
     """Worst privacy gap log p_i[t] - log p_j[t] - epsilon over the pairs
     (i, j) = (first[s], second[s]) and columns t.
@@ -514,6 +548,11 @@ def max_violation(logs, first, second, epsilon: float, collect_rows: bool = Fals
     witness is the first maximum in pair order, then column order; a NaN gap
     is never a witness.  A nonpositive worst gap (within tolerance)
     certifies the bound epsilon on every listed pair.
+
+    Rows with the same bytes give the same gaps, so each distinct pair of
+    row laws is compared once, at its first pair, and every pair reports
+    what its law pair gave: the 66,560 rewiring pairs of the n = 5 Laplace
+    audit are 77 law pairs.
     """
     logs = np.asarray(logs, dtype=float)
     first = np.asarray(first, dtype=np.intp)
@@ -522,24 +561,51 @@ def max_violation(logs, first, second, epsilon: float, collect_rows: bool = Fals
         raise ValueError("first and second must be 1-d index arrays of equal length")
     if logs.ndim != 2 or logs.shape[1] == 0:
         raise ValueError("logs must be [P, T] with T >= 1 grid points or outputs")
+    laws = _row_laws(logs)
+    count = int(laws.max(initial=-1)) + 1
+
+    def law_pairs(lo=0, hi=None):
+        """The law pair of each of the pairs lo..hi, as one integer."""
+        return laws[first[lo:hi]] * count + laws[second[lo:hi]]
+
+    # at[u] is the first pair of the u-th distinct law pair, in law-pair order
+    if count * count <= first.size:
+        # a table of first pairs by law pair, no larger than the pair list,
+        # filled in chunks of pairs
+        at = np.full(count * count, first.size)
+        step = max(1, _AUDIT_CHUNK_BYTES // 8)
+        for lo in range(0, first.size, step):
+            codes = law_pairs(lo, lo + step)
+            np.minimum.at(at, codes, np.arange(lo, lo + codes.size))
+        at = at[at < first.size]
+    else:
+        at = np.unique(law_pairs(), return_index=True)[1]
     step = max(1, _AUDIT_CHUNK_BYTES // (8 * logs.shape[1]))
-    worst, witness = -math.inf, None
-    columns = []
-    for lo in range(0, first.size, step):
-        i, j = first[lo : lo + step], second[lo : lo + step]
+    t = np.empty(at.size, dtype=np.intp)
+    pair_gap = np.empty(at.size)
+    ratio = np.empty(at.size)
+    for lo in range(0, at.size, step):
+        part = slice(lo, lo + step)
+        i, j = first[at[part]], second[at[part]]
         gaps = logs[i]
         gaps -= logs[j]
         gaps -= epsilon
-        t = gaps.argmax(axis=1)
-        pair_gap = gaps[np.arange(t.size), t]
-        ranked = np.where(np.isnan(pair_gap), -math.inf, pair_gap)
-        best = int(ranked.argmax())
-        if ranked[best] > worst:
-            worst, witness = float(ranked[best]), (int(i[best]), int(j[best]), int(t[best]))
+        t[part] = gaps.argmax(axis=1)
+        pair_gap[part] = gaps[np.arange(i.size), t[part]]
         if collect_rows:
-            ratio = logs[i, t] - logs[j, t]
-            columns.append((i, j, t, ratio, np.full(t.size, float(epsilon)), pair_gap))
+            ratio[part] = logs[i, t[part]] - logs[j, t[part]]
+    worst, witness = -math.inf, None
+    ranked = np.where(np.isnan(pair_gap), -math.inf, pair_gap)
+    if ranked.size:
+        # of the law pairs that reach the top, the one whose first pair comes first
+        tied = np.flatnonzero(ranked == ranked.max())
+        u = tied[at[tied].argmin()]
+        if ranked[u] > worst:
+            worst, witness = float(ranked[u]), (int(first[at[u]]), int(second[at[u]]), int(t[u]))
     rows = ()
-    if columns:
-        rows = tuple(zip(*(np.concatenate(c).tolist() for c in zip(*columns))))
+    if collect_rows and first.size:
+        codes = law_pairs()
+        back = np.searchsorted(codes[at], codes)  # each pair's place in at
+        columns = (t[back], ratio[back], np.full(first.size, float(epsilon)), pair_gap[back])
+        rows = tuple(zip(first.tolist(), second.tolist(), *(c.tolist() for c in columns)))
     return Violation(worst, first.size, witness, rows)

@@ -9,11 +9,14 @@ dead code; these tests make both a tier-1 failure.
 """
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
-from nodedp import block_estimator, graphons
+import nodedp
+from nodedp import block_estimator
 from nodedp.block_estimator import EstimatorConfig, candidate_count
 from nodedp.graphs import LabeledGraph
 
@@ -83,20 +86,25 @@ def test_workloads_clear_the_package_caches():
         assert cache.cache_info().currsize == 0
 
 
-# lru_caches of the scoring modules that the workloads keep warm, each with
-# the reason a command-line user does not pay for it in every process
+# module-level lru_caches that the workloads keep warm, each with the
+# reason a command-line user does not pay for it in every process
 UNCLEARED_CACHES = {
     "nodedp.block_estimator._level_layout": "O(k^2) constants, microseconds to build",
+    "nodedp.graphs.cover_table": "one table per order, about 0.1 ms to build at n = 5",
+    # every one-shot process builds it once (about 3 ms), which the release
+    # workload pays once per run
+    "nodedp.cli.build_parser": "built once per process by design",
 }
 
 
 def test_every_scoring_cache_is_cleared_or_allowed():
-    # a cache that the benchmark keeps warm across releases would time work
+    # a cache that the benchmark keeps warm across units would time work
     # that each one-shot CLI process does cold
     workloads = _load("workloads")
     cleared = {id(cache) for cache in workloads._CACHES}
     found = set()
-    for module in (block_estimator, graphons):
+    for info in pkgutil.iter_modules(nodedp.__path__):
+        module = importlib.import_module(f"nodedp.{info.name}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 found.add(f"{module.__name__}.{name}")

@@ -138,6 +138,30 @@ def test_audit_dp_laplace_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "mechanism, line",
+    [
+        ("extended", "mechanism=extended-density n=5 epsilon=1.0 pairs=66560 "
+         "max_violation=-9.924e-01 PASS"),
+        ("laplace", "mechanism=laplace-baseline n=5 epsilon=1.0 pairs=66560 "
+         "max_violation=-5.000e-01 PASS"),
+    ],
+)
+def test_audit_dp_lines_at_n5_are_pinned(mechanism, line, capsys):
+    # every rewiring pair is counted, though the kernel compares each
+    # distinct pair of log-density rows once
+    assert main(["audit", "dp", "--mechanism", mechanism, "--n", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_audit_dp_blocks_at_the_ends_of_the_released_range(capsys):
+    # stage 1 clamps its density to [1/n^2, 1], and both ends are audited
+    for rho_hat in ("0.1111111111111111", "1.0"):
+        argv = ["audit", "dp", "--mechanism", "blocks", "--n", "3", "--rho-hat", rho_hat]
+        assert main(argv) == 0
+    assert capsys.readouterr().out.count("PASS") == 2
+
+
 def test_audit_dp_blocks_audited(capsys):
     code = main(
         ["audit", "dp", "--mechanism", "blocks", "--n", "4", "--epsilon", "1.0",
@@ -408,9 +432,22 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
         # formerly refused with exit code 3 for its 14,348,907 candidates
         (["audit", "sensitivity", "--n", "4", "--k", "5", "--d", "2", "--mu", "0.5"],
          None, "nodedp: error: --k must be between 1 and the graph's order n = 4, got 5"),
+        # densities stage 1 never releases: formerly numpy's "negative
+        # dimensions are not allowed", or a PASS for a law never used
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--k", "2", "--rho-hat", "-0.5"],
+         None, "nodedp: error: --rho-hat must lie in [1/n^2, 1] = [0.111111, 1] at n = 3, "
+         "got -0.5"),
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--k", "2", "--rho-hat", "2.0"],
+         None, "nodedp: error: --rho-hat must lie in [1/n^2, 1] = [0.111111, 1] at n = 3, "
+         "got 2.0"),
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--k", "2", "--rho-hat", "0.0"],
+         None, "nodedp: error: --rho-hat must lie in [1/n^2, 1] = [0.111111, 1] at n = 3, "
+         "got 0.0"),
     ],
     ids=["no-trials", "no-grid-points", "malformed-edge-list", "non-ascii-byte", "missing-input",
-         "blocks-k-above-n", "audit-blocks-k-above-n", "sensitivity-k-above-n"],
+         "blocks-k-above-n", "audit-blocks-k-above-n", "sensitivity-k-above-n",
+         "audit-blocks-negative-rho-hat", "audit-blocks-rho-hat-above-1",
+         "audit-blocks-zero-rho-hat"],
 )
 def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, message, tmp_path):
     path = tmp_path / "graph.txt"

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +385,36 @@ def test_extension_promise_mode_and_guards():
         extend_mechanism(_LINE_BASES, _LINE_DISTANCES[:, :1], 1.0)
 
 
+def test_extension_builds_each_law_once_and_shares_it_read_only():
+    distances = np.array([[0, 2], [1, 1], [2, 0], [1, 1]])
+    extended = extend_mechanism(_LINE_BASES, distances, 1.0)
+    law = extended(1)
+    assert extended(3) is law and extended(1) is law  # equal rows, one law
+    assert extended(0) is not law
+    arrays = (law.shape.xs, law.shape.ys, law._h0, law._beta, law._cum)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # the memo is this extension's own, and no base is frozen with a law,
+    # though one group's envelope keeps its knots
+    assert extend_mechanism(_LINE_BASES, distances, 1.0)(1) is not law
+    base = unit_laplace_density(0.5, 1.0)
+    assert not extend_mechanism([base], np.array([[0], [1]]), 1.0)(1).shape.xs.flags.writeable
+    assert base.shape.xs.flags.writeable
+
+
+def test_extension_runs_one_envelope_per_distinct_distance_row(monkeypatch):
+    calls = []
+    envelope = mechanisms.piecewise_min
+    monkeypatch.setattr(mechanisms, "piecewise_min", lambda fs: calls.append(1) or envelope(fs))
+    extended = extended_density_mechanism(5, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=5))
+    laws = [extended(g) for g in all_graphs(5)]
+    # 1,024 inputs, 22 distinct distance rows to the 6 edge-count groups of H
+    assert len(calls) == 22
+    assert len({id(law) for law in laws}) == 22
+    assert [extended(g) for g in all_graphs(5)] == laws and len(calls) == 22
+
+
 # -- density-ratio audits -----------------------------------------------------------------
 
 
@@ -513,6 +545,81 @@ def test_max_violation_matches_pair_loop_at_any_chunk_size(chunk_bytes, monkeypa
         rows.append((i, j, t, float(ratios[t]), eps, gap))
     v = max_violation(logs, first, second, eps, collect_rows=True)
     assert (v.worst, v.pairs, v.witness, v.rows) == (worst, 300, witness, tuple(rows))
+
+
+def _pair_loop(logs, first, second, eps):
+    """max_violation's (worst, witness, rows), one pair at a time in order."""
+    worst, witness, rows = -math.inf, None, []
+    for i, j in zip(first.tolist(), second.tolist()):
+        ratios = logs[i] - logs[j]
+        t = int((ratios - eps).argmax())
+        gap = float(ratios[t]) - eps
+        if gap > worst:
+            worst, witness = gap, (i, j, t)
+        rows.append((i, j, t, float(ratios[t]), eps, gap))
+    return worst, witness, rows
+
+
+def _bits(rows):
+    """Rows with every float as its bytes: a zero's sign and a NaN's payload
+    count."""
+    return [tuple(struct.pack("<d", x) if isinstance(x, float) else x for x in r) for r in rows]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 4096])
+def test_max_violation_over_repeated_rows_matches_pair_loop(chunk_bytes, monkeypatch):
+    # a table of 5 distinct rows, as an audit over many graphs with few laws
+    # gives: each pair of laws is compared once and reported for every pair
+    if chunk_bytes is not None:
+        monkeypatch.setattr(mechanisms, "_AUDIT_CHUNK_BYTES", chunk_bytes)
+    rng = substream(20261020, "max-violation-laws", str(chunk_bytes))
+    width, eps = 13, 0.5
+    base = rng.integers(0, 2, size=(3, width)) / 2.0  # halves: exact sums, ties
+    # rows 3 and 4 are rows 0 and 1 lifted by 1: several law pairs reach the
+    # worst gap
+    law = rng.integers(0, 5, size=40)
+    logs = np.concatenate([base, base[:2] + 1.0])[law]
+    first = rng.integers(0, 40, size=500)
+    second = rng.integers(0, 40, size=500)  # may equal first
+    worst, witness, rows = _pair_loop(logs, first, second, eps)
+    v = max_violation(logs, first, second, eps, collect_rows=True)
+    assert (v.worst, v.pairs, v.witness) == (worst, 500, witness)
+    assert _bits(v.rows) == _bits(rows)
+    assert len({(law[i], law[j]) for i, j, *_, gap in rows if gap == worst}) >= 2
+    assert max_violation(logs, first, second, eps)[:3] == (worst, 500, witness)
+
+
+def test_rows_differing_in_a_zero_sign_or_a_nan_payload_are_different_laws():
+    payload = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+    logs = np.array(
+        [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [payload[0], 1.0], [payload[1], 1.0],
+         [payload[0], 1.0]]
+    )
+    assert mechanisms._row_laws(logs).tolist() == [0, 1, 0, 2, 3, 2]
+    # merging equal-as-float rows would change the bits reported for a pair
+    first = np.array([0, 1, 0, 2, 3, 4, 5, 4])
+    second = np.array([1, 0, 2, 0, 4, 3, 4, 0])
+    _, _, rows = _pair_loop(logs, first, second, 0.0)
+    with np.errstate(invalid="ignore"):
+        v = max_violation(logs, first, second, 0.0, collect_rows=True)
+    assert _bits(v.rows) == _bits(rows)
+    assert _bits([v.rows[0][3:4], v.rows[1][3:4]]) == _bits([(0.0,), (-0.0,)])
+
+
+def test_max_violation_makes_no_copy_of_its_table():
+    # distinct rows, so a dedup that kept a copy of each row, or sorted a
+    # copy of the table, would hold one as large as the table
+    rng = substream(20261020, "max-violation-memory")
+    logs = rng.normal(size=(8192, 256))  # 16 MiB
+    first = rng.integers(0, 8192, size=300)
+    second = rng.integers(0, 8192, size=300)
+    tracemalloc.start()
+    try:
+        max_violation(logs, first, second, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < logs.nbytes // 4  # about 1.8 MiB: two 300-row gathers, the hash index
 
 
 # -- the deduplicated extension against the pointwise fold over all of H -------------
