@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .density import laplace_density_mechanism
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_graphs, degree_cap, graph_index, rewiring_pairs
-from .graphs import adjacent_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
+from .graphs import LabeledGraph, all_adjacencies, degree_cap, graph_indices, rewiring_pairs
+from .graphs import adjacent_graphs, all_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .graphons import relabellings
 from .mechanisms import (
@@ -343,7 +343,8 @@ def theoretical_sensitivity(n: int, d: float, mu: float) -> float:
 
 
 # Largest order whose graphs measured_score_sensitivity enumerates: 2^15
-# graphs at n = 6.
+# graphs at n = 6, capped in one batch, about 0.25 s at k = 2, mu = 0.6,
+# d = 2 on one core of a 2-core Xeon.
 SENSITIVITY_AUDIT_MAX_N = 6
 # Rewiring pairs measured_score_sensitivity maps to pairs of score rows at a
 # time: 8 MiB of row codes per chunk.
@@ -361,20 +362,21 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
     """Exhaustive max over candidates and adjacent graph pairs of the change
     in the degree-capped best score.  Exact, so calibrating the exponential
-    mechanism to this value yields exact DP at the audited order."""
+    mechanism to this value yields exact DP at the audited order.  The
+    all_adjacencies stack is capped by one degree_cap call, and the capped
+    graphs are named by their graph_indices."""
     if n > SENSITIVITY_AUDIT_MAX_N:
         raise ResourceLimitError(
             f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
         )
     cands = candidate_matrices(n, k, mu)
-    capped = [degree_cap(g, d) for g in all_graphs(n)]
+    capped = degree_cap(all_adjacencies(n), d)
     # one row of best scores per distinct capped graph, all on one grid
     _, reps, capped_row = np.unique(
-        [graph_index(h) for h in capped], return_index=True, return_inverse=True
+        graph_indices(capped), return_index=True, return_inverse=True
     )
     check_table_size(len(reps), cands.shape[0], "candidates")
-    adjacencies = np.stack([capped[i].adjacency for i in reps]).astype(float)
-    scores = _best_scores_bulk(cands, adjacencies, n, k).values
+    scores = _best_scores_bulk(cands, capped[reps].astype(float), n, k).values
     # the largest |s_G - s_G'| over adjacent graphs is the worst signed gap
     # over the ordered rewiring pairs, each of which lists its reverse, and
     # so over their distinct pairs of score rows, found in chunks of pairs
@@ -433,15 +435,15 @@ class BlockLaws(NamedTuple):
         return out
 
 
-def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorConfig) -> BlockLaws:
-    """Selection stage given the released density, for every graph at once:
-    the exponential mechanism over the candidate grid, spending the
-    remaining eps/2.
+def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> BlockLaws:
+    """Selection stage given the released density, for every graph of a
+    bool adjacency stack [G, n, n] at once: the exponential mechanism over
+    the candidate grid, spending the remaining eps/2.
 
     The candidates are candidate_matrices(n, k, lambda rho_hat), integer
-    levels on the 1/n grid, and every graph is capped at degree
-    d = floor(lambda rho_hat n) and scored on them by one
-    _best_scores_bulk call: each score is the exact max over
+    levels on the 1/n grid, and the stack is capped at degree
+    d = floor(lambda rho_hat n) by one degree_cap call and scored on them
+    by one _best_scores_bulk call: each score is the exact max over
     equipartitions, correctly rounded.  Delta is the measured sensitivity
     in audited mode and 4 d mu / n^2 in theoretical mode.
 
@@ -450,7 +452,7 @@ def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorCon
     enumerated or graph capped, so EQUIPARTITION_BUDGET binds only grids
     with more than one candidate.  Each graph reports the one count row of
     the empty capped graph, and audited mode the exact Delta, 0."""
-    n = graphs[0].n
+    graphs, n = adjacency.shape[:2]
     mu = cfg.lam * rho_hat
     d_int = _top_level(n, mu)
     equipartitions = equipartition_count(n, cfg.k)
@@ -458,7 +460,7 @@ def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorCon
         # candidate_matrices' one-candidate grid, without its np.indices
         # call, which fails from k = 11 (an array of T + 1 > 64 axes)
         levels = np.zeros((1, cfg.k * (cfg.k + 1) // 2), dtype=np.uint8)
-        bulk = BulkScores(np.zeros((len(graphs), 1)), np.ones(len(graphs), dtype=int))
+        bulk = BulkScores(np.zeros((graphs, 1)), np.ones(graphs, dtype=int))
     else:
         if equipartitions > EQUIPARTITION_BUDGET:
             raise ResourceLimitError(
@@ -466,9 +468,8 @@ def block_laws(graphs: Sequence[LabeledGraph], rho_hat: float, cfg: EstimatorCon
                 f"of {EQUIPARTITION_BUDGET}"
             )
         levels = candidate_matrices(n, cfg.k, mu)
-        check_table_size(len(graphs), levels.shape[0], "candidates")
-        capped = np.stack([degree_cap(g, d_int).adjacency for g in graphs]).astype(float)
-        bulk = _best_scores_bulk(levels, capped, n, cfg.k)
+        check_table_size(graphs, levels.shape[0], "candidates")
+        bulk = _best_scores_bulk(levels, degree_cap(adjacency, d_int).astype(float), n, cfg.k)
     if cfg.sensitivity_mode == "theoretical":
         delta = theoretical_sensitivity(n, mu * n, mu)
     else:  # exact: 0 on the one-candidate grid
@@ -487,7 +488,7 @@ def block_mechanism(
     """Selection stage of one graph: the one-graph case of block_laws.
 
     Returns (mechanism, candidate levels [C, T], delta, diagnostics)."""
-    laws = block_laws([g], rho_hat, cfg)
+    laws = block_laws(g.adjacency[None], rho_hat, cfg)
     scores = laws.scores[0]
     diagnostics = {
         "candidate_count": laws.levels.shape[0],

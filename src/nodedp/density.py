@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graphs import (
     LabeledGraph,
-    all_adjacencies,
     edge_density,
     graph_index,
     graph_space_size,
@@ -104,20 +103,17 @@ def laplace_density_estimator(
 # -- homogeneity set ------------------------------------------------------------
 
 
-def _worst_margins(
-    adjacency: np.ndarray, cfg: HomogeneityConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge density and worst homogeneity margin of each graph in a
-    [B, n, n] bool adjacency stack: the one subset-scan kernel.
+def homogeneity_worst_margin(g: LabeledGraph, cfg: HomogeneityConfig) -> float:
+    """max over nonempty S of |boundary(S) - e(G) * slots(S)| - tolerance(|S|).
 
-    Boundary edge counts of all 2^n subsets S (bit v of S is vertex v) are
-    built by doubling, boundary(S + v) = boundary(S) + deg(v) - |N(v) & S|
-    for S below v, so B graphs take [B, 2^n] integers and no
-    [subsets, edges] mask: one graph at n = 16 in about 3 ms with a 4 MiB
-    tracemalloc peak, all 1,024 graphs at n = 5 in about 1 ms (one core of
-    a 2-core Xeon, numpy 2.4).
+    Exact 2^n - 1 scan; nonpositive means every subset passes.  Boundary
+    edge counts of all 2^n subsets S (bit v of S is vertex v) are built by
+    doubling, boundary(S + v) = boundary(S) + deg(v) - |N(v) & S| for S
+    below v, so the scan takes [2^n] integers and no [subsets, edges] mask:
+    n = 16 in about 3 ms with a 4 MiB tracemalloc peak (one core of a
+    2-core Xeon, numpy 2.4).
     """
-    b, n = adjacency.shape[:2]
+    n = g.n
     cfg.check_order(n)
     if n > EXACT_SUBSET_SCAN_MAX_N:
         raise ResourceLimitError(
@@ -127,25 +123,16 @@ def _worst_margins(
     sizes = np.zeros(1 << n, dtype=np.int64)  # popcount of each subset
     for v in range(n):
         sizes[1 << v : 2 << v] = sizes[: 1 << v] + 1
-    neighbours = adjacency @ (1 << np.arange(n))  # [B, n] vertex bitmasks
-    degrees = adjacency.sum(axis=2)
-    boundary = np.zeros((b, 1 << n), dtype=np.int64)
+    neighbours = g.adjacency @ (1 << np.arange(n))  # [n] vertex bitmasks
+    degrees = g.adjacency.sum(axis=1)
+    boundary = np.zeros(1 << n, dtype=np.int64)
     for v in range(n):
-        inside = sizes[subsets[: 1 << v] & neighbours[:, v, None]]
-        boundary[:, 1 << v : 2 << v] = boundary[:, : 1 << v] + degrees[:, v, None] - inside
-    sizes, boundary = sizes[1:], boundary[:, 1:]  # nonempty subsets
+        inside = sizes[subsets[: 1 << v] & neighbours[v]]
+        boundary[1 << v : 2 << v] = boundary[: 1 << v] + degrees[v] - inside
+    sizes, boundary = sizes[1:], boundary[1:]  # nonempty subsets
     slots = sizes * (n - sizes) + sizes * (sizes - 1) / 2.0
-    e = (degrees.sum(axis=1) // 2) / (n * (n - 1) / 2)  # edge_density of each graph
-    deviation = np.abs(boundary - e[:, None] * slots)
-    return e, (deviation - cfg.tolerance(sizes)).max(axis=1)
-
-
-def homogeneity_worst_margin(g: LabeledGraph, cfg: HomogeneityConfig) -> float:
-    """max over nonempty S of |boundary(S) - e(G) * slots(S)| - tolerance(|S|).
-
-    Exact 2^n - 1 scan; nonpositive means every subset passes.
-    """
-    return float(_worst_margins(g.adjacency[None], cfg)[1][0])
+    deviation = np.abs(boundary - edge_density(g) * slots)
+    return float((deviation - cfg.tolerance(sizes)).max())
 
 
 def homogeneity_membership(g: LabeledGraph, cfg: HomogeneityConfig) -> bool:
@@ -169,13 +156,30 @@ def _check_exact_extension(n: int) -> None:
         )
 
 
-def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> tuple[np.ndarray, np.ndarray]:
-    """H membership and worst margin of every graph index on n vertices, in
-    one batched subset scan: the same test, in the same float operations, as
-    homogeneity_membership and homogeneity_worst_margin on each graph."""
+def _index_edge_counts(n: int) -> np.ndarray:
+    """Edge count of every graph index on n vertices: its number of set bits."""
+    ids = np.arange(graph_space_size(n))
+    return ((ids[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
+
+
+def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> np.ndarray:
+    """H membership of every graph index on n vertices, read from its edge
+    count: what homogeneity_membership answers for each graph.
+
+    At these orders every subset passes the scan, so only the density cap
+    excludes a graph.  c0 >= sqrt(log n / n), so tolerance(s) =
+    s tolerance(1) >= C s log n > 48 s log n.  A subset of s vertices has
+    s(n - s) + s(s - 1)/2 < s n boundary slots, and its deviation, the gap
+    between boundary(S) and e(G) slots(S), both in [0, slots], is below
+    s n.  48 log n >= n for 3 <= n <= 268, so tolerance(1) >= n, which is
+    checked here, and every deviation is within tolerance.  G is then in H
+    iff e(G) <= rho, the density test that homogeneity_membership makes
+    first, in the same float operations."""
     _check_exact_extension(n)
-    e, margins = _worst_margins(all_adjacencies(n), cfg)
-    return (e <= cfg.rho + 1e-12) & (margins <= 1e-9), margins
+    cfg.check_order(n)
+    if not cfg.tolerance(1) >= n:
+        raise ValueError(f"tolerance(1) < n = {n}: a subset test may bind")
+    return _index_edge_counts(n) / (n * (n - 1) / 2) <= cfg.rho + 1e-12
 
 
 # -- restricted (truncated-noise) estimator: the promise release -----------------
@@ -229,7 +233,7 @@ def _extension_groups(
     if in_h.shape != (graph_space_size(n),):
         raise ValueError(f"in_h needs one bool per graph index, {graph_space_size(n)} at n = {n}")
     members = np.flatnonzero(in_h)
-    counts = ((members[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
+    counts = _index_edge_counts(n)[members]
     _, first, by_count = np.unique(counts, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
@@ -277,14 +281,15 @@ def extended_density_mechanism(
 
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
-    Enumerates the full graph space, so n <= 5.  At n = 5 (638 graphs in H,
+    Enumerates the full graph space, so n <= 5.  H comes from each graph
+    index's edge count (homogeneity_by_index).  At n = 5 (638 graphs in H,
     6 base laws) its 1,024 inputs have 22 distinct distance rows, and it
-    builds all 22 laws when it is built, in about 5 ms on one core of a
-    2-core Xeon; evaluating an input is then a graph index and a table
-    lookup.
+    builds all 22 laws when it is built, in about 3.4 ms on one core of a
+    2-core Xeon; evaluating an input is then a graph index, one product
+    with the order's slot weights, and a table lookup, about 2.3 us.
     """
     eps = _check_epsilon(epsilon)
-    in_h, _ = homogeneity_by_index(n, cfg)
+    in_h = homogeneity_by_index(n, cfg)
     return extend_over_graphs(n, in_h, _restricted_base(eps, cfg), eps / 2.0)
 
 
@@ -295,7 +300,7 @@ def extended_density_law(
     only g's law built: its row of the distance table, through the same
     batched envelope.  A one-shot release needs no other law."""
     eps = _check_epsilon(epsilon)
-    in_h, _ = homogeneity_by_index(g.n, cfg)
+    in_h = homogeneity_by_index(g.n, cfg)
     bases, distances = _extension_groups(g.n, in_h, _restricted_base(eps, cfg))
     return extend_mechanism(bases, distances[[graph_index(g)]], eps / 2.0)(0)
 

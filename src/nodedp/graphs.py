@@ -378,32 +378,41 @@ def edge_density(g: LabeledGraph) -> float:
     return g.edge_count / (g.n * (g.n - 1) / 2)
 
 
-def degree_cap(g: LabeledGraph, d: int) -> LabeledGraph:
-    """Canonical projection onto the graphs of maximum degree at most d.
+def degree_cap(g, d: int):
+    """Canonical projection onto the graphs of maximum degree at most d, of
+    one LabeledGraph or of every graph in a bool adjacency stack [B, n, n].
 
     While some vertex exceeds d, take the offender with the highest current
     degree (ties to the lower index) and drop its incident edge whose other
     endpoint has the highest current degree (ties to the higher index).
-    Deterministic, and the identity whenever max degree is already <= d.
+    Deterministic.  Every graph of a stack still over the cap takes one
+    such step per pass, so a stack costs as many passes as its graph with
+    the most edges to drop, and is returned as a new array.  A LabeledGraph
+    is capped as the one-graph stack, and returned itself when its maximum
+    degree is already <= d.
     """
     d = int(d)
     if d < 0:
         raise ValueError("degree cap must be nonnegative")
-    if g.max_degree <= d:
-        return g
-    adj = g.adjacency.copy()
-    degs = adj.sum(axis=1).astype(int)
-    while True:
-        over = np.flatnonzero(degs > d)
-        if over.size == 0:
-            break
-        v = min(over.tolist(), key=lambda u: (-degs[u], u))
-        nbrs = np.flatnonzero(adj[v]).tolist()
-        u = max(nbrs, key=lambda w: (degs[w], w))
-        adj[v, u] = adj[u, v] = False
-        degs[v] -= 1
-        degs[u] -= 1
-    return LabeledGraph(adj)
+    if isinstance(g, LabeledGraph):
+        if g.max_degree <= d:
+            return g
+        return LabeledGraph._wrap(degree_cap(g.adjacency[None], d)[0])
+    adj = np.array(g, dtype=bool)
+    n = adj.shape[-1]
+    order = np.arange(n)
+    degs = adj.sum(axis=2)
+    over = np.flatnonzero(degs.max(axis=1, initial=0) > d)  # graphs still over the cap
+    while over.size:
+        current = degs[over]
+        v = current.argmax(axis=1)  # a highest degree, the first is the lowest index
+        # among v's neighbours, the highest degree, then the highest index
+        u = np.where(adj[over, v], current * n + order, -1).argmax(axis=1)
+        adj[over, v, u] = adj[over, u, v] = False
+        degs[over, v] -= 1
+        degs[over, u] -= 1
+        over = over[degs[over].max(axis=1) > d]
+    return adj
 
 
 # -- node distance (rewiring metric) ----------------------------------------
@@ -468,9 +477,38 @@ def graph_from_index(n: int, index: int) -> LabeledGraph:
     return LabeledGraph.from_slots(n, np.unpackbits(raw, count=nbits, bitorder="little"))
 
 
+# Largest order whose graph indices fit an int64: C(11, 2) = 55 bits.
+INT64_INDEX_MAX_N = 11
+
+
+@lru_cache(maxsize=None)
+def _slot_weights(n: int) -> np.ndarray:
+    """Flat [n * n] int64 weights whose product with a flattened adjacency
+    is its graph index: 2^t at slot t of the upper triangle, 0 elsewhere.
+    Read-only."""
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[np.triu_indices(n, 1)] = 1 << np.arange(n * (n - 1) // 2)
+    weights.flags.writeable = False
+    return weights.ravel()
+
+
+def graph_indices(adjacency: np.ndarray):
+    """Graph index (``graph_from_index`` order) of an [n, n] bool adjacency,
+    or of every one in a stack [..., n, n], as int64: one product of the
+    slot bits with powers of two.  Refuses n > INT64_INDEX_MAX_N."""
+    n = adjacency.shape[-1]
+    if n > INT64_INDEX_MAX_N:
+        raise ValueError(f"int64 graph indices limited to n <= {INT64_INDEX_MAX_N}, got {n}")
+    return adjacency.reshape(adjacency.shape[:-2] + (n * n,)) @ _slot_weights(n)
+
+
 def graph_index(g: LabeledGraph) -> int:
     """Index of g in ``graph_from_index`` order, its inverse: bit t is the
-    t-th slot of ``triangular_slots``."""
+    t-th slot of ``triangular_slots``.  Exact at every order: above
+    INT64_INDEX_MAX_N the slots are packed into bytes that int.from_bytes
+    weighs, with no table of powers."""
+    if g.n <= INT64_INDEX_MAX_N:
+        return int(graph_indices(g.adjacency))
     bits = np.packbits(upper_slots(g.adjacency), bitorder="little")
     return int.from_bytes(bits.tobytes(), "little")
 

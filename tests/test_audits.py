@@ -33,6 +33,7 @@ from nodedp.density import (
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import (
     LabeledGraph,
+    all_adjacencies,
     all_graphs,
     degree_cap,
     node_distance,
@@ -376,7 +377,7 @@ def test_batched_block_laws_match_the_per_graph_mechanisms(n, k, mode):
     graphs = list(all_graphs(n))
     for rho_hat in BATCH_RHO_HATS:
         cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode=mode)
-        laws = block_laws(graphs, rho_hat, cfg)
+        laws = block_laws(all_adjacencies(n), rho_hat, cfg)
         logs = laws.log_probs()
         want = np.stack([block_mechanism(g, rho_hat, cfg)[0].log_probs for g in graphs])
         assert logs.tobytes() == want.tobytes()
@@ -425,6 +426,8 @@ def test_batched_scores_are_c_contiguous_graph_rows(k, mu, chunk_bytes, monkeypa
         (5, 2, 0.4, 4, 0.256),
         (5, 3, 0.4, 2, 0.128),
         (5, 1, 1.0, 3, 0.48000000000000004),
+        (5, 2, 1.0, 2, 0.32000000000000006),
+        (6, 2, 0.6, 2, 0.16666666666666669),
     ],
 )
 def test_measured_sensitivity_values_are_pinned(n, k, mu, d, want):

@@ -91,6 +91,7 @@ def test_workloads_clear_the_package_caches():
 UNCLEARED_CACHES = {
     "nodedp.block_estimator._level_layout": "O(k^2) constants, microseconds to build",
     "nodedp.graphs.cover_table": "one table per order, about 0.1 ms to build at n = 5",
+    "nodedp.graphs._slot_weights": "one [n * n] int64 row per order, microseconds to build",
     # every one-shot process builds it once (about 3 ms), which the release
     # workload pays once per run
     "nodedp.cli.build_parser": "built once per process by design",

@@ -177,19 +177,43 @@ def _mask_margin(g, cfg):
     return float((deviation - cfg.tolerance(sizes)).max())
 
 
-# rho = 0.5 falls on an edge count at n = 4 and 5 and between two at n = 3;
-# rho = 1/3 falls on one at n = 3 and 4 (1/3 == 2/6) and between two at n = 5
-@pytest.mark.parametrize("rho, C", [(0.5, 49.0), (1.0 / 3.0, 60.0)])
+# rho = 0.05 admits the empty graph alone at n = 3..5 and rho = 1.0 every
+# graph; rho = 0.5 falls on an edge count at n = 4 and 5 and between two at
+# n = 3; rho = 1/3 falls on one at n = 3 and 4 (1/3 == 2/6) and between two
+# at n = 5
+@pytest.mark.parametrize(
+    "rho, C",
+    [(rho, C) for rho in (0.05, 0.5, 1.0) for C in (48.001, 49.0, 200.0)]
+    + [(1.0 / 3.0, 60.0)],
+)
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_batched_scan_matches_the_per_graph_scan_on_every_graph(n, rho, C):
+    # the extension's edge-count membership is the per-graph subset scan's
+    # answer on every graph; the scan's margins are checked against the
+    # mask route at these orders too
     cfg = HomogeneityConfig(rho=rho, C=C, n=n)
-    in_h, margins = homogeneity_by_index(n, cfg)
+    in_h = homogeneity_by_index(n, cfg)
     graphs = list(all_graphs(n))
-    assert 0 < in_h.sum() < len(graphs)  # H is a strict subset
+    assert in_h.dtype == bool and in_h.shape == (len(graphs),)
     assert in_h.tolist() == [homogeneity_membership(g, cfg) for g in graphs]
     assert in_h.tolist() == [_brute_force_membership(g, cfg) for g in graphs]
-    assert margins.tolist() == [homogeneity_worst_margin(g, cfg) for g in graphs]
-    assert margins.tolist() == [_mask_margin(g, cfg) for g in graphs]
+    assert [homogeneity_worst_margin(g, cfg) for g in graphs] == [
+        _mask_margin(g, cfg) for g in graphs
+    ]
+
+
+def test_every_subset_passes_at_the_orders_read_from_edge_counts():
+    # tolerance(1) >= n bounds every deviation (below s n for |S| = s), so
+    # only the density cap can exclude a graph: for any C > 48 this holds
+    # through n = 268, the last n with 48 log n >= n
+    for n in range(3, 269):
+        assert HomogeneityConfig(rho=1e-9, C=48.0 + 1e-9, n=n).tolerance(1) >= n
+    assert 48 * math.log(269) < 269
+    for n in range(3, 17):  # every order the subset scan accepts
+        cfg = HomogeneityConfig(rho=1.0, C=48.0 + 1e-9, n=n)
+        assert homogeneity_worst_margin(LabeledGraph.complete(n), cfg) < 0
+        star = LabeledGraph.from_edges(n, [(0, v) for v in range(1, n)])
+        assert homogeneity_worst_margin(star, cfg) < 0
 
 
 def test_worst_margin_matches_the_mask_scan_on_random_graphs():

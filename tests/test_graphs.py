@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodedp.errors import ResourceLimitError
-from nodedp.graphons import sample_gnm_rewired_coupled
+from nodedp.graphons import sample_gnm_rewired_coupled, sample_gnp
 from nodedp.graphs import (
     LabeledGraph,
     _edge_list_rows,
@@ -17,6 +17,7 @@ from nodedp.graphs import (
     edge_density,
     graph_from_index,
     graph_index,
+    graph_indices,
     graph_space_size,
     group_distances,
     node_distance,
@@ -424,6 +425,16 @@ def test_graph_index_inverts_graph_from_index_at_every_index():
     assert graph_index(graph_from_index(5, np.int64(700))) == 700
 
 
+def test_graph_indices_of_a_stack_count_up_in_index_order():
+    for n in range(0, 6):
+        got = graph_indices(all_adjacencies(n))
+        assert got.dtype == np.int64 and got.tolist() == list(range(graph_space_size(n)))
+    top = graph_from_index(11, (1 << 55) - 1)  # every slot of the largest int64 order
+    assert graph_index(top) == int(graph_indices(top.adjacency)) == (1 << 55) - 1
+    with pytest.raises(ValueError, match="n <= 11"):
+        graph_indices(LabeledGraph.empty(12).adjacency)
+
+
 def test_graph_from_index_bijection():
     seen = {g.key for g in all_graphs(3)}
     assert len(seen) == 8
@@ -618,6 +629,53 @@ def test_rewiring_pairs_guard():
 
 
 # -- degree cap ---------------------------------------------------------------------------
+
+
+def _one_graph_cap(g, d):
+    """The one-graph greedy degree_cap replaced, kept as its reference: a
+    Python loop over the offenders of one graph."""
+    if g.max_degree <= d:
+        return g
+    adj = g.adjacency.copy()
+    degs = adj.sum(axis=1).astype(int)
+    while True:
+        over = np.flatnonzero(degs > d)
+        if over.size == 0:
+            break
+        v = min(over.tolist(), key=lambda u: (-degs[u], u))
+        nbrs = np.flatnonzero(adj[v]).tolist()
+        u = max(nbrs, key=lambda w: (degs[w], w))
+        adj[v, u] = adj[u, v] = False
+        degs[v] -= 1
+        degs[u] -= 1
+    return LabeledGraph(adj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_cap_matches_the_one_graph_greedy_on_every_graph(n):
+    graphs = list(all_graphs(n))
+    stack = all_adjacencies(n)
+    for d in range(n):
+        capped = degree_cap(stack, d)
+        assert capped.dtype == bool and capped.shape == stack.shape
+        want = np.stack([_one_graph_cap(g, d).adjacency for g in graphs])
+        assert np.array_equal(capped, want)
+        assert [degree_cap(g, d) for g in graphs] == [LabeledGraph(a) for a in want]
+    assert np.array_equal(stack, all_adjacencies(n))  # the input stack is left as it was
+
+
+def test_batched_cap_matches_the_one_graph_greedy_on_random_graphs():
+    rng = substream(26, "batched-cap")
+    for n in range(6, 21):
+        for p in (0.2, 0.5, 0.9):
+            graphs = [sample_gnp(n, p, rng) for _ in range(4)]
+            stack = np.stack([g.adjacency for g in graphs])
+            for d in range(0, n, 3):
+                want = np.stack([_one_graph_cap(g, d).adjacency for g in graphs])
+                assert np.array_equal(degree_cap(stack, d), want)
+                assert all(
+                    np.array_equal(degree_cap(g, d).adjacency, w) for g, w in zip(graphs, want)
+                )
 
 
 def test_degree_cap_identity_under_cap():
