@@ -10,7 +10,7 @@ an asymptotic claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,21 +22,20 @@ from .block_estimator import (
 )
 from .errors import ResourceLimitError
 from .graphs import LabeledGraph, all_adjacencies, all_graphs, graph_space_size, rewiring_pairs
-from .mechanisms import fill_table, max_violation
+from .mechanisms import LawTable, fill_table, max_violation
 
 from .block_estimator import block_mechanism  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .density import graph_space_oracle  # noqa: F401  (likewise)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 
-# The density audit builds one mechanism per graph and one log-density row
-# per distinct law object, and checks every rewiring pair, comparing each
-# distinct pair of rows once:
-# 1,024 graphs and 66,560 pairs (77 distinct for the Laplace baseline) at
-# n = 5 in about 15 ms.  At n = 6 it is 32,768 graphs and 5,603,328 pairs,
-# about 0.5 s and 270 MiB peak RSS on a 200-point grid, so the table binds,
-# not the pair count: its rows alone take 250 MiB on the CLI's 1,000-point
-# grid.
-PAIR_AUDIT_MAX_N = 5
+# The density audit keys each graph's law in one dict and fills a row per
+# law.  At n = 6, 32,768 graphs and 5,603,328 rewiring pairs: the Laplace
+# baseline's 16 laws or the extension's 51 in about 0.21 s and a 100 MiB
+# tracemalloc peak on a 1,000-point grid, mostly the pair index arrays.
+PAIR_AUDIT_MAX_N = 6
+# Per-pair rows are Python tuples, one per rewiring pair: 66,560 at n = 5,
+# where an audit returns them; 5,603,328 at n = 6, where it refuses to.
+PAIR_ROWS_MAX_N = 5
 # The finite audit builds one mechanism per graph, 64 at n = 4, and the
 # block audit one block_laws table with a row per graph of the
 # all_adjacencies stack, capped by one batched degree_cap: about 1.5 ms at
@@ -84,6 +83,16 @@ def _report(name: str, n: int, epsilon: float, v, grid=None) -> AuditReport:
     return AuditReport(name, n, epsilon, v.worst, v.pairs, witness, rows, column)
 
 
+def _law_table(laws: Iterable, grid: np.ndarray) -> LawTable:
+    """The LawTable on the grid of the given laws, one per input, keyed in
+    one dict: a frozen dataclass such as LaplaceDensity by value, a shared
+    law object by itself.  Each distinct law fills one log_pdf row."""
+    keys: dict = {}
+    law_of = np.fromiter((keys.setdefault(law, len(keys)) for law in laws), np.intp)
+    rows = fill_table((law.log_pdf(grid) for law in keys), len(keys), "grid points")
+    return LawTable(rows, law_of)
+
+
 def audit_density_mechanism(
     mechanism: Callable[[LabeledGraph], object],
     n: int,
@@ -94,26 +103,16 @@ def audit_density_mechanism(
 ) -> AuditReport:
     """Check log f_G(q) - log f_G'(q) <= eps over every pair of graphs one
     rewiring apart and every grid point, which implies eps * d_v(G, G') on
-    every pair.  Density objects must expose log_pdf.  Graphs given the same
-    law object share one log_pdf row: the n = 5 extension fills 22 rows."""
+    every pair.  Density objects must expose log_pdf and be hashable; the
+    graphs' laws form one _law_table: the n = 5 extension fills 22 rows, the
+    Laplace baseline one per edge count."""
     if n > PAIR_AUDIT_MAX_N:
         raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
+    if collect_rows and n > PAIR_ROWS_MAX_N:
+        raise ResourceLimitError(f"per-pair audit rows limited to n <= {PAIR_ROWS_MAX_N}")
     grid = np.asarray(grid, dtype=float)
-    laws = []  # every graph's law, held so that no two laws share an id
-    rows: dict[int, int] = {}  # id of a law -> its row among the distinct laws
-
-    def distinct_rows():
-        for g in all_graphs(n):
-            law = mechanism(g)
-            laws.append(law)
-            if id(law) not in rows:
-                rows[id(law)] = len(rows)
-                yield law.log_pdf(grid)
-
-    logs = fill_table(distinct_rows(), graph_space_size(n), "grid points")
-    if len(rows) < len(laws):  # one row per graph, gathered
-        logs = logs[[rows[id(law)] for law in laws]]
-    v = max_violation(logs, *rewiring_pairs(n), epsilon, collect_rows)
+    table = _law_table(map(mechanism, all_graphs(n)), grid)
+    v = max_violation(table, *rewiring_pairs(n), epsilon, collect_rows)
     return _report(name, n, epsilon, v, grid)
 
 
@@ -223,12 +222,8 @@ def audit_bitstring_reduction(
         )
     grid = np.asarray(grid, dtype=float)
     ids = np.arange(1 << n_bits)
-    strings = [tuple((i >> t) & 1 for t in range(n_bits)) for i in ids.tolist()]
-    logs = fill_table(
-        (mechanism(bernoulli_reduction_graph(s)).log_pdf(grid) for s in strings),
-        ids.size,
-        "grid points",
-    )
+    strings = ([(i >> t) & 1 for t in range(n_bits)] for i in ids.tolist())
+    table = _law_table((mechanism(bernoulli_reduction_graph(s)) for s in strings), grid)
     flipped = np.sort(ids[:, None] ^ (1 << np.arange(n_bits)), axis=1)
-    v = max_violation(logs, np.repeat(ids, n_bits), flipped.ravel(), epsilon)
+    v = max_violation(table, np.repeat(ids, n_bits), flipped.ravel(), epsilon)
     return _report("bitstring-reduction", n_bits, epsilon, v, grid)

@@ -24,6 +24,7 @@ from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipar
 from .graphons import relabellings
 from .mechanisms import (
     FiniteMechanism,
+    LawTable,
     exponential_log_weights,
     exponential_mechanism_distribution,
     check_table_size,
@@ -346,16 +347,6 @@ def theoretical_sensitivity(n: int, d: float, mu: float) -> float:
 # graphs at n = 6, capped in one batch, about 0.25 s at k = 2, mu = 0.6,
 # d = 2 on one core of a 2-core Xeon.
 SENSITIVITY_AUDIT_MAX_N = 6
-# Rewiring pairs measured_score_sensitivity maps to pairs of score rows at a
-# time: 8 MiB of row codes per chunk.
-_SENSITIVITY_CHUNK_PAIRS = 2**20
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of an integer array, by one sort (numpy
-    2.4's np.unique hashes, several times slower on these arrays)."""
-    codes = np.sort(codes)
-    return codes[np.r_[True, codes[1:] != codes[:-1]]]
 
 
 @lru_cache(maxsize=64)
@@ -364,30 +355,23 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
     in the degree-capped best score.  Exact, so calibrating the exponential
     mechanism to this value yields exact DP at the audited order.  The
     all_adjacencies stack is capped by one degree_cap call, and the capped
-    graphs are named by their graph_indices."""
+    graphs, named by their graph_indices, are the laws of one LawTable: a
+    row of best scores per distinct capped graph."""
     if n > SENSITIVITY_AUDIT_MAX_N:
         raise ResourceLimitError(
             f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
         )
     cands = candidate_matrices(n, k, mu)
     capped = degree_cap(all_adjacencies(n), d)
-    # one row of best scores per distinct capped graph, all on one grid
     _, reps, capped_row = np.unique(
         graph_indices(capped), return_index=True, return_inverse=True
     )
     check_table_size(len(reps), cands.shape[0], "candidates")
     scores = _best_scores_bulk(cands, capped[reps].astype(float), n, k).values
     # the largest |s_G - s_G'| over adjacent graphs is the worst signed gap
-    # over the ordered rewiring pairs, each of which lists its reverse, and
-    # so over their distinct pairs of score rows, found in chunks of pairs
-    i, j = rewiring_pairs(n)
-    step = _SENSITIVITY_CHUNK_PAIRS
-    codes = _distinct(np.concatenate([
-        _distinct(capped_row[i[lo : lo + step]] * len(reps) + capped_row[j[lo : lo + step]])
-        for lo in range(0, i.size, step)
-    ]))
-    first, second = np.divmod(codes, len(reps))
-    return max(0.0, max_violation(scores, first, second, 0.0).worst)
+    # over the ordered rewiring pairs, each of which lists its reverse
+    table = LawTable(scores, capped_row)
+    return max(0.0, max_violation(table, *rewiring_pairs(n), 0.0).worst)
 
 
 # -- full pipeline -----------------------------------------------------------------

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import __version__
 from .audits import (
-    BITSTRING_AUDIT_MAX_BITS,
     PAIR_AUDIT_MAX_N,
+    PAIR_ROWS_MAX_N,
     audit_bitstring_reduction,
     audit_block_mechanism,
     audit_density_mechanism,
@@ -51,7 +52,7 @@ from .graphons import (
     two_clique_graphon,
     StepGraphon,
 )
-from .graphs import LabeledGraph, graph_space_size
+from .graphs import LabeledGraph
 from .mechanisms import check_table_size
 from .rng import substream
 
@@ -76,21 +77,37 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require(ok: bool, option: str, rule: str, value) -> None:
+    """Refuse an option's value by its name."""
+    if not ok:
+        raise ValueError(f"{option} must {rule}, got {value}")
+
+
+def _check_rewired(n: int, m: int, k: int) -> None:
+    """Refuse a rewired G(n, m) request before sampling: stage one draws
+    m + k of the C(n, 2) slots."""
+    _require(min(m, k) >= 0, "--m and --k", "be at least 0", f"{m} and {k}")
+    slots = n * (n - 1) // 2
+    _require(m + k <= slots, "--m + --k", f"be at most C(n,2) = {slots}", f"{m} + {k}")
+
+
 def _cmd_sample(args) -> int:
+    _require(args.n >= 0, "--n", "be at least 0", args.n)
     rng = substream(args.seed, "cli-sample", args.model)
     if args.model == "gnp":
         g = sample_gnp(args.n, args.p, rng)
     elif args.model == "gnm":
         g = sample_gnm(args.n, args.m, rng)
     elif args.model == "gnm-rewired":
+        _check_rewired(args.n, args.m, args.k)
         g = sample_gnm_rewired(args.n, args.m, args.k, rng)
     elif args.model == "two-clique":
-        g = sample_w_random(two_clique_graphon(args.q), args.rho, args.n, rng).graph
+        g = sample_w_random(two_clique_graphon(args.q), args.w_rho, args.n, rng).graph
     else:  # wrandom, 2x2 symmetric block truth
         w = StepGraphon.equal_blocks(
             [[args.b_diag, args.b_off], [args.b_off, args.b_diag]]
         )
-        g = sample_w_random(w, args.rho, args.n, rng).graph
+        g = sample_w_random(w, args.w_rho, args.n, rng).graph
     text = g.to_hex() + "\n" if args.format == "hex" else g.to_edge_list_text()
     _emit(text, args.out)
     return 0
@@ -120,8 +137,7 @@ def _cmd_estimate_density(args) -> int:
 def _check_k(k: int, n: int) -> None:
     """Refuse a block count the graph's order cannot hold, before any
     candidate grid or equipartition is built."""
-    if not 1 <= k <= n:
-        raise ValueError(f"--k must be between 1 and the graph's order n = {n}, got {k}")
+    _require(1 <= k <= n, "--k", f"be between 1 and the graph's order n = {n}", k)
 
 
 def _cmd_estimate_blocks(args) -> int:
@@ -151,52 +167,48 @@ def _cmd_estimate_blocks(args) -> int:
     return 0
 
 
-def _grid(lo: float, hi: float, points: int, inputs: int) -> np.ndarray:
-    """np.linspace(lo, hi, points), once points is at least 1 and the audit's
-    table of one row per input over these points is known to fit under
+def _grid(lo: float, hi: float, points: int, rows: int) -> np.ndarray:
+    """np.linspace(lo, hi, points), once points is at least 1 and a table of
+    the given rows over these points is known to fit under
     AUDIT_TABLE_BYTES."""
-    if points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {points}")
-    check_table_size(inputs, points, "--grid-points")
+    _require(points >= 1, "--grid-points", "be at least 1", points)
+    check_table_size(rows, points, "--grid-points")
     return np.linspace(lo, hi, points)
 
 
 def _cmd_audit_dp(args) -> int:
     collect = bool(args.out)
-    # graphs on n vertices; the audits refuse n > PAIR_AUDIT_MAX_N themselves
-    inputs = graph_space_size(min(args.n, PAIR_AUDIT_MAX_N))
-    if args.mechanism == "laplace":
-        report = audit_density_mechanism(
-            lambda g: laplace_density_mechanism(g, args.epsilon),
-            args.n,
-            args.epsilon,
-            _grid(*LAPLACE_GRID, args.grid_points, inputs),
-            name="laplace-baseline",
-            collect_rows=collect,
+    if collect and args.n > PAIR_ROWS_MAX_N:
+        raise ResourceLimitError(
+            f"--out writes a CSV row per rewiring pair, so it is limited to --n <= "
+            f"{PAIR_ROWS_MAX_N}, got {args.n}"
         )
-    elif args.mechanism == "extended":
-        cfg = HomogeneityConfig(rho=args.rho, C=args.C, n=args.n)
-        mech = extended_density_mechanism(args.n, args.epsilon, cfg)
-        report = audit_density_mechanism(
-            mech,
-            args.n,
-            args.epsilon,
-            _grid(0.0, 1.0, args.grid_points, inputs),
-            name="extended-density",
-            collect_rows=collect,
-        )
-    else:  # blocks: the selection stage, audited at the eps/2 it spends
+    if args.mechanism == "blocks":  # the selection stage, audited at the eps/2 it spends
         _check_k(args.k, args.n)
         # stage 1 releases densities clamped to [1/n^2, 1] only
-        if not 1.0 / args.n**2 <= args.rho_hat <= 1.0:
-            raise ValueError(
-                f"--rho-hat must lie in [1/n^2, 1] = [{1.0 / args.n**2:.6g}, 1] at n = "
-                f"{args.n}, got {args.rho_hat}"
-            )
+        low = 1.0 / args.n**2
+        rule = f"lie in [1/n^2, 1] = [{low:.6g}, 1] at n = {args.n}"
+        _require(low <= args.rho_hat <= 1.0, "--rho-hat", rule, args.rho_hat)
         cfg = EstimatorConfig(
             epsilon=args.epsilon, lam=args.lam, k=args.k, sensitivity_mode="audited"
         )
         report = audit_block_mechanism(args.n, args.rho_hat, cfg, args.epsilon / 2.0, collect)
+    else:
+        extended = args.mechanism == "extended"
+        least = 3 if extended else 2  # HomogeneityConfig starts at n = 3
+        _require(args.n >= least, "--n", f"be at least {least}", args.n)
+        if extended:
+            cfg = HomogeneityConfig(rho=args.rho, C=args.C, n=args.n)
+            mech = extended_density_mechanism(args.n, args.epsilon, cfg)
+            # its laws are counted inside the audit, which refuses their table
+            grid = _grid(0.0, 1.0, args.grid_points, 1)
+        else:
+            mech = partial(laplace_density_mechanism, epsilon=args.epsilon)
+            # one law per edge count; the audit refuses n > PAIR_AUDIT_MAX_N itself
+            laws = math.comb(min(args.n, PAIR_AUDIT_MAX_N), 2) + 1
+            grid = _grid(*LAPLACE_GRID, args.grid_points, laws)
+        name = "extended-density" if extended else "laplace-baseline"
+        report = audit_density_mechanism(mech, args.n, args.epsilon, grid, name, collect)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_csv())
@@ -298,6 +310,7 @@ def _cmd_experiment_mse(args) -> int:
 
 
 def _cmd_experiment_coupling(args) -> int:
+    _check_rewired(args.n, args.m, args.k)
     report = run_distinguishability_experiment(
         args.n, args.m, args.k, args.trials, args.seed
     )
@@ -314,13 +327,13 @@ def _cmd_experiment_homogeneity(args) -> int:
 
 
 def _cmd_experiment_reduction(args) -> int:
-    # bit strings; the audit refuses more than BITSTRING_AUDIT_MAX_BITS itself
-    inputs = 1 << min(args.n_bits, BITSTRING_AUDIT_MAX_BITS)
+    _require(args.n_bits >= 2, "--n-bits", "be at least 2", args.n_bits)
+    # its laws are counted inside the audit, which refuses their table
     report = audit_bitstring_reduction(
         lambda g: laplace_density_mechanism(g, args.epsilon),
         args.n_bits,
         args.epsilon,
-        _grid(*LAPLACE_GRID, args.grid_points, inputs),
+        _grid(*LAPLACE_GRID, args.grid_points, 1),
     )
     print(
         f"bits={report.n} epsilon={report.epsilon} pairs={report.pairs_checked} "
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--q", type=float, default=0.25)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", dest="w_rho", type=float, default=1.0)
     p.add_argument("--b-diag", type=float, default=0.8)
     p.add_argument("--b-off", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
@@ -445,8 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options the library refuses out of range too, checked here first so that
+# the message names the option: (option, attribute, rule, test).  --rho is
+# the homogeneity set's density cap wherever it is stored as rho.
+_OPTION_RULES = (
+    ("--epsilon", "epsilon", "be a positive finite real", lambda v: 0 < v < math.inf),
+    ("--rho", "rho", "lie in (0, 1]", lambda v: 0 < v <= 1),
+    ("--C", "C", "exceed 48", lambda v: v > 48),
+    ("--lambda", "lam", "be at least 1", lambda v: v >= 1),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for option, attribute, rule, ok in _OPTION_RULES:
+        if hasattr(args, attribute):
+            _require(ok(getattr(args, attribute)), option, rule, getattr(args, attribute))
     return args.func(args)
 
 

@@ -35,7 +35,7 @@ from .mechanisms import (
 )
 
 EXACT_SUBSET_SCAN_MAX_N = 16
-EXACT_EXTENSION_MAX_N = 5
+EXACT_EXTENSION_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,14 @@ def extended_density_mechanism(
 
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
-    Enumerates the full graph space, so n <= 5.  H comes from each graph
-    index's edge count (homogeneity_by_index).  At n = 5 (638 graphs in H,
-    6 base laws) its 1,024 inputs have 22 distinct distance rows, and it
-    builds all 22 laws when it is built, in about 3.4 ms on one core of a
-    2-core Xeon; evaluating an input is then a graph index, one product
-    with the order's slot weights, and a table lookup, about 2.3 us.
+    Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N = 6.  H
+    comes from each graph index's edge count (homogeneity_by_index).  At
+    n = 5 (638 graphs in H, 6 base laws) its 1,024 inputs have 22 distinct
+    distance rows, and it builds all 22 laws when it is built, in about
+    3.4 ms on one core of a 2-core Xeon; at n = 6 (16,384 in H, 8 base
+    laws) 32,768 inputs share 51 laws, built in about 75 ms, mostly the
+    distance table.  Evaluating an input is then a graph index, one product
+    with the order's slot weights, and a table lookup, about 2.2 us.
     """
     eps = _check_epsilon(epsilon)
     in_h = homogeneity_by_index(n, cfg)
@@ -311,7 +313,7 @@ def extended_density_estimator(
     cfg: HomogeneityConfig,
     rng: np.random.Generator,
 ) -> DensityEstimate:
-    """Sample the materialized extension: eps-node-DP on every graph, n <= 5.
+    """Sample the materialized extension: eps-node-DP on every graph, n <= 6.
     Larger n takes the promise release, restricted_density_estimator."""
     eps = _check_epsilon(epsilon)
     return DensityEstimate(

@@ -533,26 +533,26 @@ def extend_mechanism(
     return lambda x: laws[row_of[x]]
 
 
-# Bytes an audit's [inputs, columns] float64 table of log densities, log pmfs
-# or scores may take: 256 MiB, 32 times the 1,024 x 1,000 table of an n = 5
-# audit on the command line's default grid.
+# Bytes an audit's float64 table of log densities, log pmfs or scores may
+# take, a row per law it holds: 256 MiB, about 650 times the 51 x 1,000
+# table of the n = 6 extension audit on the command line's default grid.
 AUDIT_TABLE_BYTES = 256 * 2**20
 
 
-def check_table_size(inputs: int, columns: int, what: str) -> None:
-    """Refuse an [inputs, columns] float64 table over AUDIT_TABLE_BYTES;
-    what names the columns in the message."""
-    size = 8 * inputs * columns
+def check_table_size(rows: int, columns: int, what: str) -> None:
+    """Refuse a [rows, columns] float64 table over AUDIT_TABLE_BYTES; what
+    names the columns in the message."""
+    size = 8 * rows * columns
     if size > AUDIT_TABLE_BYTES:
         raise ResourceLimitError(
-            f"{inputs} inputs x {columns} {what} take a {size}-byte table, over the "
+            f"{rows} rows x {columns} {what} take a {size}-byte table, over the "
             f"cap of {AUDIT_TABLE_BYTES} bytes"
         )
 
 
-def fill_table(rows: Iterable, inputs: int, what: str) -> np.ndarray:
-    """The [R, T] float64 table of the given rows, at most inputs of them.
-    The first row fixes T, and an [inputs, T] table is refused by
+def fill_table(rows: Iterable, count: int, what: str) -> np.ndarray:
+    """The [R, T] float64 table of the given rows, at most count of them.
+    The first row fixes T, and a [count, T] table is refused by
     check_table_size before it is allocated; a row of another length raises
     ValueError."""
     table = None
@@ -560,18 +560,26 @@ def fill_table(rows: Iterable, inputs: int, what: str) -> np.ndarray:
     for r, row in enumerate(rows):
         row = np.asarray(row, dtype=float)
         if table is None:
-            check_table_size(inputs, row.size, what)
-            table = np.empty((inputs, row.size))
+            check_table_size(count, row.size, what)
+            table = np.empty((count, row.size))
         elif row.shape != table.shape[1:]:
             raise ValueError("candidate lists differ across inputs")
         table[r] = row
     return table[: r + 1]
 
 
-# Bytes one chunk of max_violation's [pairs, T] gap array may take.  The
-# kernel walks its distinct law pairs in chunks of this size, so memory stays
-# bounded whatever the pair and column counts are.
+# Bytes one chunk of max_violation's pair codes or [pairs, T] gaps may take,
+# so that its memory stays bounded whatever the pair and column counts are.
 _AUDIT_CHUNK_BYTES = 16 * 2**20
+
+
+class LawTable(NamedTuple):
+    """The output laws of an audit's inputs: rows [R, T], log densities on a
+    grid or log pmfs over candidates, and law_of [inputs], the row of each
+    input.  Inputs that share a row share a law; rows need not differ."""
+
+    rows: np.ndarray
+    law_of: np.ndarray
 
 
 class Violation(NamedTuple):
@@ -606,54 +614,64 @@ def _row_laws(logs: np.ndarray) -> np.ndarray:
     return ids
 
 
-def max_violation(logs, first, second, epsilon: float, collect_rows: bool = False) -> Violation:
+def max_violation(table, first, second, epsilon: float, collect_rows: bool = False) -> Violation:
     """Worst privacy gap log p_i[t] - log p_j[t] - epsilon over the pairs
-    (i, j) = (first[s], second[s]) and columns t.
+    (i, j) = (first[s], second[s]) of inputs and columns t, given a
+    LawTable or a [P, T] table with one row per input.  Each pair reports
+    its first maximizing column, and the witness is the first maximum in
+    pair order, then column order; a NaN gap is never a witness.  A
+    nonpositive worst gap (within tolerance) certifies the bound epsilon.
 
-    logs is [P, T]: log densities on a grid or log pmfs over candidates, one
-    row per input.  Each pair reports its first maximizing column, and the
-    witness is the first maximum in pair order, then column order; a NaN gap
-    is never a witness.  A nonpositive worst gap (within tolerance)
-    certifies the bound epsilon on every listed pair.
-
-    Rows with the same bytes give the same gaps, so each distinct pair of
-    row laws is compared once, at its first pair, and every pair reports
-    what its law pair gave: the 66,560 rewiring pairs of the n = 5 Laplace
-    audit are 77 law pairs.
+    Rows with the same bytes give the same gaps, so the inputs whose rows
+    have the same bytes share a law (_row_laws hashes the R rows, not the
+    inputs), and each distinct pair of laws is compared once, at its first
+    pair, found in chunks of pairs by a table of all law pairs where it is
+    no larger than the pair list, else by np.unique: the 66,560 rewiring
+    pairs of the n = 5 Laplace audit are 77 law pairs.
     """
-    logs = np.asarray(logs, dtype=float)
+    if not isinstance(table, LawTable):
+        table = LawTable(table, np.arange(len(table)))
+    logs = np.asarray(table.rows, dtype=float)
+    law_of = np.asarray(table.law_of, dtype=np.intp)
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")
     if logs.ndim != 2 or logs.shape[1] == 0:
-        raise ValueError("logs must be [P, T] with T >= 1 grid points or outputs")
-    laws = _row_laws(logs)
+        raise ValueError("rows must be [R, T] with T >= 1 grid points or outputs")
+    if law_of.ndim != 1 or ((law_of < 0) | (law_of >= len(logs))).any():
+        raise ValueError("law_of must give each input a row of the table")
+    # a row's law is the first row with its bytes, numbered densely, so that
+    # a law pair is one integer; gaps are taken between the given rows
+    laws = _row_laws(logs)[law_of]
     count = int(laws.max(initial=-1)) + 1
 
     def law_pairs(lo=0, hi=None):
         """The law pair of each of the pairs lo..hi, as one integer."""
         return laws[first[lo:hi]] * count + laws[second[lo:hi]]
 
-    # at[u] is the first pair of the u-th distinct law pair, in law-pair order
+    # codes[u] is the u-th distinct law pair, in increasing order, and at[u]
+    # its first pair
+    step = max(1, _AUDIT_CHUNK_BYTES // 32)
+    starts = range(0, max(first.size, 1), step)
     if count * count <= first.size:
-        # a table of first pairs by law pair, no larger than the pair list,
-        # filled in chunks of pairs
-        at = np.full(count * count, first.size)
-        step = max(1, _AUDIT_CHUNK_BYTES // 8)
-        for lo in range(0, first.size, step):
+        at = np.full(count * count, first.size, dtype=np.min_scalar_type(first.size))
+        for lo in starts:
             codes = law_pairs(lo, lo + step)
-            np.minimum.at(at, codes, np.arange(lo, lo + codes.size))
-        at = at[at < first.size]
-    else:
-        at = np.unique(law_pairs(), return_index=True)[1]
+            np.minimum.at(at, codes, np.arange(lo, lo + codes.size, dtype=at.dtype))
+        codes = np.flatnonzero(at < first.size)
+        at = at[codes].astype(np.intp)
+    else:  # each chunk's distinct law pairs, then the first of each of those
+        parts = [np.unique(law_pairs(lo, lo + step), return_index=True) for lo in starts]
+        codes, keep = np.unique(np.concatenate([c for c, _ in parts]), return_index=True)
+        at = np.concatenate([lo + i for lo, (_, i) in zip(starts, parts)])[keep]
     step = max(1, _AUDIT_CHUNK_BYTES // (8 * logs.shape[1]))
     t = np.empty(at.size, dtype=np.intp)
     pair_gap = np.empty(at.size)
     ratio = np.empty(at.size)
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        i, j = first[at[part]], second[at[part]]
+        i, j = law_of[first[at[part]]], law_of[second[at[part]]]
         gaps = logs[i]
         gaps -= logs[j]
         gaps -= epsilon
@@ -671,8 +689,7 @@ def max_violation(logs, first, second, epsilon: float, collect_rows: bool = Fals
             worst, witness = float(ranked[u]), (int(first[at[u]]), int(second[at[u]]), int(t[u]))
     rows = ()
     if collect_rows and first.size:
-        codes = law_pairs()
-        back = np.searchsorted(codes[at], codes)  # each pair's place in at
+        back = np.searchsorted(codes, law_pairs())  # each pair's place in at
         columns = (t[back], ratio[back], np.full(first.size, float(epsilon)), pair_gap[back])
         rows = tuple(zip(first.tolist(), second.tolist(), *(c.tolist() for c in columns)))
     return Violation(worst, first.size, witness, rows)

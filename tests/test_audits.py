@@ -9,6 +9,7 @@ import pytest
 import nodedp.block_estimator as block_estimator
 from nodedp.audits import (
     AUDIT_TOLERANCE,
+    _law_table,
     audit_bitstring_reduction,
     audit_block_mechanism,
     audit_density_mechanism,
@@ -74,7 +75,7 @@ def test_audit_detects_intentionally_broken_scale():
 def test_audit_density_guard():
     with pytest.raises(ResourceLimitError):
         audit_density_mechanism(
-            lambda g: laplace_density_mechanism(g, 1.0), 6, 1.0, GRID
+            lambda g: laplace_density_mechanism(g, 1.0), 7, 1.0, GRID
         )
 
 
@@ -481,14 +482,14 @@ def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):
     monkeypatch.setattr(block_estimator, "_best_scores_bulk", unreachable)
     monkeypatch.setattr(block_estimator, "measured_score_sensitivity", unreachable)
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=3, sensitivity_mode="audited")
-    with pytest.raises(ResourceLimitError, match="64 inputs x 531441 candidates"):
+    with pytest.raises(ResourceLimitError, match="64 rows x 531441 candidates"):
         audit_block_mechanism(4, 1.0, cfg, 0.5)
 
 
-def test_pairwise_audits_refuse_n6():
+def test_pairwise_audits_refuse_n7():
     with pytest.raises(ResourceLimitError, match="pairwise audits"):
         audit_density_mechanism(
-            lambda g: laplace_density_mechanism(g, 1.0), 6, 1.0, GRID
+            lambda g: laplace_density_mechanism(g, 1.0), 7, 1.0, GRID
         )
 
 
@@ -503,23 +504,71 @@ def test_finite_and_bitstring_audits_refuse_above_their_limits():
 
 
 def test_an_oversized_audit_table_is_refused_after_its_first_row():
-    # 1,024 graphs x 40,000 grid points: a 328 MB table, over the cap
-    calls = []
+    # 1,024 graphs, each given its own law object, x 40,000 grid points: a
+    # 328 MB law table, over the cap
+    filled = []
 
-    def mechanism(g):
-        calls.append(g)
-        return laplace_density_mechanism(g, 1.0)
+    class Law:
+        def __init__(self, g):
+            self.base = laplace_density_mechanism(g, 1.0)
+
+        def log_pdf(self, q):
+            filled.append(self)
+            return self.base.log_pdf(q)
 
     grid = np.linspace(-1.0, 2.0, 40_000)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="a 327680000-byte table"):
-            audit_density_mechanism(mechanism, 5, 1.0, grid)
+        with pytest.raises(ResourceLimitError, match="1024 rows x 40000 grid points take a "
+                                                     "327680000-byte table"):
+            audit_density_mechanism(Law, 5, 1.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == 1
+    assert len(filled) == 1
     assert peak < AUDIT_TABLE_BYTES / 64
+
+
+def test_laplace_and_extension_certificates_n6_in_bounded_memory():
+    """n = 6: 32,768 graphs and 5,603,328 ordered rewiring pairs on the
+    command line's 1,000-point grids, each audit a table of its laws."""
+    laplace_grid, unit = np.linspace(-1.0, 2.0, 1000), np.linspace(0.0, 1.0, 1000)
+    tracemalloc.start()
+    try:
+        laplace = audit_density_mechanism(
+            lambda g: laplace_density_mechanism(g, 1.0), 6, 1.0, laplace_grid
+        )
+        extended = extended_density_mechanism(6, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=6))
+        extension = audit_density_mechanism(extended, 6, 1.0, unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert laplace.passed() and extension.passed()
+    assert laplace.pairs_checked == extension.pairs_checked == 5603328
+    assert abs(laplace.max_violation + 0.5) <= 1e-12
+    assert laplace.witness == (1, 3619, float(laplace_grid[1]))
+    assert round(extension.max_violation, 5) == -0.99195
+    assert peak < 256 * 2**20
+
+
+def test_per_pair_rows_are_refused_at_n6_before_any_law():
+    def never_called(g):
+        raise AssertionError("mechanism built before the row guard")
+
+    with pytest.raises(ResourceLimitError, match="per-pair audit rows limited to n <= 5"):
+        audit_density_mechanism(never_called, 6, 1.0, GRID, collect_rows=True)
+
+
+def test_value_keyed_laws_give_every_graph_its_own_row_bytes():
+    # LaplaceDensity is keyed by value, so the graphs of one edge count share
+    # a row, and that row holds each one's own log density, bit for bit
+    for n in (2, 3, 4, 5):
+        for epsilon in (1.0, 0.25):
+            laws = [laplace_density_mechanism(g, epsilon) for g in all_graphs(n)]
+            table = _law_table(laws, GRID)
+            assert len(table.rows) == math.comb(n, 2) + 1
+            for law, row in zip(laws, table.law_of.tolist()):
+                assert law.log_pdf(GRID).tobytes() == table.rows[row].tobytes()
 
 
 def test_finite_audit_refuses_candidate_lists_of_unequal_length():

@@ -346,9 +346,10 @@ def test_audit_dp_blocks_emits_per_pair_csv(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, table_bytes",
     [
-        # 1,024 graphs x 10^6 grid points, refused before the grid is built
-        (["audit", "dp", "--mechanism", "laplace", "--n", "5", "--grid-points", "1000000"],
-         8 * 1024 * 10**6),
+        # 11 laws (one per edge count) x 4 * 10^6 grid points, refused
+        # before the grid is built
+        (["audit", "dp", "--mechanism", "laplace", "--n", "5", "--grid-points", "4000000"],
+         8 * 11 * 4 * 10**6),
         # 1,024 capped graphs x 81^3 candidates, refused after the first row
         (["audit", "sensitivity", "--n", "5", "--k", "2", "--d", "4", "--mu", "16"],
          8 * 1024 * 81**3),
@@ -459,6 +460,59 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.splitlines() == [message.format(path=path)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "dp", "--mechanism", "laplace", "--n", "1"], "--n must be at least 2, got 1"),
+        (["audit", "dp", "--mechanism", "laplace", "--n", "0"], "--n must be at least 2, got 0"),
+        (["experiment", "reduction", "--n-bits", "1"], "--n-bits must be at least 2, got 1"),
+        (["experiment", "reduction", "--n-bits", "0"], "--n-bits must be at least 2, got 0"),
+        (["audit", "dp", "--mechanism", "extended", "--n", "2"], "--n must be at least 3, got 2"),
+        (["sample", "--model", "gnp", "--n", "-3"], "--n must be at least 0, got -3"),
+        (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--epsilon", "0"],
+         "--epsilon must be a positive finite real, got 0.0"),
+        (["experiment", "reduction", "--epsilon", "nan"],
+         "--epsilon must be a positive finite real, got nan"),
+        (["audit", "dp", "--mechanism", "extended", "--n", "3", "--rho", "2"],
+         "--rho must lie in (0, 1], got 2.0"),
+        (["audit", "dp", "--mechanism", "extended", "--n", "3", "--C", "10"],
+         "--C must exceed 48, got 10.0"),
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--lambda", "0.5"],
+         "--lambda must be at least 1, got 0.5"),
+        (["experiment", "homogeneity", "--n", "6", "--p", "0.3", "--rho", "0"],
+         "--rho must lie in (0, 1], got 0.0"),
+        # formerly "m=11 out of range [0, 3]" and "m=4 out of range [0, 3]":
+        # m + k reported as m, refused after sampling began
+        (["experiment", "coupling", "--n", "3", "--m", "10", "--k", "1"],
+         "--m + --k must be at most C(n,2) = 3, got 10 + 1"),
+        (["experiment", "coupling", "--n", "3", "--m", "3", "--k", "1"],
+         "--m + --k must be at most C(n,2) = 3, got 3 + 1"),
+        (["sample", "--model", "gnm-rewired", "--n", "3", "--m", "3", "--k", "1"],
+         "--m + --k must be at most C(n,2) = 3, got 3 + 1"),
+    ],
+    ids=["laplace-n1", "laplace-n0", "reduction-1-bit", "reduction-0-bits", "extended-n2",
+         "sample-negative-n", "zero-epsilon", "nan-epsilon", "rho-above-1", "small-C",
+         "lambda-below-1", "homogeneity-zero-rho", "coupling-m-plus-k", "coupling-m-at-slots",
+         "sample-rewired-m-plus-k"],
+)
+def test_out_of_range_options_are_refused_by_name(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"nodedp: error: {message}"]
+
+
+def test_per_pair_csv_is_refused_at_n6_before_any_audit(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    argv = ["audit", "dp", "--mechanism", "laplace", "--n", "6", "--out", str(out)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "nodedp: refused: --out writes a CSV row per rewiring pair, so it is limited to "
+        "--n <= 5, got 6"
+    ]
+    assert not out.exists()
 
 
 def _planted_edge_list(n, k, seed):

@@ -347,6 +347,31 @@ def test_extended_law_tables_are_pinned_at_every_n5_input():
     assert digest.hexdigest() == EXTENDED_N5_TABLES_SHA256
 
 
+# SHA-256 over the same bytes, as the two digests above, at every n = 6
+# input (rho 0.5, C 49, eps 1): 51 laws.  Recorded when the exact range
+# reached n = 6; the build before it, with its cap lifted, gives the same
+# digests.
+EXTENDED_N6_SHA256 = "ff92d7301c80ae92dd1b7434e38b3b868e3cc1b6f1152600a0f1850ce863cd49"
+EXTENDED_N6_TABLES_SHA256 = "7d3dd3c2d3866eba6d6eb5f5134524965fdbb6806d31ced5654f17df30a9772f"
+
+
+def test_extended_law_bytes_and_tables_are_pinned_at_every_n6_input():
+    mech = extended_density_mechanism(6, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=6))
+    shapes, tables = hashlib.sha256(), hashlib.sha256()
+    laws = set()
+    for g in all_graphs(6):
+        dens = mech(g)
+        laws.add(id(dens))
+        shapes.update(dens.shape.xs.tobytes())
+        shapes.update(dens.shape.ys.tobytes())
+        shapes.update(np.float64(dens.log_normalizer).tobytes())
+        for a in (dens._h0, dens._beta, dens._cum):
+            tables.update(a.tobytes())
+    assert len(laws) == 51
+    assert shapes.hexdigest() == EXTENDED_N6_SHA256
+    assert tables.hexdigest() == EXTENDED_N6_TABLES_SHA256
+
+
 def _law_bytes(dens):
     arrays = (dens.shape.xs, dens.shape.ys, dens._h0, dens._beta, dens._cum)
     return [a.tobytes() for a in arrays] + [np.float64(dens.log_normalizer).tobytes()]

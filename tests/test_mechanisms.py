@@ -22,6 +22,7 @@ from nodedp.graphs import all_graphs, cover_table, edge_density
 from nodedp.mechanisms import (
     FiniteMechanism,
     LaplaceDensity,
+    LawTable,
     PiecewiseExpDensity,
     PiecewiseLinear,
     exponential_mechanism_distribution,
@@ -454,7 +455,7 @@ def test_extension_is_twice_epsilon_dp():
 def test_extension_promise_mode_and_guards():
     # past the exact range the extension is refused before any table exists
     with pytest.raises(ResourceLimitError, match="promise mode"):
-        extended_density_mechanism(6, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=6))
+        extended_density_mechanism(7, 1.0, HomogeneityConfig(rho=0.5, C=49.0, n=7))
     with pytest.raises(ValueError):  # H empty: no base law, no column
         extend_mechanism([], np.zeros((2, 0), dtype=int), 1.0)
     with pytest.raises(ValueError):  # one column per base law
@@ -664,28 +665,44 @@ def test_max_violation_over_repeated_rows_matches_pair_loop(chunk_bytes, monkeyp
     first = rng.integers(0, 40, size=500)
     second = rng.integers(0, 40, size=500)  # may equal first
     worst, witness, rows = _pair_loop(logs, first, second, eps)
-    v = max_violation(logs, first, second, eps, collect_rows=True)
-    assert (v.worst, v.pairs, v.witness) == (worst, 500, witness)
-    assert _bits(v.rows) == _bits(rows)
     assert len({(law[i], law[j]) for i, j, *_, gap in rows if gap == worst}) >= 2
-    assert max_violation(logs, first, second, eps)[:3] == (worst, 500, witness)
+    # the raw table, and LawTables of the same inputs: one row per law; two
+    # copies of each law, each input taking either; one row per input.  Ids
+    # finer than the bytes give the same audit; the last one's 1,600 law
+    # pairs outnumber the pairs, so its law pairs are found by a sort
+    laws = np.concatenate([base, base[:2] + 1.0])
+    copy = rng.integers(0, 2, size=40)
+    tables = [logs, LawTable(laws, law), LawTable(np.concatenate([laws, laws]), law + 5 * copy),
+              LawTable(logs, np.arange(40))]
+    for table in tables:
+        v = max_violation(table, first, second, eps, collect_rows=True)
+        assert (v.worst, v.pairs, v.witness) == (worst, 500, witness)
+        assert _bits(v.rows) == _bits(rows)
+        assert max_violation(table, first, second, eps)[:3] == (worst, 500, witness)
 
 
-def test_rows_differing_in_a_zero_sign_or_a_nan_payload_are_different_laws():
+def test_rows_differing_in_a_zero_sign_or_a_nan_payload_are_different_laws(monkeypatch):
     payload = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
     logs = np.array(
         [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [payload[0], 1.0], [payload[1], 1.0],
          [payload[0], 1.0]]
     )
     assert mechanisms._row_laws(logs).tolist() == [0, 1, 0, 2, 3, 2]
-    # merging equal-as-float rows would change the bits reported for a pair
+    # merging equal-as-float rows would change the bits reported for a pair;
+    # the raw table, a compact LawTable and one with a row per input agree
     first = np.array([0, 1, 0, 2, 3, 4, 5, 4])
     second = np.array([1, 0, 2, 0, 4, 3, 4, 0])
     _, _, rows = _pair_loop(logs, first, second, 0.0)
-    with np.errstate(invalid="ignore"):
-        v = max_violation(logs, first, second, 0.0, collect_rows=True)
-    assert _bits(v.rows) == _bits(rows)
-    assert _bits([v.rows[0][3:4], v.rows[1][3:4]]) == _bits([(0.0,), (-0.0,)])
+    tables = [logs, LawTable(logs[[0, 1, 3, 4]], np.array([0, 1, 0, 2, 3, 2])),
+              LawTable(logs, np.arange(6))]
+    for chunk_bytes in (None, 1, 4096):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(mechanisms, "_AUDIT_CHUNK_BYTES", chunk_bytes)
+        for table in tables:
+            with np.errstate(invalid="ignore"):
+                v = max_violation(table, first, second, 0.0, collect_rows=True)
+            assert _bits(v.rows) == _bits(rows)
+            assert _bits([v.rows[0][3:4], v.rows[1][3:4]]) == _bits([(0.0,), (-0.0,)])
 
 
 def test_max_violation_makes_no_copy_of_its_table():
