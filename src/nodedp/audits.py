@@ -38,8 +38,9 @@ PAIR_AUDIT_MAX_N = 6
 PAIR_ROWS_MAX_N = 5
 # The finite audit builds one mechanism per graph, 64 at n = 4, and the
 # block audit one block_laws table with a row per graph of the
-# all_adjacencies stack, capped by one batched degree_cap: about 1.5 ms at
-# k = 2, rho_hat = 0.5 in audited mode, its measured sensitivity included.
+# all_adjacencies stack, in audited mode read from the measured
+# sensitivity's table, which capped and scored each graph once: about
+# 1.0-1.2 ms at k = 2, rho_hat = 0.5, that sensitivity included.
 FINITE_AUDIT_MAX_N = 4
 # The bit-string audit builds one mechanism per string: 64 at 6 bits.
 BITSTRING_AUDIT_MAX_BITS = 6
@@ -171,7 +172,7 @@ class SensitivityReport:
 def audit_score_sensitivity(n: int, k: int, d: int, mu: float) -> SensitivityReport:
     """Measure the exact worst-case change of the degree-capped best score
     over adjacent pairs and compare against 4 d mu / n^2."""
-    measured = measured_score_sensitivity(n, k, mu, d)
+    measured = measured_score_sensitivity(n, k, mu, d).delta
     return SensitivityReport(
         n=n,
         k=k,

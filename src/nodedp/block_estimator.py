@@ -312,6 +312,16 @@ def candidate_count(n: int, k: int, mu: float) -> int:
     return (_top_level(n, mu) + 1) ** (k * (k + 1) // 2)
 
 
+def _checked_candidate_count(n: int, k: int, mu: float) -> int:
+    """candidate_count(n, k, mu), refused over CANDIDATE_BUDGET."""
+    total = candidate_count(n, k, mu)
+    if total > CANDIDATE_BUDGET:
+        raise ResourceLimitError(
+            f"candidate set has {total} matrices, over the budget of {CANDIDATE_BUDGET}"
+        )
+    return total
+
+
 def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
     """All symmetric k x k matrices B with entries in {0, 1/n, ..., floor(n mu)/n},
     as integer levels L = n B [C, T] in the smallest unsigned dtype, on the
@@ -319,11 +329,7 @@ def candidate_matrices(n: int, k: int, mu: float) -> np.ndarray:
     lexicographically over the coordinates; only the released candidate
     becomes a matrix (_level_matrix).
     """
-    total = candidate_count(n, k, mu)
-    if total > CANDIDATE_BUDGET:
-        raise ResourceLimitError(
-            f"candidate set has {total} matrices, over the budget of {CANDIDATE_BUDGET}"
-        )
+    _checked_candidate_count(n, k, mu)
     count, t = _top_level(n, mu) + 1, k * (k + 1) // 2  # levels, coordinates
     return np.indices((count,) * t, dtype=np.min_scalar_type(count - 1)).reshape(t, -1).T
 
@@ -344,34 +350,52 @@ def theoretical_sensitivity(n: int, d: float, mu: float) -> float:
 
 
 # Largest order whose graphs measured_score_sensitivity enumerates: 2^15
-# graphs at n = 6, capped in one batch, about 0.25 s at k = 2, mu = 0.6,
+# graphs at n = 6, capped in one batch, about 0.12 s at k = 2, mu = 0.6,
 # d = 2 on one core of a 2-core Xeon.
 SENSITIVITY_AUDIT_MAX_N = 6
 
 
+class ScoreTable(NamedTuple):
+    """The audited selection stage's scores at one (n, k, mu, d): every graph
+    of order n capped at degree d and scored on the candidate grid.  Its
+    arrays are read-only."""
+
+    levels: np.ndarray  # [C, T] candidate levels
+    # rows [U, C]: best score per distinct capped graph and candidate;
+    # law_of [2^C(n,2)]: the row of each graph index
+    scores: LawTable
+    distinct_rows: np.ndarray  # [U] distinct count matrices among each row's partitions
+    delta: float  # exhaustive max of |s_G - s_G'| over adjacent G, G'
+
+
 @lru_cache(maxsize=64)
-def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> float:
-    """Exhaustive max over candidates and adjacent graph pairs of the change
-    in the degree-capped best score.  Exact, so calibrating the exponential
-    mechanism to this value yields exact DP at the audited order.  The
-    all_adjacencies stack is capped by one degree_cap call, and the capped
-    graphs, named by their graph_indices, are the laws of one LawTable: a
-    row of best scores per distinct capped graph."""
+def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> ScoreTable:
+    """The ScoreTable at (n, k, mu, d), whose delta is the exhaustive max over
+    candidates and adjacent graph pairs of the change in the degree-capped
+    best score.  Exact, so calibrating the exponential mechanism to this
+    value yields exact DP at the audited order.  The all_adjacencies stack
+    is capped by one degree_cap call, and the capped graphs, named by their
+    graph_indices, are scored once each by one _best_scores_bulk call: the
+    laws of one LawTable.  Audited block_laws reads its graphs' scores from
+    this table."""
     if n > SENSITIVITY_AUDIT_MAX_N:
         raise ResourceLimitError(
             f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
         )
-    cands = candidate_matrices(n, k, mu)
+    levels = candidate_matrices(n, k, mu)
     capped = degree_cap(all_adjacencies(n), d)
     _, reps, capped_row = np.unique(
         graph_indices(capped), return_index=True, return_inverse=True
     )
-    check_table_size(len(reps), cands.shape[0], "candidates")
-    scores = _best_scores_bulk(cands, capped[reps].astype(float), n, k).values
+    check_table_size(len(reps), levels.shape[0], "candidates")
+    bulk = _best_scores_bulk(levels, capped[reps].astype(float), n, k)
+    scores = LawTable(bulk.values, capped_row)
+    for array in (levels, *scores, bulk.distinct_rows):
+        array.flags.writeable = False
     # the largest |s_G - s_G'| over adjacent graphs is the worst signed gap
     # over the ordered rewiring pairs, each of which lists its reverse
-    table = LawTable(scores, capped_row)
-    return max(0.0, max_violation(table, *rewiring_pairs(n), 0.0).worst)
+    delta = max(0.0, max_violation(scores, *rewiring_pairs(n), 0.0).worst)
+    return ScoreTable(levels, scores, bulk.distinct_rows, delta)
 
 
 # -- full pipeline -----------------------------------------------------------------
@@ -425,11 +449,16 @@ def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> B
     the candidate grid, spending the remaining eps/2.
 
     The candidates are candidate_matrices(n, k, lambda rho_hat), integer
-    levels on the 1/n grid, and the stack is capped at degree
-    d = floor(lambda rho_hat n) by one degree_cap call and scored on them
-    by one _best_scores_bulk call: each score is the exact max over
-    equipartitions, correctly rounded.  Delta is the measured sensitivity
-    in audited mode and 4 d mu / n^2 in theoretical mode.
+    levels on the 1/n grid, and each graph is capped at degree
+    d = floor(lambda rho_hat n) and scored on them: each score is the exact
+    max over equipartitions, correctly rounded.  In theoretical mode Delta
+    is 4 d mu / n^2, and the stack is capped by one degree_cap call and
+    scored by one _best_scores_bulk call.  In audited mode the scores and
+    the exact Delta come from the ScoreTable of measured_score_sensitivity,
+    which has scored every capped graph of order n once: each graph's row
+    is read through its graph index, and the stack is neither capped nor
+    scored here.  Either way the [G, C] table is refused by
+    check_table_size before any score is computed.
 
     Where the grid is the zero matrix alone, d = 0 as well, and every score
     is 0 whatever the graph: that law is returned before any partition is
@@ -440,30 +469,34 @@ def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> B
     mu = cfg.lam * rho_hat
     d_int = _top_level(n, mu)
     equipartitions = equipartition_count(n, cfg.k)
+    audited = cfg.sensitivity_mode == "audited"
+    # audited: exact, and 0 on the one-candidate grid
+    delta = 0.0 if audited else theoretical_sensitivity(n, mu * n, mu)
     if d_int == 0:
         # candidate_matrices' one-candidate grid, without its np.indices
         # call, which fails from k = 11 (an array of T + 1 > 64 axes)
         levels = np.zeros((1, cfg.k * (cfg.k + 1) // 2), dtype=np.uint8)
-        bulk = BulkScores(np.zeros((graphs, 1)), np.ones(graphs, dtype=int))
+        scores, distinct = np.zeros((graphs, 1)), np.ones(graphs, dtype=int)
     else:
         if equipartitions > EQUIPARTITION_BUDGET:
             raise ResourceLimitError(
                 f"exact scoring over {equipartitions} equipartitions exceeds the budget "
                 f"of {EQUIPARTITION_BUDGET}"
             )
-        levels = candidate_matrices(n, cfg.k, mu)
-        check_table_size(graphs, levels.shape[0], "candidates")
-        bulk = _best_scores_bulk(levels, degree_cap(adjacency, d_int).astype(float), n, cfg.k)
-    if cfg.sensitivity_mode == "theoretical":
-        delta = theoretical_sensitivity(n, mu * n, mu)
-    else:  # exact: 0 on the one-candidate grid
-        delta = measured_score_sensitivity(n, cfg.k, mu, d_int) if d_int else 0.0
+        check_table_size(graphs, _checked_candidate_count(n, cfg.k, mu), "candidates")
+        if audited:
+            table = measured_score_sensitivity(n, cfg.k, mu, d_int)
+            rows = table.scores.law_of[graph_indices(adjacency)]
+            levels, delta = table.levels, table.delta
+            scores, distinct = table.scores.rows[rows], table.distinct_rows[rows]
+        else:
+            levels = candidate_matrices(n, cfg.k, mu)
+            capped = degree_cap(adjacency, d_int).astype(float)
+            scores, distinct = _best_scores_bulk(levels, capped, n, cfg.k)
     # Delta = 0: the scores cannot depend on the input, and exp(eps/(4*0) *
     # score) degenerates to uniform over the argmax set
     coefficient = math.inf if delta <= 0.0 else cfg.epsilon / (4.0 * delta)
-    return BlockLaws(
-        levels, bulk.values, bulk.distinct_rows, d_int, equipartitions, delta, coefficient
-    )
+    return BlockLaws(levels, scores, distinct, d_int, equipartitions, delta, coefficient)
 
 
 def block_mechanism(

@@ -97,6 +97,8 @@ def _cmd_sample(args) -> int:
     if args.model == "gnp":
         g = sample_gnp(args.n, args.p, rng)
     elif args.model == "gnm":
+        slots = args.n * (args.n - 1) // 2
+        _require(0 <= args.m <= slots, "--m", f"lie in [0, C(n,2)] = [0, {slots}]", args.m)
         g = sample_gnm(args.n, args.m, rng)
     elif args.model == "gnm-rewired":
         _check_rewired(args.n, args.m, args.k)
@@ -319,6 +321,7 @@ def _cmd_experiment_coupling(args) -> int:
 
 
 def _cmd_experiment_homogeneity(args) -> int:
+    _require(args.n >= 3, "--n", "be at least 3", args.n)  # HomogeneityConfig starts at n = 3
     rate = homogeneity_probability(
         args.n, args.p, args.rho, args.C, args.samples, args.seed
     )

@@ -22,6 +22,7 @@ from .graphs import (
     edge_density,
     graph_index,
     graph_space_size,
+    group_distance_row,
     group_distances,
 )
 from .graphs import all_graphs, node_distance  # noqa: F401  (wrapped here by perfbench/tracing.py)
@@ -31,6 +32,7 @@ from .mechanisms import (
     _check_epsilon,
     extend_mechanism,
     truncated_laplace_density,
+    truncated_laplace_laws,
     truncation_rate,
 )
 
@@ -157,9 +159,23 @@ def _check_exact_extension(n: int) -> None:
 
 
 def _index_edge_counts(n: int) -> np.ndarray:
-    """Edge count of every graph index on n vertices: its number of set bits."""
-    ids = np.arange(graph_space_size(n))
-    return ((ids[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
+    """Edge count of every graph index on n vertices: its number of set
+    bits, by doubling, as homogeneity_worst_margin counts subset sizes."""
+    counts = np.zeros(graph_space_size(n), dtype=np.int64)
+    for t in range(n * (n - 1) // 2):
+        counts[1 << t : 2 << t] = counts[: 1 << t] + 1
+    return counts
+
+
+def _homogeneity_and_counts(n: int, cfg: HomogeneityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """homogeneity_by_index(n, cfg) and the edge count of every graph index,
+    from one _index_edge_counts table."""
+    _check_exact_extension(n)
+    cfg.check_order(n)
+    if not cfg.tolerance(1) >= n:
+        raise ValueError(f"tolerance(1) < n = {n}: a subset test may bind")
+    counts = _index_edge_counts(n)
+    return counts / (n * (n - 1) / 2) <= cfg.rho + 1e-12, counts
 
 
 def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> np.ndarray:
@@ -175,11 +191,7 @@ def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> np.ndarray:
     checked here, and every deviation is within tolerance.  G is then in H
     iff e(G) <= rho, the density test that homogeneity_membership makes
     first, in the same float operations."""
-    _check_exact_extension(n)
-    cfg.check_order(n)
-    if not cfg.tolerance(1) >= n:
-        raise ValueError(f"tolerance(1) < n = {n}: a subset test may bind")
-    return _index_edge_counts(n) / (n * (n - 1) / 2) <= cfg.rho + 1e-12
+    return _homogeneity_and_counts(n, cfg)[0]
 
 
 # -- restricted (truncated-noise) estimator: the promise release -----------------
@@ -221,26 +233,40 @@ def restricted_density_estimator(
 graph_space_oracle = None  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 
-def _extension_groups(
-    n: int, in_h, base: Callable[[float], PiecewiseExpDensity]
-) -> tuple[list[PiecewiseExpDensity], np.ndarray]:
-    """The base laws and the [inputs, groups] distance table of the
-    extension of base from the graphs of order n that in_h marks (a bool per
-    graph index): one group per distinct edge count in H, in order of its
-    first index, with the base law base(e(G)) of its members."""
-    _check_exact_extension(n)
+def _extension_groups(n: int, in_h, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of the extension from the graphs of order n that in_h
+    marks (a bool per graph index), given every graph index's edge count:
+    one group per distinct edge count in H, in order of its first index.
+    Returns (centres, groups): each group's edge density, the centre of its
+    base law, and the group of every graph index, -1 outside H."""
     in_h = np.asarray(in_h, dtype=bool)
     if in_h.shape != (graph_space_size(n),):
         raise ValueError(f"in_h needs one bool per graph index, {graph_space_size(n)} at n = {n}")
     members = np.flatnonzero(in_h)
-    counts = _index_edge_counts(n)[members]
-    _, first, by_count = np.unique(counts, return_index=True, return_inverse=True)
+    _, first, by_count = np.unique(counts[members], return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     groups = np.full(in_h.size, -1)
     groups[members] = rank[by_count]
-    bases = [base(int(counts[i]) / (n * (n - 1) / 2)) for i in np.sort(first)]
-    return bases, group_distances(n, groups)
+    return counts[members[np.sort(first)]] / (n * (n - 1) / 2), groups
+
+
+def _extend_over_groups(
+    n: int, bases: list[PiecewiseExpDensity], groups: np.ndarray, epsilon: float
+) -> Callable[[LabeledGraph], PiecewiseExpDensity]:
+    """The extension at distance cost epsilon of bases[j] on the members of
+    group j (groups gives each graph index of order n its group, or -1), as
+    a function of the graph: every input's distances from one
+    group_distances table, and every distinct row's law built at once by
+    extend_mechanism."""
+    extended = extend_mechanism(bases, group_distances(n, groups), epsilon)
+
+    def mechanism(g: LabeledGraph) -> PiecewiseExpDensity:
+        if g.n != n:
+            raise ValueError(f"extension is over graphs of order {n}, got n = {g.n}")
+        return extended(graph_index(g))
+
+    return mechanism
 
 
 def extend_over_graphs(
@@ -259,19 +285,21 @@ def extend_over_graphs(
     and extend_mechanism builds the law of every distinct distance row at
     once.  Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N.
     """
-    extended = extend_mechanism(*_extension_groups(n, in_h, base), epsilon)
-
-    def mechanism(g: LabeledGraph) -> PiecewiseExpDensity:
-        if g.n != n:
-            raise ValueError(f"extension is over graphs of order {n}, got n = {g.n}")
-        return extended(graph_index(g))
-
-    return mechanism
+    _check_exact_extension(n)
+    centres, groups = _extension_groups(n, in_h, _index_edge_counts(n))
+    return _extend_over_groups(n, [base(c) for c in centres.tolist()], groups, epsilon)
 
 
-def _restricted_base(eps: float, cfg: HomogeneityConfig):
-    """restricted_density_mechanism's law at eps, as a function of e(G)."""
-    return lambda e: truncated_laplace_density(e, eps, cfg.C, cfg.rho, cfg.n)
+def _restricted_groups(
+    n: int, eps: float, cfg: HomogeneityConfig
+) -> tuple[list[PiecewiseExpDensity], np.ndarray]:
+    """The base laws and groups (_extension_groups) of the extension of
+    restricted_density_mechanism at eps from H (homogeneity_by_index), from
+    one edge-count table, the base laws by one truncated_laplace_laws
+    call."""
+    in_h, counts = _homogeneity_and_counts(n, cfg)
+    centres, groups = _extension_groups(n, in_h, counts)
+    return truncated_laplace_laws(centres, eps, cfg.C, cfg.rho, cfg.n), groups
 
 
 def extended_density_mechanism(
@@ -282,29 +310,31 @@ def extended_density_mechanism(
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
     Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N = 6.  H
-    comes from each graph index's edge count (homogeneity_by_index).  At
+    comes from each graph index's edge count (homogeneity_by_index), and
+    the base laws of all groups from one table build per knot count.  At
     n = 5 (638 graphs in H, 6 base laws) its 1,024 inputs have 22 distinct
     distance rows, and it builds all 22 laws when it is built, in about
-    3.4 ms on one core of a 2-core Xeon; at n = 6 (16,384 in H, 8 base
-    laws) 32,768 inputs share 51 laws, built in about 75 ms, mostly the
+    2.5 ms on one core of a 2-core Xeon; at n = 6 (16,384 in H, 8 base
+    laws) 32,768 inputs share 51 laws, built in about 55 ms, mostly the
     distance table.  Evaluating an input is then a graph index, one product
     with the order's slot weights, and a table lookup, about 2.2 us.
     """
     eps = _check_epsilon(epsilon)
-    in_h = homogeneity_by_index(n, cfg)
-    return extend_over_graphs(n, in_h, _restricted_base(eps, cfg), eps / 2.0)
+    return _extend_over_groups(n, *_restricted_groups(n, eps, cfg), eps / 2.0)
 
 
 def extended_density_law(
     g: LabeledGraph, epsilon: float, cfg: HomogeneityConfig
 ) -> PiecewiseExpDensity:
     """extended_density_mechanism(g.n, epsilon, cfg)(g), bit for bit, with
-    only g's law built: its row of the distance table, through the same
-    batched envelope.  A one-shot release needs no other law."""
+    only g's law built: its row of the distance table alone
+    (graphs.group_distance_row), through the same batched envelope.  A
+    one-shot release needs no other law: about 0.9 ms at n = 5 and 2 ms at
+    n = 6 on one core of a 2-core Xeon."""
     eps = _check_epsilon(epsilon)
-    in_h = homogeneity_by_index(g.n, cfg)
-    bases, distances = _extension_groups(g.n, in_h, _restricted_base(eps, cfg))
-    return extend_mechanism(bases, distances[[graph_index(g)]], eps / 2.0)(0)
+    bases, groups = _restricted_groups(g.n, eps, cfg)
+    row = group_distance_row(g.n, groups, graph_index(g))
+    return extend_mechanism(bases, row[None], eps / 2.0)(0)
 
 
 def extended_density_estimator(

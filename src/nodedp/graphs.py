@@ -12,7 +12,8 @@ indices are edge bitmasks, the difference of two graphs is their XOR, so
 d(G, H) = cover_table(n)[index(G) ^ index(H)] for every pair at once,
 ``rewiring_pairs(n)`` lists the pairs at distance 1, and
 ``group_distances(n, groups)`` gives every graph's distance to the nearest
-member of each of several groups by BFS over those pairs.
+member of each of several groups by BFS over those pairs, and
+``group_distance_row`` one graph's, from the table.
 """
 
 from __future__ import annotations
@@ -400,18 +401,22 @@ def degree_cap(g, d: int):
         return LabeledGraph._wrap(degree_cap(g.adjacency[None], d)[0])
     adj = np.array(g, dtype=bool)
     n = adj.shape[-1]
-    order = np.arange(n)
     degs = adj.sum(axis=2)
     over = np.flatnonzero(degs.max(axis=1, initial=0) > d)  # graphs still over the cap
+    degs = degs[over]  # their degrees, row r of graph over[r]
+    rows = np.arange(over.size)
+    rows = np.concatenate((rows, rows))  # each row twice, for both ends of its edge
     while over.size:
-        current = degs[over]
-        v = current.argmax(axis=1)  # a highest degree, the first is the lowest index
-        # among v's neighbours, the highest degree, then the highest index
-        u = np.where(adj[over, v], current * n + order, -1).argmax(axis=1)
+        v = degs.argmax(axis=1)  # a highest degree, the first is the lowest index
+        # among v's neighbours, the highest degree, then the highest index:
+        # the first maximum with the vertices reversed
+        u = (n - 1) - np.where(adj[over, v, ::-1], degs[:, ::-1], -1).argmax(axis=1)
         adj[over, v, u] = adj[over, u, v] = False
-        degs[over, v] -= 1
-        degs[over, u] -= 1
-        over = over[degs[over].max(axis=1) > d]
+        np.subtract.at(degs, (rows, np.concatenate((v, u))), 1)
+        still = degs.max(axis=1) > d
+        if not still.all():
+            over, degs = over[still], degs[still]
+            rows = np.concatenate((rows[: over.size], rows[: over.size]))
     return adj
 
 
@@ -593,6 +598,24 @@ def rewiring_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ids, flips.size), second.ravel()
 
 
+def _check_groups(n: int, groups) -> tuple[np.ndarray, np.ndarray]:
+    """groups as an array, and each group's member count [G], once groups
+    gives every graph index of order n <= REWIRING_PAIRS_MAX_N a group in
+    0..G-1, G <= 64, or -1, and every group has a member."""
+    if n > REWIRING_PAIRS_MAX_N:
+        raise ResourceLimitError(
+            f"group distances limited to n <= {REWIRING_PAIRS_MAX_N}, got {n}"
+        )
+    groups = np.asarray(groups)
+    size = graph_space_size(n)
+    if groups.shape != (size,):
+        raise ValueError(f"need one group per graph index, {size} at n = {n}")
+    sizes = np.bincount(groups[groups >= 0])
+    if sizes.size > 64 or (sizes == 0).any():
+        raise ValueError("groups must be 0..G-1 for G <= 64, each with a member")
+    return groups, sizes
+
+
 def group_distances(n: int, groups) -> np.ndarray:
     """Node distance from each graph of order n to the nearest member of
     each group, [2^C(n,2), G] int8.  groups[x] is the group of graph index
@@ -605,18 +628,9 @@ def group_distances(n: int, groups) -> np.ndarray:
     shortest-path metric of rewirings, so entry [x, j] is the minimum of
     ``cover_table(n)[x ^ m]`` over the members m of group j.  The gather is
     [graphs, rewirings], like ``rewiring_pairs``, so n <= 6."""
-    if n > REWIRING_PAIRS_MAX_N:
-        raise ResourceLimitError(
-            f"group distances limited to n <= {REWIRING_PAIRS_MAX_N}, got {n}"
-        )
-    groups = np.asarray(groups)
-    size = graph_space_size(n)
-    if groups.shape != (size,):
-        raise ValueError(f"need one group per graph index, {size} at n = {n}")
+    groups, sizes = _check_groups(n, groups)
+    size = groups.size
     inside = groups >= 0
-    sizes = np.bincount(groups[inside])
-    if sizes.size > 64 or (sizes == 0).any():
-        raise ValueError("groups must be 0..G-1 for G <= 64, each with a member")
     bits = np.min_scalar_type((1 << sizes.size) - 1)
     reached = np.zeros(size, dtype=bits)
     reached[inside] = np.left_shift(1, groups[inside]).astype(bits)
@@ -630,6 +644,19 @@ def group_distances(n: int, groups) -> np.ndarray:
             return distances
         distances += missing
         reached |= np.bitwise_or.reduce(reached[neighbours], axis=1)
+
+
+def group_distance_row(n: int, groups, index: int) -> np.ndarray:
+    """Row ``index`` of ``group_distances(n, groups)``, [G] int8, from that
+    graph alone: the minimum of ``cover_table(n)[index ^ m]`` over the
+    members m of each group, one lookup per member."""
+    groups, sizes = _check_groups(n, groups)
+    if not 0 <= index < groups.size:
+        raise ValueError(f"graph index {index} out of range at n = {n}")
+    members = np.flatnonzero(groups >= 0)
+    row = np.full(sizes.size, n, dtype=np.int8)  # no distance exceeds n
+    np.minimum.at(row, groups[members], cover_table(n)[index ^ members])
+    return row
 
 
 def adjacent_graphs(g: LabeledGraph) -> Iterator[LabeledGraph]:

@@ -362,7 +362,7 @@ def test_measured_sensitivity_matches_pair_loop(n, k, d, mu):
                 gap = float(np.abs(rows[capped[i]] - rows[capped[j]]).max())
                 worst = max(worst, gap)
     measured_score_sensitivity.cache_clear()
-    assert measured_score_sensitivity(n, k, mu, d) == worst
+    assert measured_score_sensitivity(n, k, mu, d).delta == worst
 
 
 # rho_hat values whose k = 2 grids hold 1, 8, 27, 64 and 125 candidates
@@ -433,23 +433,14 @@ def test_batched_scores_are_c_contiguous_graph_rows(k, mu, chunk_bytes, monkeypa
 )
 def test_measured_sensitivity_values_are_pinned(n, k, mu, d, want):
     measured_score_sensitivity.cache_clear()
-    assert measured_score_sensitivity(n, k, mu, d) == want
+    assert measured_score_sensitivity(n, k, mu, d).delta == want
 
 
-@pytest.mark.parametrize(
-    "n,k,pieces",
-    # every piece at k = 2; at n = 4, k = 3 the pieces up to 5^6 = 15,625
-    # candidates, L <= 4 (the L = 8 piece is refused, as tested below)
-    [(3, 2, 7), (4, 2, 9), (3, 3, 7), (4, 3, 5)],
-)
-def test_block_selection_is_certified_at_every_density_piece(n, k, pieces):
-    # stage 1 releases rho_hat anywhere in [1/n^2, 1]; the selection law
-    # depends on rho_hat only through the top level L = _top_level(n, lam
-    # rho_hat), and each piece of constant L fixes the grid, the cap and the
-    # measured Delta, so auditing both sides of every breakpoint certifies
-    # stage 2 at every density
-    eps, lam = 1.0, 2.0
-    cfg = EstimatorConfig(epsilon=eps, lam=lam, k=k, sensitivity_mode="audited")
+def _piece_ends(n, lam, pieces):
+    """Both ends of each of the first pieces of constant top level
+    L = _top_level(n, lam rho_hat) over the released densities
+    [1/n^2, 1], in order: stage 1 releases rho_hat anywhere there, and the
+    selection law depends on rho_hat only through L."""
 
     def first(j):
         """The least rho_hat whose top level is j."""
@@ -465,13 +456,70 @@ def test_block_selection_is_certified_at_every_density_piece(n, k, pieces):
     for j in range(1, pieces):
         ends += [math.nextafter(first(j), 0.0), first(j)]  # the last of piece j - 1, the first of j
     ends.append(1.0 if pieces == int(lam * n) + 1 else math.nextafter(first(pieces), 0.0))
+    return ends
+
+
+# every piece at k = 2; at n = 4, k = 3 the pieces up to 5^6 = 15,625
+# candidates, L <= 4 (the L = 8 piece is refused, as tested below)
+DENSITY_PIECES = [(3, 2, 7), (4, 2, 9), (3, 3, 7), (4, 3, 5)]
+
+
+@pytest.mark.parametrize("n,k,pieces", DENSITY_PIECES)
+def test_block_selection_is_certified_at_every_density_piece(n, k, pieces):
+    # each piece of constant L fixes the grid, the cap and the measured
+    # Delta, so auditing both sides of every breakpoint certifies stage 2 at
+    # every density
+    eps, lam = 1.0, 2.0
+    cfg = EstimatorConfig(epsilon=eps, lam=lam, k=k, sensitivity_mode="audited")
     probe = LabeledGraph.empty(n)
     caps = []
-    for rho_hat in ends:
+    for rho_hat in _piece_ends(n, lam, pieces):
         report = audit_block_mechanism(n, rho_hat, cfg, eps / 2.0)
         assert report.passed(), (rho_hat, report.max_violation)
         caps.append(block_mechanism(probe, rho_hat, cfg)[3]["degree_cap"])
     assert caps == [j for j in range(pieces) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n,k,pieces", DENSITY_PIECES)
+def test_audited_block_laws_read_the_scored_route_from_the_score_table(n, k, pieces):
+    # audited block_laws reads each graph's row of measured_score_sensitivity's
+    # table; capping and scoring the stack itself gives the same bytes, and
+    # the exhaustive Delta over its rows is the table's
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode="audited")
+    stack = all_adjacencies(n)
+    first, second = rewiring_pairs(n)
+    for rho_hat in _piece_ends(n, 2.0, pieces):
+        measured_score_sensitivity.cache_clear()
+        laws = block_laws(stack, rho_hat, cfg)
+        if laws.degree_cap == 0:  # the one-candidate grid, never scored
+            assert laws.scores.tolist() == [[0.0]] * len(stack) and laws.delta == 0.0
+            continue
+        levels = candidate_matrices(n, k, 2.0 * rho_hat)
+        capped = degree_cap(stack, laws.degree_cap).astype(float)
+        want = _best_scores_bulk(levels, capped, n, k)
+        delta = max(0.0, float(np.abs(want.values[first] - want.values[second]).max()))
+        assert laws.levels.tobytes() == levels.tobytes()
+        assert laws.scores.tobytes() == want.values.tobytes()
+        assert laws.distinct_rows.tolist() == want.distinct_rows.tolist()
+        assert laws.delta == delta
+        coefficient = math.inf if delta <= 0.0 else 1.0 / (4.0 * delta)
+        scored = laws._replace(scores=want.values, delta=delta, coefficient=coefficient)
+        assert laws.log_probs().tobytes() == scored.log_probs().tobytes()
+
+
+def test_an_audited_block_audit_scores_once(monkeypatch):
+    calls = []
+    score = block_estimator._best_scores_bulk
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return score(*args)
+
+    monkeypatch.setattr(block_estimator, "_best_scores_bulk", counted)
+    measured_score_sensitivity.cache_clear()
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
+    assert audit_block_mechanism(4, 0.5, cfg, 0.5).passed()
+    assert calls == [64]  # the 64 capped graphs at d = 4 are all distinct
 
 
 def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):

@@ -689,11 +689,11 @@ def test_best_score_monotone_in_mu():
 
 
 def test_measured_sensitivity_zero_cap_is_zero():
-    assert measured_score_sensitivity(4, 2, 0.5, 0) == 0.0
+    assert measured_score_sensitivity(4, 2, 0.5, 0).delta == 0.0
 
 
 def test_measured_sensitivity_positive_and_reported(  ):
-    measured = measured_score_sensitivity(4, 2, 0.5, 2)
+    measured = measured_score_sensitivity(4, 2, 0.5, 2).delta
     assert measured > 0.0
     # the closed-form 4 d mu / n^2 calibration is the reference point
     assert theoretical_sensitivity(4, 2.0, 0.5) == pytest.approx(0.25)
@@ -757,7 +757,7 @@ def test_block_mechanism_audited_mode_uses_measured_delta():
     g = LabeledGraph.from_edges(4, [(0, 1), (1, 2)])
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
     mech, cands, delta, diag = block_mechanism(g, 0.5, cfg)
-    assert delta == pytest.approx(measured_score_sensitivity(4, 2, 1.0, 4))
+    assert delta == pytest.approx(measured_score_sensitivity(4, 2, 1.0, 4).delta)
     assert mech.log_probs.size == cands.shape[0]
 
 

@@ -491,11 +491,15 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
          "--m + --k must be at most C(n,2) = 3, got 3 + 1"),
         (["sample", "--model", "gnm-rewired", "--n", "3", "--m", "3", "--k", "1"],
          "--m + --k must be at most C(n,2) = 3, got 3 + 1"),
+        # formerly "m=20 out of range [0, 10]" and "n must be at least 3"
+        (["sample", "--model", "gnm", "--n", "5", "--m", "20"],
+         "--m must lie in [0, C(n,2)] = [0, 10], got 20"),
+        (["experiment", "homogeneity", "--n", "2", "--p", "0.3"], "--n must be at least 3, got 2"),
     ],
     ids=["laplace-n1", "laplace-n0", "reduction-1-bit", "reduction-0-bits", "extended-n2",
          "sample-negative-n", "zero-epsilon", "nan-epsilon", "rho-above-1", "small-C",
          "lambda-below-1", "homogeneity-zero-rho", "coupling-m-plus-k", "coupling-m-at-slots",
-         "sample-rewired-m-plus-k"],
+         "sample-rewired-m-plus-k", "sample-gnm-m", "homogeneity-n2"],
 )
 def test_out_of_range_options_are_refused_by_name(argv, message, capsys):
     assert run(argv) == 2

@@ -10,6 +10,8 @@ from scipy import special
 from nodedp.density import (
     EXACT_EXTENSION_MAX_N,
     HomogeneityConfig,
+    _extension_groups,
+    _homogeneity_and_counts,
     _lower_gamma_3,
     extended_density_estimator,
     extended_density_law,
@@ -25,7 +27,14 @@ from nodedp.density import (
     restricted_density_mechanism,
 )
 from nodedp.errors import ResourceLimitError
-from nodedp.graphs import LabeledGraph, all_graphs, edge_density, node_distance
+from nodedp.graphs import (
+    LabeledGraph,
+    all_graphs,
+    edge_density,
+    group_distance_row,
+    group_distances,
+    node_distance,
+)
 from nodedp.graphons import sample_gnp
 from nodedp.audits import audit_density_mechanism
 from nodedp.mechanisms import sample_laplace, truncation_rate
@@ -382,6 +391,21 @@ def test_one_input_law_is_the_table_law_at_every_n5_input():
     mech = extended_density_mechanism(5, 1.0, cfg)
     for g in all_graphs(5):
         assert _law_bytes(extended_density_law(g, 1.0, cfg)) == _law_bytes(mech(g))
+
+
+@pytest.mark.parametrize("rho,C", [(0.5, 49.0), (0.3, 55.0), (1.0, 49.0), (0.15, 60.0)])
+def test_one_input_distance_row_is_its_row_of_the_table(rho, C):
+    # a one-shot extended release reads its input's distances from
+    # group_distance_row, not from the BFS table over every input
+    rng = substream(28, "one-row", repr(rho))
+    for n in (3, 4, 5, 6):
+        cfg = HomogeneityConfig(rho=rho, C=C, n=n)
+        _, groups = _extension_groups(n, *_homogeneity_and_counts(n, cfg))
+        table = group_distances(n, groups)
+        inputs = range(len(table)) if n < 6 else rng.choice(len(table), 200, replace=False)
+        for x in inputs:
+            row = group_distance_row(n, groups, int(x))
+            assert row.dtype == table.dtype and row.tobytes() == table[x].tobytes()
 
 
 def test_extended_mechanism_refuses_another_order():

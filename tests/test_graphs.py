@@ -19,6 +19,7 @@ from nodedp.graphs import (
     graph_index,
     graph_indices,
     graph_space_size,
+    group_distance_row,
     group_distances,
     node_distance,
     rewiring_pairs,
@@ -777,9 +778,12 @@ def test_group_distances_match_the_cover_table_oracle(n):
         groups[extra & (groups < 0)] = rng.integers(0, count, size=size)[extra & (groups < 0)]
         cases.append(groups)
     for groups in cases:
+        want = _group_distance_oracle(n, groups)
         got = group_distances(n, groups)
         assert got.dtype == np.int8
-        assert np.array_equal(got, _group_distance_oracle(n, groups))
+        assert np.array_equal(got, want)
+        rows = np.stack([group_distance_row(n, groups, x) for x in range(size)])
+        assert rows.dtype == np.int8 and np.array_equal(rows, want)
 
 
 def test_group_distances_refusals():
@@ -789,3 +793,5 @@ def test_group_distances_refusals():
         group_distances(3, np.zeros(7, dtype=int))
     with pytest.raises(ValueError, match="each with a member"):  # group 1 is empty
         group_distances(3, np.where(np.arange(8) < 4, 0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        group_distance_row(3, np.zeros(8, dtype=int), 8)

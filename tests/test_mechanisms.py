@@ -231,6 +231,19 @@ def test_piecewise_linear_validation():
         PiecewiseLinear([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0], [0.0, np.nan, 0.5, 1.0]],
+    ids=["repeated", "decreasing", "nan"],
+)
+def test_read_only_stack_refuses_a_row_of_knots_out_of_order(bad):
+    # the stack's one test refuses what PiecewiseLinear refuses in each row
+    xs = np.array([[0.0, 0.25, 0.5, 1.0], bad, [0.0, 0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseLinear(xs[1], np.zeros(4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseExpDensity._read_only_stack(xs, np.zeros_like(xs))
+
+
 # -- piecewise-exponential densities ------------------------------------------------------
 
 
