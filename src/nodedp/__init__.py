@@ -57,9 +57,7 @@ from .density import (
     extended_density_estimator,
     extend_over_graphs,
     extended_density_mechanism,
-    homogeneity_by_index,
     homogeneity_membership,
-    homogeneity_worst_margin,
     laplace_density_estimator,
     laplace_density_mechanism,
     predicted_baseline_mse,

@@ -91,10 +91,17 @@ def _check_rewired(n: int, m: int, k: int) -> None:
     _require(m + k <= slots, "--m + --k", f"be at most C(n,2) = {slots}", f"{m} + {k}")
 
 
+def _check_p(p: float) -> None:
+    """Refuse an edge probability by its option; only the commands that
+    draw G(n, p) read --p."""
+    _require(0.0 <= p <= 1.0, "--p", "lie in [0, 1]", p)
+
+
 def _cmd_sample(args) -> int:
     _require(args.n >= 0, "--n", "be at least 0", args.n)
     rng = substream(args.seed, "cli-sample", args.model)
     if args.model == "gnp":
+        _check_p(args.p)
         g = sample_gnp(args.n, args.p, rng)
     elif args.model == "gnm":
         slots = args.n * (args.n - 1) // 2
@@ -313,6 +320,7 @@ def _cmd_experiment_mse(args) -> int:
 
 def _cmd_experiment_coupling(args) -> int:
     _check_rewired(args.n, args.m, args.k)
+    _require(args.trials >= 1, "--trials", "be at least 1", args.trials)
     report = run_distinguishability_experiment(
         args.n, args.m, args.k, args.trials, args.seed
     )
@@ -322,6 +330,8 @@ def _cmd_experiment_coupling(args) -> int:
 
 def _cmd_experiment_homogeneity(args) -> int:
     _require(args.n >= 3, "--n", "be at least 3", args.n)  # HomogeneityConfig starts at n = 3
+    _check_p(args.p)
+    _require(args.samples >= 1, "--samples", "be at least 1", args.samples)
     rate = homogeneity_probability(
         args.n, args.p, args.rho, args.C, args.samples, args.seed
     )

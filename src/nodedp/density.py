@@ -4,8 +4,10 @@ Three routes: the Laplace baseline calibrated to worst-case sensitivity over
 all graphs, a truncated-noise mechanism calibrated to the much smaller
 density sensitivity that holds on the homogeneity set (the promise release:
 any n, DP guaranteed on the homogeneity set only), and the exact extension
-of the latter to the whole graph space (tiny n).  Each release samples the
-one mechanism object its audit certifies.
+of the latter to the whole graph space (tiny n).  Wherever
+HomogeneityConfig.check_density_cap passes, the homogeneity set is the
+density cap e(G) <= rho, so membership is one edge count.  Each release
+samples the one mechanism object its audit certifies.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .mechanisms import (
     truncation_rate,
 )
 
-EXACT_SUBSET_SCAN_MAX_N = 16
 EXACT_EXTENSION_MAX_N = 6
 
 
@@ -58,6 +59,26 @@ class HomogeneityConfig:
         """Refuse graphs of another order than the one calibrated for."""
         if n != self.n:
             raise ValueError(f"homogeneity config is for n = {self.n}, got n = {n}")
+
+    def check_density_cap(self) -> None:
+        """Refuse an order at which H may be more than the density cap.
+
+        Where tolerance(1) >= n, every subset passes, so G is in H iff
+        e(G) <= rho.  tolerance(s) = s tolerance(1).  A subset S of s
+        vertices has slots(S) = s(n - s) + s(s - 1)/2 < s n boundary slots,
+        and its deviation, the gap between boundary(S) and e(G) slots(S),
+        both in [0, slots(S)], is below s n <= tolerance(s).  c0 >=
+        sqrt(log n / n), so tolerance(1) >= C log n > 48 log n, which is at
+        least n for 3 <= n <= 268: the check passes there at any C > 48, and
+        further at larger rho (through n = 802 at rho = 0.05, 11,192 at
+        rho = 0.5, with C = 49)."""
+        bound = float(self.tolerance(1))
+        if not bound >= self.n:
+            raise ResourceLimitError(
+                f"membership in H(rho={self.rho}, C={self.C}) is decided only where "
+                f"tolerance(1) >= n, which makes H the density cap; "
+                f"tolerance(1) = {bound:.4g} < n = {self.n}"
+            )
 
     def tolerance(self, subset_size) -> np.ndarray:
         """C * max(sqrt(rho), sqrt(log n / n)) * s * sqrt(n log n)."""
@@ -105,49 +126,19 @@ def laplace_density_estimator(
 # -- homogeneity set ------------------------------------------------------------
 
 
-def homogeneity_worst_margin(g: LabeledGraph, cfg: HomogeneityConfig) -> float:
-    """max over nonempty S of |boundary(S) - e(G) * slots(S)| - tolerance(|S|).
-
-    Exact 2^n - 1 scan; nonpositive means every subset passes.  Boundary
-    edge counts of all 2^n subsets S (bit v of S is vertex v) are built by
-    doubling, boundary(S + v) = boundary(S) + deg(v) - |N(v) & S| for S
-    below v, so the scan takes [2^n] integers and no [subsets, edges] mask:
-    n = 16 in about 3 ms with a 4 MiB tracemalloc peak (one core of a
-    2-core Xeon, numpy 2.4).
-    """
-    n = g.n
-    cfg.check_order(n)
-    if n > EXACT_SUBSET_SCAN_MAX_N:
-        raise ResourceLimitError(
-            f"exact subset scan limited to n <= {EXACT_SUBSET_SCAN_MAX_N}"
-        )
-    subsets = np.arange(1 << n)
-    sizes = np.zeros(1 << n, dtype=np.int64)  # popcount of each subset
-    for v in range(n):
-        sizes[1 << v : 2 << v] = sizes[: 1 << v] + 1
-    neighbours = g.adjacency @ (1 << np.arange(n))  # [n] vertex bitmasks
-    degrees = g.adjacency.sum(axis=1)
-    boundary = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        inside = sizes[subsets[: 1 << v] & neighbours[v]]
-        boundary[1 << v : 2 << v] = boundary[: 1 << v] + degrees[v] - inside
-    sizes, boundary = sizes[1:], boundary[1:]  # nonempty subsets
-    slots = sizes * (n - sizes) + sizes * (sizes - 1) / 2.0
-    deviation = np.abs(boundary - edge_density(g) * slots)
-    return float((deviation - cfg.tolerance(sizes)).max())
-
-
 def homogeneity_membership(g: LabeledGraph, cfg: HomogeneityConfig) -> bool:
     """True iff e(G) <= rho and every nonempty subset's boundary edge count is
     within tolerance of the count its own density predicts.
 
-    Always exact: a graph over the density cap is rejected first, and the
-    subset scan refuses n > EXACT_SUBSET_SCAN_MAX_N.
+    Always exact: a graph over the density cap is outside H at any n, and
+    under it every subset passes wherever cfg.check_density_cap does, which
+    refuses the other orders.
     """
     cfg.check_order(g.n)
     if edge_density(g) > cfg.rho + 1e-12:
         return False
-    return homogeneity_worst_margin(g, cfg) <= 1e-9
+    cfg.check_density_cap()
+    return True
 
 
 def _check_exact_extension(n: int) -> None:
@@ -160,7 +151,7 @@ def _check_exact_extension(n: int) -> None:
 
 def _index_edge_counts(n: int) -> np.ndarray:
     """Edge count of every graph index on n vertices: its number of set
-    bits, by doubling, as homogeneity_worst_margin counts subset sizes."""
+    bits, by doubling."""
     counts = np.zeros(graph_space_size(n), dtype=np.int64)
     for t in range(n * (n - 1) // 2):
         counts[1 << t : 2 << t] = counts[: 1 << t] + 1
@@ -168,30 +159,15 @@ def _index_edge_counts(n: int) -> np.ndarray:
 
 
 def _homogeneity_and_counts(n: int, cfg: HomogeneityConfig) -> tuple[np.ndarray, np.ndarray]:
-    """homogeneity_by_index(n, cfg) and the edge count of every graph index,
-    from one _index_edge_counts table."""
+    """H membership of every graph index on n vertices, what
+    homogeneity_membership answers for each graph, read from its edge count
+    (cfg.check_density_cap), and the edge count of every graph index, from
+    one _index_edge_counts table."""
     _check_exact_extension(n)
     cfg.check_order(n)
-    if not cfg.tolerance(1) >= n:
-        raise ValueError(f"tolerance(1) < n = {n}: a subset test may bind")
+    cfg.check_density_cap()
     counts = _index_edge_counts(n)
     return counts / (n * (n - 1) / 2) <= cfg.rho + 1e-12, counts
-
-
-def homogeneity_by_index(n: int, cfg: HomogeneityConfig) -> np.ndarray:
-    """H membership of every graph index on n vertices, read from its edge
-    count: what homogeneity_membership answers for each graph.
-
-    At these orders every subset passes the scan, so only the density cap
-    excludes a graph.  c0 >= sqrt(log n / n), so tolerance(s) =
-    s tolerance(1) >= C s log n > 48 s log n.  A subset of s vertices has
-    s(n - s) + s(s - 1)/2 < s n boundary slots, and its deviation, the gap
-    between boundary(S) and e(G) slots(S), both in [0, slots], is below
-    s n.  48 log n >= n for 3 <= n <= 268, so tolerance(1) >= n, which is
-    checked here, and every deviation is within tolerance.  G is then in H
-    iff e(G) <= rho, the density test that homogeneity_membership makes
-    first, in the same float operations."""
-    return _homogeneity_and_counts(n, cfg)[0]
 
 
 # -- restricted (truncated-noise) estimator: the promise release -----------------
@@ -221,8 +197,19 @@ def restricted_density_estimator(
         value=value,
         mode="promise",
         epsilon=eps / 2.0,
-        dp_domain=f"H(rho={cfg.rho}, C={cfg.C}) only",
+        dp_domain=_promise_domain(cfg),
     )
+
+
+def _promise_domain(cfg: HomogeneityConfig) -> str:
+    """The set the promise release's epsilon holds on: H, and the density
+    cap that H is at cfg.n wherever cfg.check_density_cap decides it."""
+    domain = f"H(rho={cfg.rho}, C={cfg.C}) only"
+    try:
+        cfg.check_density_cap()
+    except ResourceLimitError:
+        return domain
+    return f"{domain}, = e(G) <= {cfg.rho} at n = {cfg.n}"
 
 
 # -- extension to the whole space ---------------------------------------------------
@@ -294,7 +281,7 @@ def _restricted_groups(
     n: int, eps: float, cfg: HomogeneityConfig
 ) -> tuple[list[PiecewiseExpDensity], np.ndarray]:
     """The base laws and groups (_extension_groups) of the extension of
-    restricted_density_mechanism at eps from H (homogeneity_by_index), from
+    restricted_density_mechanism at eps from H (_homogeneity_and_counts), from
     one edge-count table, the base laws by one truncated_laplace_laws
     call."""
     in_h, counts = _homogeneity_and_counts(n, cfg)
@@ -310,7 +297,7 @@ def extended_density_mechanism(
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
     Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N = 6.  H
-    comes from each graph index's edge count (homogeneity_by_index), and
+    comes from each graph index's edge count (_homogeneity_and_counts), and
     the base laws of all groups from one table build per knot count.  At
     n = 5 (638 graphs in H, 6 base laws) its 1,024 inputs have 22 distinct
     distance rows, and it builds all 22 laws when it is built, in about

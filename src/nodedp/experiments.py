@@ -299,8 +299,9 @@ def chi2_sf(stat: float, df: int) -> float:
 def homogeneity_probability(
     n: int, p: float, rho: float, C: float, samples: int, seed: int
 ) -> float:
-    """Monte Carlo estimate of P[G(n,p) outside the homogeneity set],
-    with exact membership scans."""
+    """Monte Carlo estimate of P[G(n,p) outside the homogeneity set], each
+    draw's membership exact: the density cap, at the orders where
+    HomogeneityConfig.check_density_cap decides it."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     cfg = HomogeneityConfig(rho=rho, C=C, n=n)

@@ -468,7 +468,8 @@ def test_criterion_7_homogeneity_sanity():
     _report(
         "7 (homogeneity membership sanity)",
         ok,
-        f"empirical P[G outside H]={rate:.4f} over {samples} exact scans",
+        f"empirical P[G outside H]={rate:.4f} over {samples} draws, "
+        "membership exact by the density cap",
     )
     assert rate <= 0.01
 

@@ -384,15 +384,33 @@ def _run_cli(*argv):
     )
 
 
+# tolerance(1) is 279.5 < n = 300 here, and both seeded draws lie under the
+# density cap, so their membership is refused
+UNDECIDED_HOMOGENEITY = (
+    "experiment", "homogeneity", "--n", "300", "--p", "0.001", "--rho", "0.01", "--C", "49",
+    "--samples", "2",
+)
+
+
 def test_refusal_is_one_stderr_line_and_exit_code_3():
-    done = _run_cli(
-        "experiment", "homogeneity", "--n", "18", "--p", "0.3", "--samples", "2"
-    )
+    done = _run_cli(*UNDECIDED_HOMOGENEITY)
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.splitlines() == [
-        "nodedp: refused: exact subset scan limited to n <= 16"
+        "nodedp: refused: membership in H(rho=0.01, C=49.0) is decided only where "
+        "tolerance(1) >= n, which makes H the density cap; tolerance(1) = 279.5 < n = 300"
     ]
+
+
+def test_experiment_homogeneity_answers_at_n18(capsys):
+    argv = ["experiment", "homogeneity", "--n", "18", "--p", "0.3", "--samples", "2"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 18, "p": 0.3, "outside_rate": 0.0}
+
+
+def test_gnm_sampling_ignores_p(capsys):
+    assert run(["sample", "--model", "gnm", "--n", "5", "--m", "2", "--p", "7"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_an_oversized_header_is_refused_before_allocating(tmp_path):
@@ -412,8 +430,9 @@ def test_an_oversized_header_is_refused_before_allocating(tmp_path):
 @pytest.mark.parametrize(
     "argv, edge_list, message",
     [
+        # formerly the library's "trials must be at least 1, got 0"
         (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "0"],
-         None, "nodedp: error: trials must be at least 1, got 0"),
+         None, "nodedp: error: --trials must be at least 1, got 0"),
         (["audit", "dp", "--mechanism", "laplace", "--n", "3", "--grid-points", "0"],
          None, "nodedp: error: --grid-points must be at least 1, got 0"),
         (["estimate", "density", "--epsilon", "1.0", "--mode", "baseline", "--input", "{path}"],
@@ -495,11 +514,23 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
         (["sample", "--model", "gnm", "--n", "5", "--m", "20"],
          "--m must lie in [0, C(n,2)] = [0, 10], got 20"),
         (["experiment", "homogeneity", "--n", "2", "--p", "0.3"], "--n must be at least 3, got 2"),
+        # formerly "p must lie in [0, 1]", and the library's "samples must be
+        # at least 1, got 0" and "trials must be at least 1, got 0"
+        (["sample", "--model", "gnp", "--n", "4", "--p", "1.5"], "--p must lie in [0, 1], got 1.5"),
+        (["experiment", "homogeneity", "--n", "6", "--p", "-0.1"],
+         "--p must lie in [0, 1], got -0.1"),
+        (["experiment", "homogeneity", "--n", "6", "--p", "nan"], "--p must lie in [0, 1], got nan"),
+        (["experiment", "homogeneity", "--n", "6", "--p", "0.3", "--samples", "0"],
+         "--samples must be at least 1, got 0"),
+        (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "-2"],
+         "--trials must be at least 1, got -2"),
     ],
     ids=["laplace-n1", "laplace-n0", "reduction-1-bit", "reduction-0-bits", "extended-n2",
          "sample-negative-n", "zero-epsilon", "nan-epsilon", "rho-above-1", "small-C",
          "lambda-below-1", "homogeneity-zero-rho", "coupling-m-plus-k", "coupling-m-at-slots",
-         "sample-rewired-m-plus-k", "sample-gnm-m", "homogeneity-n2"],
+         "sample-rewired-m-plus-k", "sample-gnm-m", "homogeneity-n2", "sample-gnp-p",
+         "homogeneity-negative-p", "homogeneity-nan-p", "homogeneity-no-samples",
+         "coupling-negative-trials"],
 )
 def test_out_of_range_options_are_refused_by_name(argv, message, capsys):
     assert run(argv) == 2
@@ -556,4 +587,4 @@ def test_block_release_bytes_are_pinned(n, k, digest, tmp_path):
 
 def test_main_raises_refusals():
     with pytest.raises(ResourceLimitError):
-        main(["experiment", "homogeneity", "--n", "18", "--p", "0.3", "--samples", "2"])
+        main(list(UNDECIDED_HOMOGENEITY))

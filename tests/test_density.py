@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +15,7 @@ from nodedp.density import (
     extended_density_estimator,
     extended_density_law,
     extended_density_mechanism,
-    homogeneity_by_index,
     homogeneity_membership,
-    homogeneity_worst_margin,
     laplace_density_estimator,
     laplace_density_mechanism,
     predicted_baseline_mse,
@@ -109,7 +106,7 @@ def test_homogeneity_complete_and_empty_graphs_belong():
     assert homogeneity_membership(LabeledGraph.complete(8), cfg)
     assert homogeneity_membership(LabeledGraph.empty(8), cfg)
     # the complete graph's deviations vanish identically
-    assert homogeneity_worst_margin(LabeledGraph.complete(8), cfg) < 0
+    assert _mask_margin(LabeledGraph.complete(8), cfg) < 0
 
 
 def test_homogeneity_density_cap_excludes():
@@ -140,16 +137,35 @@ def test_homogeneity_tight_tolerance_detects_violation():
     assert homogeneity_membership(star, cfg) == _brute_force_membership(star, cfg)
 
 
-def test_homogeneity_membership_refuses_beyond_the_exact_scan():
-    # a graph under the density cap reaches the subset scan, which is exact
-    # or refused: no sampled audit stands in for it
-    g = sample_gnp(18, 0.5, substream(4, "homog-large"))
-    cfg = HomogeneityConfig(rho=1.0, C=49.0, n=18)
+def test_homogeneity_membership_refuses_where_the_tolerance_may_bind():
+    # a graph under the density cap is in H only where every subset passes,
+    # which check_density_cap decides; elsewhere membership is refused, and
+    # no sampled audit stands in for it.  At n = 300, rho = 0.01, C = 49,
+    # tolerance(1) is 279.5 < 300
+    g = sample_gnp(300, 0.001, substream(4, "homog-large"))
+    cfg = HomogeneityConfig(rho=0.01, C=49.0, n=300)
     assert edge_density(g) <= cfg.rho
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"tolerance\(1\) = 279.5 < n = 300"):
         homogeneity_membership(g, cfg)
-    # over the density cap, the answer needs no scan
-    assert not homogeneity_membership(g, HomogeneityConfig(rho=0.1, C=49.0, n=18))
+    with pytest.raises(ResourceLimitError, match=r"tolerance\(1\) >= n"):
+        cfg.check_density_cap()
+    # over the density cap, the answer needs no subset at any n
+    dense = sample_gnp(300, 0.05, substream(4, "homog-large-dense"))
+    assert not homogeneity_membership(dense, cfg)
+    # at n = 18 the check passes, so a graph under the cap is in H
+    g18 = sample_gnp(18, 0.5, substream(4, "homog-18"))
+    assert homogeneity_membership(g18, HomogeneityConfig(rho=1.0, C=49.0, n=18))
+    assert not homogeneity_membership(g18, HomogeneityConfig(rho=0.1, C=49.0, n=18))
+
+
+def test_membership_at_n17_is_the_mask_scan():
+    rng = substream(29, "homog-17")
+    for p in (0.1, 0.5, 0.9):
+        g = sample_gnp(17, p, rng)
+        for rho in (0.3, 1.0):
+            cfg = HomogeneityConfig(rho=rho, C=49.0, n=17)
+            expected = edge_density(g) <= rho and _mask_margin(g, cfg) <= 1e-9
+            assert homogeneity_membership(g, cfg) == expected
 
 
 def test_homogeneity_config_of_another_order_is_refused():
@@ -162,8 +178,6 @@ def test_homogeneity_config_of_another_order_is_refused():
         lambda: restricted_density_mechanism(g, 1.0, cfg),
         lambda: restricted_density_estimator(g, 1.0, cfg, rng),
         lambda: homogeneity_membership(g, cfg),
-        lambda: homogeneity_worst_margin(g, cfg),
-        lambda: homogeneity_by_index(4, cfg),
         lambda: extended_density_mechanism(4, 1.0, cfg),
         lambda: extended_density_estimator(LabeledGraph.empty(4), 1.0, cfg, rng),
     ]
@@ -173,8 +187,10 @@ def test_homogeneity_config_of_another_order_is_refused():
 
 
 def _mask_margin(g, cfg):
-    """The worst margin through a [subsets, edges] boundary mask: another
-    route to homogeneity_worst_margin, in the same float operations."""
+    """max over nonempty S of |boundary(S) - e(G) slots(S)| - tolerance(|S|),
+    through a [subsets, edges] boundary mask: the exact 2^n - 1 subset scan,
+    nonpositive iff every subset passes, which the density-cap membership
+    is checked against."""
     n = g.n
     ids = np.arange(1, 1 << n)
     masks = (ids[:, None] >> np.arange(n)) & 1 == 1
@@ -197,18 +213,15 @@ def _mask_margin(g, cfg):
 )
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_batched_scan_matches_the_per_graph_scan_on_every_graph(n, rho, C):
-    # the extension's edge-count membership is the per-graph subset scan's
-    # answer on every graph; the scan's margins are checked against the
-    # mask route at these orders too
+    # the extension's edge-count membership and the per-graph membership
+    # are the plain-loop subset scan's answer on every graph
     cfg = HomogeneityConfig(rho=rho, C=C, n=n)
-    in_h = homogeneity_by_index(n, cfg)
+    in_h, counts = _homogeneity_and_counts(n, cfg)
     graphs = list(all_graphs(n))
     assert in_h.dtype == bool and in_h.shape == (len(graphs),)
+    assert counts.tolist() == [g.edge_count for g in graphs]
     assert in_h.tolist() == [homogeneity_membership(g, cfg) for g in graphs]
     assert in_h.tolist() == [_brute_force_membership(g, cfg) for g in graphs]
-    assert [homogeneity_worst_margin(g, cfg) for g in graphs] == [
-        _mask_margin(g, cfg) for g in graphs
-    ]
 
 
 def test_every_subset_passes_at_the_orders_read_from_edge_counts():
@@ -216,35 +229,17 @@ def test_every_subset_passes_at_the_orders_read_from_edge_counts():
     # only the density cap can exclude a graph: for any C > 48 this holds
     # through n = 268, the last n with 48 log n >= n
     for n in range(3, 269):
-        assert HomogeneityConfig(rho=1e-9, C=48.0 + 1e-9, n=n).tolerance(1) >= n
+        cfg = HomogeneityConfig(rho=1e-9, C=48.0 + 1e-9, n=n)
+        assert cfg.tolerance(1) >= n
+        cfg.check_density_cap()
     assert 48 * math.log(269) < 269
-    for n in range(3, 17):  # every order the subset scan accepts
+    with pytest.raises(ResourceLimitError):
+        HomogeneityConfig(rho=1e-9, C=48.0 + 1e-9, n=269).check_density_cap()
+    for n in range(3, 17):
         cfg = HomogeneityConfig(rho=1.0, C=48.0 + 1e-9, n=n)
-        assert homogeneity_worst_margin(LabeledGraph.complete(n), cfg) < 0
+        assert _mask_margin(LabeledGraph.complete(n), cfg) < 0
         star = LabeledGraph.from_edges(n, [(0, v) for v in range(1, n)])
-        assert homogeneity_worst_margin(star, cfg) < 0
-
-
-def test_worst_margin_matches_the_mask_scan_on_random_graphs():
-    rng = substream(6, "margin-mask")
-    for n in range(6, 14):
-        for p in (0.1, 0.5, 0.9):
-            g = sample_gnp(n, p, rng)
-            for C in (48.01, 49.0):
-                cfg = HomogeneityConfig(rho=1.0, C=C, n=n)
-                assert homogeneity_worst_margin(g, cfg) == _mask_margin(g, cfg)
-
-
-def test_single_graph_scan_at_n16_peaks_below_the_mask():
-    g = LabeledGraph.complete(16)
-    cfg = HomogeneityConfig(rho=1.0, C=49.0, n=16)
-    tracemalloc.start()
-    try:
-        homogeneity_worst_margin(g, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << 16) * g.edge_count  # one byte per subset and edge
+        assert _mask_margin(star, cfg) < 0
 
 
 # -- restricted estimator ----------------------------------------------------------------
