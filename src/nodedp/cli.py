@@ -97,6 +97,14 @@ def _check_p(p: float) -> None:
     _require(0.0 <= p <= 1.0, "--p", "lie in [0, 1]", p)
 
 
+def _check_w_rho(rho: float, sup: float) -> None:
+    """Refuse a W-random scale by its option: edge probabilities rho W(x, y)
+    must lie in [0, 1], where sup W is the graphon's largest value."""
+    _require(rho >= 0.0, "--rho", "be at least 0", rho)
+    # the sampler's own tolerance
+    _require(rho * sup <= 1.0 + 1e-12, "--rho", f"be at most 1 / sup W = 1 / {sup:g}", rho)
+
+
 def _cmd_sample(args) -> int:
     _require(args.n >= 0, "--n", "be at least 0", args.n)
     rng = substream(args.seed, "cli-sample", args.model)
@@ -111,8 +119,13 @@ def _cmd_sample(args) -> int:
         _check_rewired(args.n, args.m, args.k)
         g = sample_gnm_rewired(args.n, args.m, args.k, rng)
     elif args.model == "two-clique":
+        _require(0.0 < args.q < 1.0, "--q", "lie strictly between 0 and 1", args.q)
+        _check_w_rho(args.w_rho, 1.0)  # the cliques' graphon takes the value 1
         g = sample_w_random(two_clique_graphon(args.q), args.w_rho, args.n, rng).graph
     else:  # wrandom, 2x2 symmetric block truth
+        for option, value in (("--b-diag", args.b_diag), ("--b-off", args.b_off)):
+            _require(0.0 <= value < math.inf, option, "be a nonnegative finite real", value)
+        _check_w_rho(args.w_rho, max(args.b_diag, args.b_off))
         w = StepGraphon.equal_blocks(
             [[args.b_diag, args.b_off], [args.b_off, args.b_diag]]
         )

@@ -133,18 +133,42 @@ class ExperimentRecord:
 def bootstrap_halfwidth(errors: np.ndarray, rng: np.random.Generator) -> float:
     """Half-width of a 95% percentile bootstrap interval for the mean.
 
-    The resample rows are drawn and averaged in chunks of at most
-    _BOOTSTRAP_CHUNK_BYTES (or one row); the stream and each row's mean are
-    those of the one-piece [BOOTSTRAP_RESAMPLES, trials] draw."""
+    The resample rows are drawn and summed in chunks of at most
+    _BOOTSTRAP_CHUNK_BYTES (or one row); the stream is that of the one-piece
+    [BOOTSTRAP_RESAMPLES, trials] draw, and each row's sum over the trial
+    count is its ndarray.mean.  The interval is np.percentile(means,
+    [2.5, 97.5]) bit for bit: its "linear" method on the order statistics
+    either side of each virtual index (R - 1) q, taken from one partition,
+    and NaN if any mean is NaN."""
     errors = np.asarray(errors, dtype=float)
     rows = max(1, _BOOTSTRAP_CHUNK_BYTES // (8 * errors.size))
     means = np.empty(BOOTSTRAP_RESAMPLES)
     for first in range(0, BOOTSTRAP_RESAMPLES, rows):
         size = (min(rows, BOOTSTRAP_RESAMPLES - first), errors.size)
         idx = rng.integers(0, errors.size, size=size)
-        means[first : first + idx.shape[0]] = errors[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(hi - lo) / 2.0
+        np.add.reduce(errors.take(idx), axis=1, out=means[first : first + size[0]])
+    means /= errors.size
+    last = BOOTSTRAP_RESAMPLES - 1
+    # np.percentile's "linear" method: each virtual index (R - 1) q falls
+    # between the order statistics at its floor and at the next index
+    virtual = [last * q for q in (2.5 / 100, 97.5 / 100)]
+    below = [math.floor(v) for v in virtual]
+    above = [min(b + 1, last) for b in below]
+    # a NaN sorts last, so it stands at the last index after the partition
+    means.partition([last, *below, *above])
+    if math.isnan(means[last]):
+        return math.nan
+    lo, hi = (
+        _lerp(float(means[b]), float(means[a]), v - b) for v, b, a in zip(virtual, below, above)
+    )
+    return (hi - lo) / 2.0
+
+
+def _lerp(a: float, b: float, gamma: float) -> float:
+    """numpy's quantile interpolation between neighbouring order statistics,
+    in its float operations: from b where gamma >= 0.5, from a below."""
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _edge_densities(
@@ -177,11 +201,16 @@ def _edge_count_cell(
         noise = sample_laplace(4.0 / (n * _check_epsilon(eps)), rng, size=cfg.trials)
         values = np.clip(centres + noise, 0.0, 1.0)
     else:
-        unique, inverse = np.unique(centres, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
+        # the draws in sorted-centre order; each opens a law or repeats the last
+        order = np.argsort(centres, kind="stable")
+        ranked = centres[order]
+        opens = np.empty(cfg.trials, dtype=bool)
+        opens[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
         values = np.empty(cfg.trials)
         values[order] = truncated_laplace_quantiles(
-            unique, inverse[order], rng.random(cfg.trials), eps, hcfg.C, hcfg.rho, n
+            ranked[opens], np.cumsum(opens) - 1, rng.random(cfg.trials),
+            eps, hcfg.C, hcfg.rho, n,
         )
     return (values - p) ** 2
 
@@ -234,7 +263,7 @@ def _run_cell(cfg: ExperimentConfig, n: int, eps: float) -> ExperimentRecord:
         k=cfg.k or 1,
         lam=cfg.lam or 0.0,
         trials=cfg.trials,
-        mse=float(errors.mean()),
+        mse=float(np.add.reduce(errors) / cfg.trials),
         ci_halfwidth=hw,
         wall_time=time.perf_counter() - start,
     )

@@ -415,8 +415,12 @@ def _read_only_laws(
     """The laws exp(ys[r]) on the knots xs[r] of [R, W] arrays, each row's
     first counts[r] entries, from one PiecewiseExpDensity._read_only_stack
     call per knot count, so read-only."""
+    widths = sorted(set(counts.tolist()))
+    if len(widths) == 1:  # one knot count: the stack is every row, in order
+        k = widths[0]
+        return PiecewiseExpDensity._read_only_stack(xs[:, :k].copy(), ys[:, :k].copy())
     laws = [None] * len(counts)
-    for k in sorted(set(counts.tolist())):
+    for k in widths:
         group = np.flatnonzero(counts == k)
         stack = PiecewiseExpDensity._read_only_stack(xs[group, :k], ys[group, :k])
         for r, law in zip(group.tolist(), stack):

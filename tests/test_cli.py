@@ -413,6 +413,20 @@ def test_gnm_sampling_ignores_p(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "gnp", "--q", "1.5", "--rho", "-1", "--b-diag", "-0.5", "--b-off", "nan"],
+        ["--model", "two-clique", "--b-diag", "-0.5", "--b-off", "nan"],
+        ["--model", "wrandom", "--q", "1.5"],
+    ],
+    ids=["gnp", "two-clique", "wrandom"],
+)
+def test_sampling_ignores_the_options_its_model_does_not_read(argv, capsys):
+    assert run(["sample", "--n", "5"] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_an_oversized_header_is_refused_before_allocating(tmp_path):
     """An 8-byte file would otherwise ask for a 3.35 GiB adjacency."""
     path = tmp_path / "big.txt"
@@ -524,13 +538,27 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
          "--samples must be at least 1, got 0"),
         (["experiment", "coupling", "--n", "5", "--m", "4", "--k", "1", "--trials", "-2"],
          "--trials must be at least 1, got -2"),
+        # formerly the library's "q must lie strictly between 0 and 1", "rho must be
+        # nonnegative", "rho * sup W = 1.6 exceeds 1" and "block matrix entries must
+        # be nonnegative"
+        (["sample", "--model", "two-clique", "--n", "4", "--q", "1.5"],
+         "--q must lie strictly between 0 and 1, got 1.5"),
+        (["sample", "--model", "two-clique", "--n", "4", "--rho", "-1"],
+         "--rho must be at least 0, got -1.0"),
+        (["sample", "--model", "wrandom", "--n", "4", "--rho", "2"],
+         "--rho must be at most 1 / sup W = 1 / 0.8, got 2.0"),
+        (["sample", "--model", "wrandom", "--n", "4", "--b-diag", "-0.5"],
+         "--b-diag must be a nonnegative finite real, got -0.5"),
+        (["sample", "--model", "wrandom", "--n", "4", "--b-off", "inf"],
+         "--b-off must be a nonnegative finite real, got inf"),
     ],
     ids=["laplace-n1", "laplace-n0", "reduction-1-bit", "reduction-0-bits", "extended-n2",
          "sample-negative-n", "zero-epsilon", "nan-epsilon", "rho-above-1", "small-C",
          "lambda-below-1", "homogeneity-zero-rho", "coupling-m-plus-k", "coupling-m-at-slots",
          "sample-rewired-m-plus-k", "sample-gnm-m", "homogeneity-n2", "sample-gnp-p",
          "homogeneity-negative-p", "homogeneity-nan-p", "homogeneity-no-samples",
-         "coupling-negative-trials"],
+         "coupling-negative-trials", "sample-two-clique-q", "sample-negative-rho",
+         "sample-wrandom-rho", "sample-b-diag", "sample-b-off"],
 )
 def test_out_of_range_options_are_refused_by_name(argv, message, capsys):
     assert run(argv) == 2

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -397,6 +398,66 @@ def test_bootstrap_halfwidth_chunks_reproduce_the_one_piece_draw(monkeypatch):
     monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK_BYTES", 8 * errors.size * 7 + 5)
     got = bootstrap_halfwidth(errors, substream(3, "bootstrap"))
     assert got.hex() == want.hex()
+
+
+def _reference_halfwidth(errors, seed):
+    """bootstrap_halfwidth by its definition: the one-piece resample draw,
+    each row's mean, and np.percentile's interval."""
+    idx = substream(seed, "bootstrap").integers(0, errors.size, size=(1000, errors.size))
+    lo, hi = np.percentile(errors[idx].mean(axis=1), [2.5, 97.5])
+    return float(hi - lo) / 2.0
+
+
+def test_bootstrap_halfwidth_matches_np_percentile_of_the_resample_means(monkeypatch):
+    rng = substream(30, "bootstrap-inputs")
+    inputs = [
+        np.full(40, 0.25),  # constant: every mean equal
+        np.array([0.3]),  # a single trial
+        np.array([2.0, 3.0]),
+        1e-300 * rng.random(57),  # near the bottom of the normal range
+        np.array([1e-300, 3e-300, 1e-310]),  # a subnormal among them
+        -np.log(rng.random(1000)),  # heavy right tail
+        rng.normal(size=25),  # mixed signs
+    ]
+    inputs += [rng.random(size) ** 3 for size in (3, 7, 10, 64, 101, 333)]
+    for seed, errors in enumerate(inputs):
+        got = bootstrap_halfwidth(errors, substream(seed, "bootstrap"))
+        assert got.hex() == _reference_halfwidth(errors, seed).hex(), seed
+    # squared uniforms on which numpy's interpolation rounds differently from
+    # a + (b - a) g at the lower end (seed 8) and from b - (b - a)(1 - g) at
+    # the upper end (seed 267)
+    for seed in (8, 267):
+        errors = substream(seed, "bootstrap-errors").random(20) ** 2
+        got = bootstrap_halfwidth(errors, substream(seed, "bootstrap"))
+        assert got.hex() == _reference_halfwidth(errors, seed).hex(), seed
+    with_nan = np.array([0.1, np.nan, 0.3, 0.2])
+    assert math.isnan(bootstrap_halfwidth(with_nan, substream(0, "bootstrap")))
+    assert math.isnan(_reference_halfwidth(with_nan, 0))
+    # three NaN means of 1,000, all beyond the order statistics read: NaN
+    # still, as np.percentile gives
+    idx = substream(1, "bootstrap").integers(2, 4, size=(1000, 4))
+    idx[:3, 0] = 1
+    draws = SimpleNamespace(integers=lambda low, high, size: idx)
+    assert np.isnan(np.percentile(with_nan[idx].mean(axis=1), [2.5, 97.5])).all()
+    assert math.isnan(bootstrap_halfwidth(with_nan, draws))
+    # a chunked draw: 13 rows per chunk, the last one short
+    errors = rng.random(50)
+    monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK_BYTES", 8 * errors.size * 13)
+    got = bootstrap_halfwidth(errors, substream(99, "bootstrap"))
+    assert got.hex() == _reference_halfwidth(errors, 99).hex()
+
+
+def test_baseline_cells_are_pinned():
+    # the Laplace cell from its one stream and the bootstrap interval from
+    # its own, at one, a few and many trials
+    csv = ""
+    for trials in (1, 7, 100):
+        for model in ("gnp", "gnm"):
+            kw = dict(p=0.3) if model == "gnp" else dict(p=None, m_fraction=0.5)
+            cfg = _config(n_grid=(3, 16, 64), epsilon_grid=(0.1, 1.0), trials=trials,
+                          seed=4, model=model, **kw)
+            csv += records_to_csv(run_mse_experiment(cfg))
+    assert _sha256(csv) == "2293e838c95b5b0eb036a5b0b86ff149eab426d7e011898dba4e91d77f58fd1f"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -761,7 +761,10 @@ def _fold_over_h(shapes, shifts):
 
 def _assert_extension_matches_fold(n, contains, base, eps, extended, grid):
     """The extension against _fold_over_h at every graph of order n: H from
-    the per-graph predicate contains, distances from cover_table."""
+    the per-graph predicate contains, distances from cover_table.  Each
+    input folds every distinct (shape, shift) pair of H once, in H order:
+    the minimum over H's multiset of shifted shapes is the one over its
+    set.  Shapes are told apart by their bytes, not by any grouping of H."""
     graphs = list(all_graphs(n))
     table = cover_table(n)
     h_points = [i for i, g in enumerate(graphs) if contains(g)]
@@ -769,9 +772,14 @@ def _assert_extension_matches_fold(n, contains, base, eps, extended, grid):
     for i in h_points:
         dens = base(graphs[i])
         shapes.append((dens.shape.xs, dens.shape.ys - dens.log_normalizer))
+    keys = [(xs.tobytes(), ys.tobytes()) for xs, ys in shapes]
     worst = 0.0
     for x, g in enumerate(graphs):
-        want = _fold_over_h(shapes, [eps * float(table[x ^ i]) for i in h_points])
+        pairs = {}
+        for key, shape, i in zip(keys, shapes, h_points):
+            shift = eps * float(table[x ^ i])
+            pairs.setdefault((key, shift), (shape, shift))
+        want = _fold_over_h(*zip(*pairs.values()))
         worst = max(worst, float(np.abs(extended(g).log_pdf(grid) - want.log_pdf(grid)).max()))
     assert worst <= 1e-12
     return len(h_points)
