@@ -21,27 +21,25 @@ from .block_estimator import (
     theoretical_sensitivity,
 )
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_adjacencies, all_graphs, graph_space_size, rewiring_pairs
+from .graphs import LabeledGraph, REWIRING_PAIRS_MAX_N, all_adjacencies, all_graphs
+from .graphs import graph_space_size, rewiring_pairs
 from .mechanisms import LawTable, fill_table, max_violation
 
 from .block_estimator import block_mechanism  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .density import graph_space_oracle  # noqa: F401  (likewise)
 from .graphs import adjacent_graphs, node_distance  # noqa: F401  (likewise)
 
-# The density audit keys each graph's law in one dict and fills a row per
-# law.  At n = 6, 32,768 graphs and 5,603,328 rewiring pairs: the Laplace
-# baseline's 16 laws or the extension's 51 in about 0.21 s and a 100 MiB
-# tracemalloc peak on a 1,000-point grid, mostly the pair index arrays.
-PAIR_AUDIT_MAX_N = 6
+# Every pair audit refuses n > REWIRING_PAIRS_MAX_N before any law is
+# built (_check_pair_order), and its law table is bounded by
+# AUDIT_TABLE_BYTES alone.  At n = 6 (5,603,328 rewiring pairs) the Laplace
+# baseline's 16 laws or the extension's 51 take about 0.21 s and a 100 MiB
+# tracemalloc peak on a 1,000-point grid, and the audited block audit's
+# 128 laws (k = 2, rho_hat = 0.5) about 1.9 s and a 340 MiB peak RSS, its
+# scoring included.
+
 # Per-pair rows are Python tuples, one per rewiring pair: 66,560 at n = 5,
 # where an audit returns them; 5,603,328 at n = 6, where it refuses to.
 PAIR_ROWS_MAX_N = 5
-# The finite audit builds one mechanism per graph, 64 at n = 4, and the
-# block audit one block_laws table with a row per graph of the
-# all_adjacencies stack, in audited mode read from the measured
-# sensitivity's table, which capped and scored each graph once: about
-# 1.0-1.2 ms at k = 2, rho_hat = 0.5, that sensitivity included.
-FINITE_AUDIT_MAX_N = 4
 # The bit-string audit builds one mechanism per string: 64 at 6 bits.
 BITSTRING_AUDIT_MAX_BITS = 6
 # Largest violation of the DP inequality a passing audit may show: float
@@ -84,6 +82,12 @@ def _report(name: str, n: int, epsilon: float, v, grid=None) -> AuditReport:
     return AuditReport(name, n, epsilon, v.worst, v.pairs, witness, rows, column)
 
 
+def _check_pair_order(n: int) -> None:
+    """Refuse n past REWIRING_PAIRS_MAX_N, before any law is built."""
+    if n > REWIRING_PAIRS_MAX_N:
+        raise ResourceLimitError(f"pairwise audits limited to n <= {REWIRING_PAIRS_MAX_N}")
+
+
 def _law_table(laws: Iterable, grid: np.ndarray) -> LawTable:
     """The LawTable on the grid of the given laws, one per input, keyed in
     one dict: a frozen dataclass such as LaplaceDensity by value, a shared
@@ -107,8 +111,7 @@ def audit_density_mechanism(
     every pair.  Density objects must expose log_pdf and be hashable; the
     graphs' laws form one _law_table: the n = 5 extension fills 22 rows, the
     Laplace baseline one per edge count."""
-    if n > PAIR_AUDIT_MAX_N:
-        raise ResourceLimitError(f"pairwise audits limited to n <= {PAIR_AUDIT_MAX_N}")
+    _check_pair_order(n)
     if collect_rows and n > PAIR_ROWS_MAX_N:
         raise ResourceLimitError(f"per-pair audit rows limited to n <= {PAIR_ROWS_MAX_N}")
     grid = np.asarray(grid, dtype=float)
@@ -126,9 +129,8 @@ def audit_finite_mechanism(
 ) -> AuditReport:
     """Check exact pmf ratios of a finite-output mechanism against exp(eps)
     over every pair of graphs one rewiring apart.  Candidate lists must align
-    across inputs (compare by index)."""
-    if n > FINITE_AUDIT_MAX_N:
-        raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
+    across inputs (compare by index); each graph's is its own law."""
+    _check_pair_order(n)
     logs = fill_table(
         (mechanism(g).log_probs for g in all_graphs(n)), graph_space_size(n), "candidates"
     )
@@ -146,12 +148,12 @@ def audit_block_mechanism(
     """Exact pmf audit of the selection stage, conditional on the released
     density (composition with the density step is additive and is audited
     separately on its own output law).  Every graph's law comes from one
-    block_laws call on the all_adjacencies stack, as a row of its log-pmf
-    table, with the bytes block_mechanism's mechanism gives that graph."""
-    if n > FINITE_AUDIT_MAX_N:
-        raise ResourceLimitError(f"finite audit limited to n <= {FINITE_AUDIT_MAX_N}")
-    logs = block_laws(all_adjacencies(n), rho_hat, cfg).log_probs()
-    v = max_violation(logs, *rewiring_pairs(n), epsilon_claimed, collect_rows)
+    block_laws call on the all_adjacencies stack, whose log-pmf LawTable
+    the kernel takes as it is: each graph's row has the bytes
+    block_mechanism's mechanism gives that graph."""
+    _check_pair_order(n)
+    table = block_laws(all_adjacencies(n), rho_hat, cfg).log_probs()
+    v = max_violation(table, *rewiring_pairs(n), epsilon_claimed, collect_rows)
     return _report(f"block-mechanism(rho_hat={rho_hat})", n, epsilon_claimed, v)
 
 

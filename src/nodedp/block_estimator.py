@@ -18,7 +18,8 @@ import numpy as np
 
 from .density import laplace_density_mechanism
 from .errors import ResourceLimitError
-from .graphs import LabeledGraph, all_adjacencies, degree_cap, graph_indices, rewiring_pairs
+from .graphs import LabeledGraph, REWIRING_PAIRS_MAX_N, all_adjacencies, degree_cap
+from .graphs import graph_indices, rewiring_pairs
 from .graphs import adjacent_graphs, all_graphs  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .graphons import BlockMatrix, canonical_sizes, equipartition_array, equipartition_count
 from .graphons import relabellings
@@ -43,8 +44,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if self.lam < 1:
-            raise ValueError("lambda must be >= 1")
+        if not 1 <= self.lam < math.inf:
+            raise ValueError("lambda must be a finite real >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.sensitivity_mode not in ("theoretical", "audited"):
@@ -157,7 +158,7 @@ def _distinct_count_rows(
     Every key is exact while G K <= 2^63.  With one graph that fails only at
     (10, 9), (10, 10), (11, 8) and (11, 9), whose grids hold one candidate
     and are never scored (block_laws), and several graphs are scored only
-    at n <= SENSITIVITY_AUDIT_MAX_N, where K < 2^24; elsewhere it raises
+    at n <= REWIRING_PAIRS_MAX_N, where K < 2^24; elsewhere it raises
     ValueError."""
     if a.diagonal(axis1=1, axis2=2).any() or (a * (a - 1)).any():
         raise ValueError("adjacency must be 0/1 with zero diagonal")
@@ -349,22 +350,16 @@ def theoretical_sensitivity(n: int, d: float, mu: float) -> float:
     return 4.0 * d * mu / n**2
 
 
-# Largest order whose graphs measured_score_sensitivity enumerates: 2^15
-# graphs at n = 6, capped in one batch, about 0.12 s at k = 2, mu = 0.6,
-# d = 2 on one core of a 2-core Xeon.
-SENSITIVITY_AUDIT_MAX_N = 6
-
-
 class ScoreTable(NamedTuple):
     """The audited selection stage's scores at one (n, k, mu, d): every graph
     of order n capped at degree d and scored on the candidate grid.  Its
     arrays are read-only."""
 
     levels: np.ndarray  # [C, T] candidate levels
-    # rows [U, C]: best score per distinct capped graph and candidate;
+    # rows [L, C]: the distinct score rows, pairwise byte-distinct;
     # law_of [2^C(n,2)]: the row of each graph index
     scores: LawTable
-    distinct_rows: np.ndarray  # [U] distinct count matrices among each row's partitions
+    distinct_rows: np.ndarray  # [2^C(n,2)] distinct count matrices, per graph index
     delta: float  # exhaustive max of |s_G - s_G'| over adjacent G, G'
 
 
@@ -375,13 +370,14 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> ScoreTable:
     best score.  Exact, so calibrating the exponential mechanism to this
     value yields exact DP at the audited order.  The all_adjacencies stack
     is capped by one degree_cap call, and the capped graphs, named by their
-    graph_indices, are scored once each by one _best_scores_bulk call: the
-    laws of one LawTable.  Audited block_laws reads its graphs' scores from
-    this table."""
-    if n > SENSITIVITY_AUDIT_MAX_N:
-        raise ResourceLimitError(
-            f"audited sensitivity limited to n <= {SENSITIVITY_AUDIT_MAX_N}"
-        )
+    graph_indices, are scored once each by one _best_scores_bulk call.  Its
+    laws are the distinct score rows, named by their bytes in one np.unique
+    over a void view: at k = 2, mu = 1, 10 for the 64 graphs of n = 4, and
+    128 for the 32,768 of n = 6, in about 2.1 s and a 260 MiB tracemalloc
+    peak, the score table and np.unique's sorted copy.  Audited block_laws
+    reads its graphs' scores from this table."""
+    if n > REWIRING_PAIRS_MAX_N:
+        raise ResourceLimitError(f"audited sensitivity limited to n <= {REWIRING_PAIRS_MAX_N}")
     levels = candidate_matrices(n, k, mu)
     capped = degree_cap(all_adjacencies(n), d)
     _, reps, capped_row = np.unique(
@@ -389,13 +385,16 @@ def measured_score_sensitivity(n: int, k: int, mu: float, d: int) -> ScoreTable:
     )
     check_table_size(len(reps), levels.shape[0], "candidates")
     bulk = _best_scores_bulk(levels, capped[reps].astype(float), n, k)
-    scores = LawTable(bulk.values, capped_row)
-    for array in (levels, *scores, bulk.distinct_rows):
+    row_bytes = bulk.values.view(np.dtype((np.void, bulk.values[0].nbytes)))[:, 0]
+    _, first, law = np.unique(row_bytes, return_index=True, return_inverse=True)
+    scores = LawTable(bulk.values[first], law[capped_row])
+    distinct = bulk.distinct_rows[capped_row]
+    for array in (levels, *scores, distinct):
         array.flags.writeable = False
     # the largest |s_G - s_G'| over adjacent graphs is the worst signed gap
     # over the ordered rewiring pairs, each of which lists its reverse
     delta = max(0.0, max_violation(scores, *rewiring_pairs(n), 0.0).worst)
-    return ScoreTable(levels, scores, bulk.distinct_rows, delta)
+    return ScoreTable(levels, scores, distinct, delta)
 
 
 # -- full pipeline -----------------------------------------------------------------
@@ -422,25 +421,28 @@ class BlockLaws(NamedTuple):
     Delta, and differ in their scores."""
 
     levels: np.ndarray  # [C, T] candidate levels
-    scores: np.ndarray  # [G, C] best score per graph and candidate, C-contiguous
+    # rows [R, C]: best score per law and candidate, C-contiguous;
+    # law_of [G]: the row of each graph
+    scores: LawTable
     distinct_rows: np.ndarray  # [G] distinct count matrices among each graph's partitions
     degree_cap: int
     equipartitions: int
     delta: float
     coefficient: float  # eps / (4 Delta); inf at Delta = 0
 
-    def log_probs(self) -> np.ndarray:
-        """The [G, C] log pmfs, C-contiguous: each row normalized by
-        normalized_log_weights from exponential_log_weights, as
-        exponential_mechanism_distribution normalizes one graph's scores,
-        in row chunks under _SCORE_CHUNK_BYTES."""
-        out = np.empty(self.scores.shape)
+    def log_probs(self) -> LawTable:
+        """The log pmfs [R, C] of the score rows, C-contiguous, under their
+        law_of: each row normalized by normalized_log_weights from
+        exponential_log_weights, as exponential_mechanism_distribution
+        normalizes one graph's scores, in row chunks under _SCORE_CHUNK_BYTES."""
+        scores = self.scores.rows
+        out = np.empty(scores.shape)
         # per score: about eight float temporaries of the normalization
-        step = max(1, _SCORE_CHUNK_BYTES // (64 * self.scores.shape[1]))
+        step = max(1, _SCORE_CHUNK_BYTES // (64 * scores.shape[1]))
         for lo in range(0, out.shape[0], step):
-            weights = exponential_log_weights(self.scores[lo : lo + step], self.coefficient)
+            weights = exponential_log_weights(scores[lo : lo + step], self.coefficient)
             out[lo : lo + step] = normalized_log_weights(weights)[0]
-        return out
+        return LawTable(out, self.scores.law_of)
 
 
 def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> BlockLaws:
@@ -451,18 +453,18 @@ def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> B
     The candidates are candidate_matrices(n, k, lambda rho_hat), integer
     levels on the 1/n grid, and each graph is capped at degree
     d = floor(lambda rho_hat n) and scored on them: each score is the exact
-    max over equipartitions, correctly rounded.  In theoretical mode Delta
-    is 4 d mu / n^2, and the stack is capped by one degree_cap call and
-    scored by one _best_scores_bulk call.  In audited mode the scores and
-    the exact Delta come from the ScoreTable of measured_score_sensitivity,
-    which has scored every capped graph of order n once: each graph's row
-    is read through its graph index, and the stack is neither capped nor
-    scored here.  Either way the [G, C] table is refused by
+    max over equipartitions, correctly rounded, in a LawTable.  In
+    theoretical mode Delta is 4 d mu / n^2, and the stack is capped by one
+    degree_cap call and scored by one _best_scores_bulk call, a row per
+    graph.  In audited mode the scores and the exact Delta come from the
+    ScoreTable of measured_score_sensitivity, which has scored every capped
+    graph of order n once: its rows are taken as they are, each graph's law
+    read through its graph index.  Either way a [G, C] table is refused by
     check_table_size before any score is computed.
 
     Where the grid is the zero matrix alone, d = 0 as well, and every score
-    is 0 whatever the graph: that law is returned before any partition is
-    enumerated or graph capped, so EQUIPARTITION_BUDGET binds only grids
+    is 0 whatever the graph: that one law is returned before any partition
+    is enumerated or graph capped, so EQUIPARTITION_BUDGET binds only grids
     with more than one candidate.  Each graph reports the one count row of
     the empty capped graph, and audited mode the exact Delta, 0."""
     graphs, n = adjacency.shape[:2]
@@ -476,7 +478,8 @@ def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> B
         # candidate_matrices' one-candidate grid, without its np.indices
         # call, which fails from k = 11 (an array of T + 1 > 64 axes)
         levels = np.zeros((1, cfg.k * (cfg.k + 1) // 2), dtype=np.uint8)
-        scores, distinct = np.zeros((graphs, 1)), np.ones(graphs, dtype=int)
+        scores = LawTable(np.zeros((1, 1)), np.zeros(graphs, dtype=np.intp))
+        distinct = np.ones(graphs, dtype=int)
     else:
         if equipartitions > EQUIPARTITION_BUDGET:
             raise ResourceLimitError(
@@ -486,13 +489,15 @@ def block_laws(adjacency: np.ndarray, rho_hat: float, cfg: EstimatorConfig) -> B
         check_table_size(graphs, _checked_candidate_count(n, cfg.k, mu), "candidates")
         if audited:
             table = measured_score_sensitivity(n, cfg.k, mu, d_int)
-            rows = table.scores.law_of[graph_indices(adjacency)]
+            index = graph_indices(adjacency)
             levels, delta = table.levels, table.delta
-            scores, distinct = table.scores.rows[rows], table.distinct_rows[rows]
+            scores = LawTable(table.scores.rows, table.scores.law_of[index])
+            distinct = table.distinct_rows[index]
         else:
             levels = candidate_matrices(n, cfg.k, mu)
             capped = degree_cap(adjacency, d_int).astype(float)
-            scores, distinct = _best_scores_bulk(levels, capped, n, cfg.k)
+            values, distinct = _best_scores_bulk(levels, capped, n, cfg.k)
+            scores = LawTable(values, np.arange(graphs))
     # Delta = 0: the scores cannot depend on the input, and exp(eps/(4*0) *
     # score) degenerates to uniform over the argmax set
     coefficient = math.inf if delta <= 0.0 else cfg.epsilon / (4.0 * delta)
@@ -506,7 +511,7 @@ def block_mechanism(
 
     Returns (mechanism, candidate levels [C, T], delta, diagnostics)."""
     laws = block_laws(g.adjacency[None], rho_hat, cfg)
-    scores = laws.scores[0]
+    scores = laws.scores.rows[laws.scores.law_of[0]]
     diagnostics = {
         "candidate_count": laws.levels.shape[0],
         "degree_cap": laws.degree_cap,

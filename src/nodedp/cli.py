@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .audits import (
-    PAIR_AUDIT_MAX_N,
     PAIR_ROWS_MAX_N,
     audit_bitstring_reduction,
     audit_block_mechanism,
@@ -52,7 +51,7 @@ from .graphons import (
     two_clique_graphon,
     StepGraphon,
 )
-from .graphs import LabeledGraph
+from .graphs import REWIRING_PAIRS_MAX_N, LabeledGraph
 from .mechanisms import check_table_size
 from .rng import substream
 
@@ -86,6 +85,7 @@ def _require(ok: bool, option: str, rule: str, value) -> None:
 def _check_rewired(n: int, m: int, k: int) -> None:
     """Refuse a rewired G(n, m) request before sampling: stage one draws
     m + k of the C(n, 2) slots."""
+    _require(n >= 1, "--n", "be at least 1", n)
     _require(min(m, k) >= 0, "--m and --k", "be at least 0", f"{m} and {k}")
     slots = n * (n - 1) // 2
     _require(m + k <= slots, "--m + --k", f"be at most C(n,2) = {slots}", f"{m} + {k}")
@@ -226,8 +226,8 @@ def _cmd_audit_dp(args) -> int:
             grid = _grid(0.0, 1.0, args.grid_points, 1)
         else:
             mech = partial(laplace_density_mechanism, epsilon=args.epsilon)
-            # one law per edge count; the audit refuses n > PAIR_AUDIT_MAX_N itself
-            laws = math.comb(min(args.n, PAIR_AUDIT_MAX_N), 2) + 1
+            # one law per edge count; the audit refuses n > REWIRING_PAIRS_MAX_N itself
+            laws = math.comb(min(args.n, REWIRING_PAIRS_MAX_N), 2) + 1
             grid = _grid(*LAPLACE_GRID, args.grid_points, laws)
         name = "extended-density" if extended else "laplace-baseline"
         report = audit_density_mechanism(mech, args.n, args.epsilon, grid, name, collect)
@@ -244,6 +244,8 @@ def _cmd_audit_dp(args) -> int:
 
 def _cmd_audit_sensitivity(args) -> int:
     _check_k(args.k, args.n)
+    _require(args.d >= 0, "--d", "be at least 0", args.d)
+    _require(0.0 <= args.mu < math.inf, "--mu", "be a finite real at least 0", args.mu)
     report = audit_score_sensitivity(args.n, args.k, args.d, args.mu)
     print(
         f"n={report.n} k={report.k} d={report.d} mu={report.mu} "
@@ -491,7 +493,8 @@ _OPTION_RULES = (
     ("--epsilon", "epsilon", "be a positive finite real", lambda v: 0 < v < math.inf),
     ("--rho", "rho", "lie in (0, 1]", lambda v: 0 < v <= 1),
     ("--C", "C", "exceed 48", lambda v: v > 48),
-    ("--lambda", "lam", "be at least 1", lambda v: v >= 1),
+    ("--lambda", "lam", "be a finite real at least 1", lambda v: 1 <= v < math.inf),
+    ("--seed", "seed", "be at least 0", lambda v: v >= 0),
 )
 
 

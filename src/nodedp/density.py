@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import (
+    REWIRING_PAIRS_MAX_N,
     LabeledGraph,
     edge_density,
     graph_index,
@@ -37,8 +38,6 @@ from .mechanisms import (
     truncated_laplace_laws,
     truncation_rate,
 )
-
-EXACT_EXTENSION_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,16 @@ class DensityEstimate:
 # -- Laplace baseline ---------------------------------------------------------
 
 
+def laplace_scale(n: int, epsilon: float) -> float:
+    """4/(n eps), the baseline's Laplace scale at order n: twice what eps
+    needs, since one rewiring moves the edge density by at most 2/n."""
+    return 4.0 / (n * _check_epsilon(epsilon))
+
+
 def laplace_density_mechanism(g: LabeledGraph, epsilon: float) -> LaplaceDensity:
-    """e(G) + Lap(4/(n eps)) before clamping: the law the audits certify, and
-    the one the baseline and the block estimator's first stage sample."""
-    eps = _check_epsilon(epsilon)
-    return LaplaceDensity(edge_density(g), 4.0 / (g.n * eps))
+    """e(G) + Lap(laplace_scale) before clamping: the law the audits certify,
+    and the one the baseline and the block estimator's first stage sample."""
+    return LaplaceDensity(edge_density(g), laplace_scale(g.n, epsilon))
 
 
 def laplace_density_estimator(
@@ -142,10 +146,10 @@ def homogeneity_membership(g: LabeledGraph, cfg: HomogeneityConfig) -> bool:
 
 
 def _check_exact_extension(n: int) -> None:
-    if n > EXACT_EXTENSION_MAX_N:
+    if n > REWIRING_PAIRS_MAX_N:
         raise ResourceLimitError(
             f"exact extension enumerates all graphs; limited to n <= "
-            f"{EXACT_EXTENSION_MAX_N}. Use promise mode for larger n."
+            f"{REWIRING_PAIRS_MAX_N}. Use promise mode for larger n."
         )
 
 
@@ -270,7 +274,7 @@ def extend_over_graphs(
     in H, groups in order of their first index.  The distance from every
     input to every group is one multi-source BFS, graphs.group_distances,
     and extend_mechanism builds the law of every distinct distance row at
-    once.  Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N.
+    once.  Enumerates the full graph space, so n <= REWIRING_PAIRS_MAX_N.
     """
     _check_exact_extension(n)
     centres, groups = _extension_groups(n, in_h, _index_edge_counts(n))
@@ -296,7 +300,7 @@ def extended_density_mechanism(
 
     The base spends eps/2 on the homogeneity set; extending at distance cost
     eps/2 yields an eps-node-DP mechanism agreeing with the base on the set.
-    Enumerates the full graph space, so n <= EXACT_EXTENSION_MAX_N = 6.  H
+    Enumerates the full graph space, so n <= REWIRING_PAIRS_MAX_N = 6.  H
     comes from each graph index's edge count (_homogeneity_and_counts), and
     the base laws of all groups from one table build per knot count.  At
     n = 5 (638 graphs in H, 6 base laws) its 1,024 inputs have 22 distinct

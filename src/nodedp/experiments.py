@@ -27,6 +27,7 @@ from .density import (
     HomogeneityConfig,
     extended_density_estimator,
     homogeneity_membership,
+    laplace_scale,
 )
 from .density import (  # noqa: F401  (wrapped here by perfbench/tracing.py)
     laplace_density_estimator,
@@ -44,7 +45,7 @@ from .graphons import (
     sample_w_random,
 )
 from .graphs import all_graphs, node_distance
-from .mechanisms import _check_epsilon, sample_laplace, truncated_laplace_quantiles
+from .mechanisms import sample_laplace, truncated_laplace_quantiles
 from .rng import substream
 
 DENSITY_ESTIMATORS = ("baseline", "promise", "extended")
@@ -188,7 +189,7 @@ def _edge_count_cell(
     cfg: ExperimentConfig, n: int, eps: float, p: float, m: int
 ) -> np.ndarray:
     """Squared errors of a baseline or promise cell, all from one stream.
-    The baseline adds Lap(4/(n eps)) and clamps to [0, 1], as
+    The baseline adds Lap(laplace_scale(n, eps)) and clamps to [0, 1], as
     laplace_density_estimator does; the promise cell samples the law that
     restricted_density_mechanism builds at each trial's centre.  Its
     uniforms are drawn at once and taken in sorted-centre order, the stream
@@ -198,7 +199,7 @@ def _edge_count_cell(
     rng = substream(cfg.seed, "mse", cfg.estimator, cfg.model, n, repr(eps))
     centres = _edge_densities(cfg, n, p, m, rng)
     if cfg.estimator == "baseline":
-        noise = sample_laplace(4.0 / (n * _check_epsilon(eps)), rng, size=cfg.trials)
+        noise = sample_laplace(laplace_scale(n, eps), rng, size=cfg.trials)
         values = np.clip(centres + noise, 0.0, 1.0)
     else:
         # the draws in sorted-centre order; each opens a law or repeats the last

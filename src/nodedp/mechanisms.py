@@ -612,7 +612,8 @@ _AUDIT_CHUNK_BYTES = 16 * 2**20
 class LawTable(NamedTuple):
     """The output laws of an audit's inputs: rows [R, T], log densities on a
     grid or log pmfs over candidates, and law_of [inputs], the row of each
-    input.  Inputs that share a row share a law; rows need not differ."""
+    input.  The producer names the laws: inputs share a law exactly when
+    they share a row, and max_violation never reads the rows to merge them."""
 
     rows: np.ndarray
     law_of: np.ndarray
@@ -627,60 +628,33 @@ class Violation(NamedTuple):
     rows: tuple = ()
 
 
-def _row_laws(logs: np.ndarray) -> np.ndarray:
-    """A law id per row of the [P, T] table logs: rows with the same bytes
-    share an id.  Each row is hashed once and compared byte for byte with
-    the first row of each earlier law of its hash, so the table is never
-    copied; rows equal as floats but not as bytes (a zero's sign, a NaN's
-    payload) are different laws."""
-    ids = np.empty(len(logs), dtype=np.intp)
-    firsts: list[int] = []  # the first row of each law
-    by_hash: dict[int, list[int]] = {}
-    for r, row in enumerate(logs):
-        key = row.tobytes()
-        candidates = by_hash.setdefault(hash(key), [])
-        for law in candidates:
-            if logs[firsts[law]].tobytes() == key:
-                break
-        else:
-            law = len(firsts)
-            candidates.append(law)
-            firsts.append(r)
-        ids[r] = law
-    return ids
-
-
 def max_violation(table, first, second, epsilon: float, collect_rows: bool = False) -> Violation:
     """Worst privacy gap log p_i[t] - log p_j[t] - epsilon over the pairs
     (i, j) = (first[s], second[s]) of inputs and columns t, given a
-    LawTable or a [P, T] table with one row per input.  Each pair reports
-    its first maximizing column, and the witness is the first maximum in
-    pair order, then column order; a NaN gap is never a witness.  A
-    nonpositive worst gap (within tolerance) certifies the bound epsilon.
+    LawTable, or a [P, T] table as the shorthand for one law per row.  Each
+    pair reports its first maximizing column, and the witness is the first
+    maximum in pair order, then column order; a NaN gap is never a witness.
+    A nonpositive worst gap (within tolerance) certifies the bound epsilon.
 
-    Rows with the same bytes give the same gaps, so the inputs whose rows
-    have the same bytes share a law (_row_laws hashes the R rows, not the
-    inputs), and each distinct pair of laws is compared once, at its first
-    pair, found in chunks of pairs by a table of all law pairs where it is
-    no larger than the pair list, else by np.unique: the 66,560 rewiring
-    pairs of the n = 5 Laplace audit are 77 law pairs.
+    A law is a row of the table, named by its index in law_of, and each
+    distinct pair of laws is compared once, at its first pair, found in
+    chunks of pairs by a table of all law pairs where it is no larger than
+    the pair list, else by np.unique: the 66,560 rewiring pairs of the
+    n = 5 Laplace audit are 77 law pairs.
     """
     if not isinstance(table, LawTable):
         table = LawTable(table, np.arange(len(table)))
     logs = np.asarray(table.rows, dtype=float)
-    law_of = np.asarray(table.law_of, dtype=np.intp)
+    laws = np.asarray(table.law_of, dtype=np.intp)
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError("first and second must be 1-d index arrays of equal length")
     if logs.ndim != 2 or logs.shape[1] == 0:
         raise ValueError("rows must be [R, T] with T >= 1 grid points or outputs")
-    if law_of.ndim != 1 or ((law_of < 0) | (law_of >= len(logs))).any():
+    if laws.ndim != 1 or ((laws < 0) | (laws >= len(logs))).any():
         raise ValueError("law_of must give each input a row of the table")
-    # a row's law is the first row with its bytes, numbered densely, so that
-    # a law pair is one integer; gaps are taken between the given rows
-    laws = _row_laws(logs)[law_of]
-    count = int(laws.max(initial=-1)) + 1
+    count = len(logs)  # a law pair is one integer
 
     def law_pairs(lo=0, hi=None):
         """The law pair of each of the pairs lo..hi, as one integer."""
@@ -707,7 +681,7 @@ def max_violation(table, first, second, epsilon: float, collect_rows: bool = Fal
     ratio = np.empty(at.size)
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        i, j = law_of[first[at[part]]], law_of[second[at[part]]]
+        i, j = laws[first[at[part]]], laws[second[at[part]]]
         gaps = logs[i]
         gaps -= logs[j]
         gaps -= epsilon

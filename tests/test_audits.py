@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nodedp.audits as audits
 import nodedp.block_estimator as block_estimator
 from nodedp.audits import (
     AUDIT_TOLERANCE,
@@ -44,6 +45,7 @@ from nodedp.graphs import (
 from nodedp.mechanisms import (
     AUDIT_TABLE_BYTES,
     FiniteMechanism,
+    LawTable,
     LaplaceDensity,
     PiecewiseExpDensity,
 )
@@ -373,17 +375,28 @@ BATCH_RHO_HATS = (0.1, 0.2, 0.34, 0.4, 0.5)
 @pytest.mark.parametrize("mode", ["audited", "theoretical"])
 @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_batched_block_laws_match_the_per_graph_mechanisms(n, k, mode):
-    # the batched log-pmf table is the per-graph mechanisms' log pmfs byte
-    # for byte, on every piece tried, the one-candidate grid among them
+    # the batched log-pmf table, read through its law_of, is the per-graph
+    # mechanisms' log pmfs byte for byte, on every piece tried, the
+    # one-candidate grid among them; theoretical mode gives a row per graph
+    # off that grid, and audited mode the score table's rows
     graphs = list(all_graphs(n))
     for rho_hat in BATCH_RHO_HATS:
         cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=k, sensitivity_mode=mode)
         laws = block_laws(all_adjacencies(n), rho_hat, cfg)
         logs = laws.log_probs()
         want = np.stack([block_mechanism(g, rho_hat, cfg)[0].log_probs for g in graphs])
-        assert logs.tobytes() == want.tobytes()
-        assert logs.flags.c_contiguous and laws.scores.flags.c_contiguous
-        assert laws.scores.shape == logs.shape == (len(graphs), laws.levels.shape[0])
+        assert logs.rows[logs.law_of].tobytes() == want.tobytes()
+        assert logs.law_of.tolist() == laws.scores.law_of.tolist()
+        assert logs.rows.flags.c_contiguous and laws.scores.rows.flags.c_contiguous
+        assert laws.scores.rows.shape == logs.rows.shape
+        assert logs.rows.shape[1] == laws.levels.shape[0]
+        if laws.degree_cap == 0:
+            assert logs.rows.shape[0] == 1
+        elif mode == "theoretical":
+            assert logs.law_of.tolist() == list(range(len(graphs)))
+        else:
+            table = measured_score_sensitivity(n, k, 2.0 * rho_hat, laws.degree_cap)
+            assert laws.scores.rows is table.scores.rows
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -491,20 +504,25 @@ def test_audited_block_laws_read_the_scored_route_from_the_score_table(n, k, pie
     for rho_hat in _piece_ends(n, 2.0, pieces):
         measured_score_sensitivity.cache_clear()
         laws = block_laws(stack, rho_hat, cfg)
+        scores = laws.scores.rows[laws.scores.law_of]
         if laws.degree_cap == 0:  # the one-candidate grid, never scored
-            assert laws.scores.tolist() == [[0.0]] * len(stack) and laws.delta == 0.0
+            assert scores.tolist() == [[0.0]] * len(stack) and laws.delta == 0.0
             continue
         levels = candidate_matrices(n, k, 2.0 * rho_hat)
         capped = degree_cap(stack, laws.degree_cap).astype(float)
         want = _best_scores_bulk(levels, capped, n, k)
         delta = max(0.0, float(np.abs(want.values[first] - want.values[second]).max()))
         assert laws.levels.tobytes() == levels.tobytes()
-        assert laws.scores.tobytes() == want.values.tobytes()
+        assert scores.tobytes() == want.values.tobytes()
         assert laws.distinct_rows.tolist() == want.distinct_rows.tolist()
         assert laws.delta == delta
         coefficient = math.inf if delta <= 0.0 else 1.0 / (4.0 * delta)
-        scored = laws._replace(scores=want.values, delta=delta, coefficient=coefficient)
-        assert laws.log_probs().tobytes() == scored.log_probs().tobytes()
+        scored = laws._replace(
+            scores=LawTable(want.values, np.arange(len(stack))), delta=delta,
+            coefficient=coefficient,
+        )
+        logs, scored_logs = laws.log_probs(), scored.log_probs()
+        assert logs.rows[logs.law_of].tobytes() == scored_logs.rows.tobytes()
 
 
 def test_an_audited_block_audit_scores_once(monkeypatch):
@@ -523,7 +541,8 @@ def test_an_audited_block_audit_scores_once(monkeypatch):
 
 
 def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):
-    # 64 graphs x 9^6 = 531,441 candidates at n = 4, k = 3, mu = 2: 272 MB
+    # 64 graphs x 9^6 = 531,441 candidates at n = 4, k = 3, mu = 2: 272 MB;
+    # 1,024 graphs x 6^6 = 46,656 at n = 5, k = 3, mu = 1: 382 MB
     def unreachable(*args):
         raise AssertionError("scored a table the audit cap refuses")
 
@@ -532,21 +551,70 @@ def test_block_audit_refuses_an_oversized_table_before_scoring(monkeypatch):
     cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=3, sensitivity_mode="audited")
     with pytest.raises(ResourceLimitError, match="64 rows x 531441 candidates"):
         audit_block_mechanism(4, 1.0, cfg, 0.5)
+    with pytest.raises(ResourceLimitError, match="1024 rows x 46656 candidates"):
+        audit_block_mechanism(5, 0.5, cfg, 0.5)
 
 
-def test_pairwise_audits_refuse_n7():
+@pytest.mark.parametrize("n,k,mu,d", [(3, 2, 1.0, 1), (4, 2, 1.0, 4), (4, 2, 0.4, 2),
+                                       (4, 3, 0.5, 3), (5, 2, 0.4, 4), (5, 2, 1.0, 2)])
+def test_score_table_names_each_law_by_its_score_row(n, k, mu, d):
+    # the producer's laws: rows pairwise byte-distinct, each one some graph's,
+    # and every graph's row, read through law_of, the bytes of its capped
+    # graph scored on its own; distinct_rows is kept per graph index
+    measured_score_sensitivity.cache_clear()
+    table = measured_score_sensitivity(n, k, mu, d)
+    rows, law_of = table.scores
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert sorted(set(law_of.tolist())) == list(range(len(rows)))
+    assert law_of.shape == table.distinct_rows.shape == (2 ** math.comb(n, 2),)
+    for array in (rows, law_of, table.distinct_rows, table.levels):
+        assert not array.flags.writeable
+    for index, g in enumerate(all_graphs(n)):
+        alone = _best_scores_bulk(table.levels, degree_cap(g, d).adjacency[None].astype(float),
+                                  n, k)
+        assert rows[law_of[index]].tobytes() == alone.values[0].tobytes()
+        assert table.distinct_rows[index] == alone.distinct_rows[0]
+
+
+def test_block_audit_at_n5_reports_what_the_per_graph_audit_reports():
+    # the command line's defaults at n = 5: 1,024 graphs and 66,560 pairs,
+    # against the per-graph reference of block_mechanism's own laws
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
+    got = audit_block_mechanism(5, 0.5, cfg, 0.5, collect_rows=True)
+    want = audit_finite_mechanism(
+        lambda g: block_mechanism(g, 0.5, cfg)[0], 5, 0.5, collect_rows=True
+    )
+    assert got.passed() and want.passed()
+    assert (got.max_violation, got.pairs_checked, got.witness) == (
+        want.max_violation, want.pairs_checked, want.witness
+    )
+    assert got.pairs_checked == 66560
+    assert got.rows == want.rows
+
+
+def test_pairwise_audits_refuse_n7(monkeypatch):
     with pytest.raises(ResourceLimitError, match="pairwise audits"):
         audit_density_mechanism(
             lambda g: laplace_density_mechanism(g, 1.0), 7, 1.0, GRID
         )
+
+    def unreachable(*args):
+        raise AssertionError("built a law the audit refuses")
+
+    # the block audit, before its graph stack or any score
+    monkeypatch.setattr(audits, "all_adjacencies", unreachable)
+    monkeypatch.setattr(block_estimator, "measured_score_sensitivity", unreachable)
+    cfg = EstimatorConfig(epsilon=1.0, lam=2.0, k=2, sensitivity_mode="audited")
+    with pytest.raises(ResourceLimitError, match="pairwise audits limited to n <= 6"):
+        audit_block_mechanism(7, 0.5, cfg, 0.5)
 
 
 def test_finite_and_bitstring_audits_refuse_above_their_limits():
     def never_called(g):
         raise AssertionError("mechanism built before the size guard")
 
-    with pytest.raises(ResourceLimitError, match="n <= 4"):
-        audit_finite_mechanism(never_called, 5, 1.0)
+    with pytest.raises(ResourceLimitError, match="pairwise audits limited to n <= 6"):
+        audit_finite_mechanism(never_called, 7, 1.0)
     with pytest.raises(ResourceLimitError, match="6 bits"):
         audit_bitstring_reduction(never_called, 7, 1.0, GRID)
 

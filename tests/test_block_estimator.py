@@ -762,8 +762,9 @@ def test_block_mechanism_audited_mode_uses_measured_delta():
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=1.0, lam=0.5, k=2)
+    for lam in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be a finite real >= 1"):
+            EstimatorConfig(epsilon=1.0, lam=lam, k=2)
     with pytest.raises(ValueError):
         EstimatorConfig(epsilon=-1.0, lam=2.0, k=2)
     with pytest.raises(ValueError):

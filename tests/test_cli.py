@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -513,7 +514,28 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
         (["audit", "dp", "--mechanism", "extended", "--n", "3", "--C", "10"],
          "--C must exceed 48, got 10.0"),
         (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--lambda", "0.5"],
-         "--lambda must be at least 1, got 0.5"),
+         "--lambda must be a finite real at least 1, got 0.5"),
+        # formerly an OverflowError traceback, exit 1
+        (["audit", "dp", "--mechanism", "blocks", "--n", "3", "--lambda", "inf"],
+         "--lambda must be a finite real at least 1, got inf"),
+        (["estimate", "blocks", "--input", "unread.txt", "--epsilon", "1", "--lambda", "inf",
+          "--k", "2"], "--lambda must be a finite real at least 1, got inf"),
+        (["audit", "sensitivity", "--n", "4", "--k", "2", "--d", "2", "--mu", "inf"],
+         "--mu must be a finite real at least 0, got inf"),
+        # formerly numpy's wording, and the library's for --d
+        (["audit", "sensitivity", "--n", "4", "--k", "2", "--d", "2", "--mu", "nan"],
+         "--mu must be a finite real at least 0, got nan"),
+        (["audit", "sensitivity", "--n", "4", "--k", "2", "--d", "2", "--mu", "-0.5"],
+         "--mu must be a finite real at least 0, got -0.5"),
+        (["audit", "sensitivity", "--n", "4", "--k", "2", "--d", "-1", "--mu", "0.5"],
+         "--d must be at least 0, got -1"),
+        # formerly numpy's "high <= 0" and "expected non-negative integer"
+        (["sample", "--model", "gnm-rewired", "--n", "0", "--m", "0", "--k", "0"],
+         "--n must be at least 1, got 0"),
+        (["experiment", "coupling", "--n", "0", "--m", "0", "--k", "0"],
+         "--n must be at least 1, got 0"),
+        (["sample", "--model", "gnp", "--n", "4", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
         (["experiment", "homogeneity", "--n", "6", "--p", "0.3", "--rho", "0"],
          "--rho must lie in (0, 1], got 0.0"),
         # formerly "m=11 out of range [0, 3]" and "m=4 out of range [0, 3]":
@@ -554,7 +576,10 @@ def test_unusable_input_is_one_stderr_line_and_exit_code_2(argv, edge_list, mess
     ],
     ids=["laplace-n1", "laplace-n0", "reduction-1-bit", "reduction-0-bits", "extended-n2",
          "sample-negative-n", "zero-epsilon", "nan-epsilon", "rho-above-1", "small-C",
-         "lambda-below-1", "homogeneity-zero-rho", "coupling-m-plus-k", "coupling-m-at-slots",
+         "lambda-below-1", "audit-lambda-inf", "estimate-lambda-inf", "sensitivity-mu-inf",
+         "sensitivity-mu-nan", "sensitivity-negative-mu", "sensitivity-negative-d",
+         "sample-rewired-n0", "coupling-n0", "sample-negative-seed", "homogeneity-zero-rho",
+         "coupling-m-plus-k", "coupling-m-at-slots",
          "sample-rewired-m-plus-k", "sample-gnm-m", "homogeneity-n2", "sample-gnp-p",
          "homogeneity-negative-p", "homogeneity-nan-p", "homogeneity-no-samples",
          "coupling-negative-trials", "sample-two-clique-q", "sample-negative-rho",
@@ -616,3 +641,54 @@ def test_block_release_bytes_are_pinned(n, k, digest, tmp_path):
 def test_main_raises_refusals():
     with pytest.raises(ResourceLimitError):
         main(list(UNDECIDED_HOMOGENEITY))
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of every subcommand that takes options."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+# small valid invocations of each subcommand, one per model, mode or mechanism
+_SWEEP_BASES = {
+    ("sample",): [["--model", model, "--n", "4", "--m", "2"]
+                  for model in ("gnp", "gnm", "gnm-rewired", "wrandom", "two-clique")],
+    ("estimate", "density"): [["--input", "{graph}", "--epsilon", "1", "--mode", mode]
+                              for mode in ("baseline", "promise", "extended")],
+    ("estimate", "blocks"): [["--input", "{graph}", "--epsilon", "1", "--lambda", "2", "--k", "2",
+                              "--sensitivity", mode] for mode in ("theoretical", "audited")],
+    ("audit", "dp"): [["--mechanism", mechanism, "--n", "3", "--grid-points", "16"]
+                      for mechanism in ("laplace", "blocks", "extended")],
+    ("audit", "sensitivity"): [["--n", "3", "--k", "2", "--d", "2", "--mu", "0.5"]],
+    ("experiment", "mse"): [],
+    ("experiment", "coupling"): [["--n", "4", "--m", "2", "--k", "1", "--trials", "2"]],
+    ("experiment", "homogeneity"): [["--n", "4", "--p", "0.5", "--samples", "2"]],
+    ("experiment", "reduction"): [["--n-bits", "2", "--grid-points", "16"]],
+}
+_SWEEP_VALUES = {float: ("nan", "inf", "-inf"), int: ("-1",)}
+
+
+def test_every_numeric_option_takes_extreme_values_without_a_traceback(graph_file, capsys):
+    # each float option at nan and +-inf and each int option at -1, on top
+    # of a small valid request: exit 0, 2 or 3, and at most one stderr line
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(_SWEEP_BASES)
+    runs = 0
+    for path, parser in leaves.items():
+        options = [a for a in parser._actions if a.type in _SWEEP_VALUES]
+        assert not options or _SWEEP_BASES[path], path
+        for base in _SWEEP_BASES[path]:
+            base = [arg.format(graph=graph_file) for arg in base]
+            for action in options:
+                for value in _SWEEP_VALUES[action.type]:
+                    argv = [*path, *base, f"{action.option_strings[-1]}={value}"]
+                    code = run(argv)
+                    err = capsys.readouterr().err
+                    assert code in (0, 2, 3), (argv, code, err)
+                    assert len(err.splitlines()) <= 1, (argv, err)
+                    runs += 1
+    assert runs > 200

@@ -7,7 +7,6 @@ import pytest
 from scipy import special
 
 from nodedp.density import (
-    EXACT_EXTENSION_MAX_N,
     HomogeneityConfig,
     _extension_groups,
     _homogeneity_and_counts,
@@ -25,6 +24,7 @@ from nodedp.density import (
 )
 from nodedp.errors import ResourceLimitError
 from nodedp.graphs import (
+    REWIRING_PAIRS_MAX_N,
     LabeledGraph,
     all_graphs,
     edge_density,
@@ -419,7 +419,7 @@ def test_extended_exact_estimator_runs_and_labels():
 
 
 def test_extended_exact_guard_directs_to_promise():
-    g = LabeledGraph.empty(EXACT_EXTENSION_MAX_N + 1)
+    g = LabeledGraph.empty(REWIRING_PAIRS_MAX_N + 1)
     cfg = HomogeneityConfig(rho=0.5, C=49.0, n=g.n)
     with pytest.raises(ResourceLimitError) as err:
         extended_density_estimator(g, 1.0, cfg, substream(11, "ext"))
